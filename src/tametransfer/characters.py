@@ -19,10 +19,11 @@ called the parametric degree of the character.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import EnumerationTooLarge, LevelMismatch, NotPrime, OutOfRange
-from .numth import crt_idempotent, is_prime
+from .numth import _ell_split, is_prime
 from .tower import FieldLevel, field_level
 
 
@@ -106,16 +107,10 @@ def ell_regular_part(alpha: CharExp, ell: int) -> CharExp:
     """
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
-    M = alpha.level.M
-    t = 0
-    M0 = M
-    while M0 % ell == 0:
-        M0 //= ell
-        t += 1
+    t, e = _ell_split(alpha.level.M, ell)
     if t == 0:
         return alpha
-    e = crt_idempotent(ell**t, M0)
-    return CharExp(alpha.level, e * alpha.a % M)
+    return CharExp(alpha.level, e * alpha.a % alpha.level.M)
 
 
 def norm_inflate(alpha: CharExp, a: int, guard: int | None = None) -> CharExp:
@@ -194,20 +189,58 @@ def s_invariant(alpha: CharExp, d_prime: int) -> int:
     return d_prime // math.gcd(f, d_prime)
 
 
+def _walk_orbits(
+    level: FieldLevel, max_enumeration: int, with_members: bool = False
+) -> tuple[array, list[int], list[tuple[int, ...]] | None]:
+    """Walk every Frobenius orbit of the level once.
+
+    Returns ``(rep_of, reps, members)``: ``rep_of[a]`` is the canonical
+    representative of the orbit of ``a``, ``reps`` lists the representatives
+    ascending, and ``members`` (only when asked for) holds each orbit's
+    sorted members in the same order.  The table has M entries, which the
+    guard bounds by ``max_enumeration`` before anything is allocated.
+    """
+    Q, M = level.Q, level.M
+    if M > max_enumeration:
+        raise EnumerationTooLarge(f"M={M} exceeds enumeration bound {max_enumeration}")
+    # Only the orbit {0} has representative 0, so 0 marks "not yet walked"
+    # for every a >= 1; scanning upwards, the first unwalked exponent of an
+    # orbit is its smallest one.
+    rep_of = array("I" if M <= 0xFFFFFFFF else "Q", [0]) * M
+    reps = [0]
+    members: list[tuple[int, ...]] | None = [(0,)] if with_members else None
+    for a in range(1, M):
+        if rep_of[a]:
+            continue
+        reps.append(a)
+        x = a
+        if members is None:
+            while True:
+                rep_of[x] = a
+                x = x * Q % M
+                if x == a:
+                    break
+        else:
+            orbit = []
+            while True:
+                rep_of[x] = a
+                orbit.append(x)
+                x = x * Q % M
+                if x == a:
+                    break
+            orbit.sort()
+            members.append(tuple(orbit))
+    return rep_of, reps, members
+
+
 def enumerate_orbits(level: FieldLevel, max_enumeration: int = 10**6) -> list[GaloisOrbit]:
     """All Frobenius orbits at the level, ordered by canonical representative."""
-    if level.M > max_enumeration:
-        raise EnumerationTooLarge(f"M={level.M} exceeds enumeration bound {max_enumeration}")
-    seen = bytearray(level.M)
-    out = []
-    for a in range(level.M):
-        if seen[a]:
-            continue
-        orb = orbit_of(CharExp(level, a))
-        for x in orb.members:
-            seen[x] = 1
-        out.append(orb)
-    return out
+    rep_of, reps, members = _walk_orbits(level, max_enumeration, with_members=True)
+    del rep_of  # freed before the orbit objects are built, so it adds nothing to their peak
+    return [
+        GaloisOrbit(level=level, rep=rep, size=len(orbit), members=orbit)
+        for rep, orbit in zip(reps, members)
+    ]
 
 
 def inflate_orbit(orbit: GaloisOrbit, a: int, guard: int | None = None) -> GaloisOrbit:

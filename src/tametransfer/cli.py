@@ -28,13 +28,13 @@ from .numth import is_prime_power
 from .regularize import regularize, zsigmondy_prime
 from .selftest import run_selftest
 from .tame import (
+    _transfer_with_lift,
     apply_transfer,
     orbit_to_pair,
     pair_to_orbit,
     rectifier,
     tame_pair,
     transfer_pair,
-    transfer_via_descent,
 )
 from .tower import TowerParams, derive_tower, field_level, level
 
@@ -245,8 +245,7 @@ def _cmd_transfer(args) -> dict:
 def _cmd_transfer_descent(args) -> dict:
     params = _resolve_shape(args)
     alpha = char(level(params, params.n_prime), args.alpha)
-    result = transfer_via_descent(alpha, params)
-    lift = regularize(alpha, params)
+    result, lift = _transfer_with_lift(alpha, params)
     return {
         "from": orbit_to_json(orbit_of(alpha)),
         "to": orbit_to_json(result),

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import CharExp, GaloisOrbit, ell_regular_part, enumerate_orbits, orbit_of
+from .characters import CharExp, GaloisOrbit, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, LevelMismatch
-from .numth import crt_idempotent, factorize, prime_factors
+from .numth import _ell_split, factorize, prime_factors
 from .tower import FieldLevel
 
 
@@ -84,9 +84,9 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
     xi = (alpha_prime.a - alpha.a) % M
     steps = []
     current = alpha
-    for ell, t in sorted(factorize(M).items()):
-        q = ell**t
-        xi_ell = crt_idempotent(M // q, q) * xi % M
+    for ell in sorted(factorize(M)):
+        _, e_reg = _ell_split(M, ell)
+        xi_ell = (1 - e_reg) * xi % M
         if xi_ell == 0:
             continue
         before = orbit_of(current)
@@ -118,9 +118,15 @@ def linked_partition(level: FieldLevel, max_enumeration: int = 10**6) -> tuple[t
     ordered by their smallest representative.  Primes not dividing M act
     trivially on regular parts and can never merge distinct orbits, so the
     closure only needs the prime divisors of M.
+
+    One walk of the level fills a table from exponents to orbit
+    representatives (M entries, at most ``max_enumeration``).  Taking the
+    ell-regular part is multiplication by a CRT idempotent fixed per ell, so
+    each orbit then costs one multiplication and one table lookup per prime.
     """
-    orbits = enumerate_orbits(level, max_enumeration=max_enumeration)
-    parent = {o.rep: o.rep for o in orbits}
+    rep_of, reps, _ = _walk_orbits(level, max_enumeration)
+    M = level.M
+    parent = {rep: rep for rep in reps}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -128,15 +134,15 @@ def linked_partition(level: FieldLevel, max_enumeration: int = 10**6) -> tuple[t
             x = parent[x]
         return x
 
-    for ell in prime_factors(level.M):
-        for orb in orbits:
-            reg = orbit_of(ell_regular_part(orb.rep_char(), ell))
-            ra, rb = find(orb.rep), find(reg.rep)
+    for ell in prime_factors(M):
+        _, e = _ell_split(M, ell)
+        for rep in reps:
+            ra, rb = find(rep), find(rep_of[e * rep % M])
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
     blocks: dict[int, list[int]] = {}
-    for orb in orbits:
-        blocks.setdefault(find(orb.rep), []).append(orb.rep)
+    for rep in reps:
+        blocks.setdefault(find(rep), []).append(rep)
     return tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
 
 

@@ -170,23 +170,23 @@ def is_prime_power(n: int) -> int | None:
     return next(iter(fac))
 
 
-def multiplicative_order(b: int, m: int) -> int:
-    """Order of b in (Z/mZ)^x; requires gcd(b, m) == 1."""
-    if math.gcd(b, m) != 1:
-        raise ValueError("order undefined: arguments not coprime")
-    order = 1
-    # The order divides the Carmichael-style bound lambda(m); walking the
-    # divisor lattice of phi would be cheaper, but callers stay tiny.
-    x = b % m
-    while x != 1:
-        x = x * b % m
-        order += 1
-    return order
-
-
 def crt_idempotent(q: int, m_rest: int) -> int:
     """The idempotent e with e = 0 (mod q) and e = 1 (mod m_rest), coprime parts.
 
     For m_rest == 1 this is 0, matching pow(q, -1, 1) == 0.
     """
     return q * pow(q, -1, m_rest) % (q * m_rest) if m_rest > 1 else 0
+
+
+def _ell_split(M: int, ell: int) -> tuple[int, int]:
+    """Split M = ell**t * M0 with ell not dividing M0; return (t, e).
+
+    e is the CRT idempotent with e = 0 (mod ell**t) and e = 1 (mod M0):
+    multiplying an exponent mod M by e keeps its M0-part and kills its
+    ell-part, and the complementary idempotent 1 - e keeps the ell-part only.
+    """
+    t, M0 = 0, M
+    while M0 % ell == 0:
+        M0 //= ell
+        t += 1
+    return t, crt_idempotent(ell**t, M0)

@@ -128,8 +128,17 @@ def check_linking_completeness(scale: str) -> str:
         orbits = enumerate_orbits(lvl)
         blocks = linked_partition(lvl)
         _require(len(blocks) == 1, f"(Q={Q}, n'={deg}): {len(blocks)} blocks, expected 1")
+        # own walk: an exponent is a representative when no Frobenius
+        # conjugate of it is smaller
+        reps = []
+        for a in range(lvl.M):
+            x = a * Q % lvl.M
+            while x > a:
+                x = x * Q % lvl.M
+            if x == a:
+                reps.append(a)
         _require(
-            sorted(blocks[0]) == sorted(o.rep for o in orbits),
+            sorted(blocks[0]) == reps,
             f"(Q={Q}, n'={deg}): block does not cover all orbits",
         )
         for o1 in orbits:

@@ -40,7 +40,7 @@ from .errors import (
     OrderViolation,
     ShapeError,
 )
-from .regularize import descend_transfer, regularize
+from .regularize import RegularizationLift, descend_transfer, regularize
 from .tower import TowerParams, blow_up, field_level, level
 
 
@@ -122,6 +122,13 @@ def transfer_via_descent(alpha: CharExp, params: TowerParams, guard: int | None 
     inflates to the blown-up rectifier).  Descending that image must land on
     the directly twisted orbit; disagreement is an internal error.
     """
+    return _transfer_with_lift(alpha, params, guard=guard)[0]
+
+
+def _transfer_with_lift(
+    alpha: CharExp, params: TowerParams, guard: int | None = None
+) -> tuple[GaloisOrbit, RegularizationLift]:
+    """``transfer_via_descent`` together with the lift it descended through."""
     spec = rectifier(params, guard=guard)
     lift = regularize(alpha, params, guard=guard)
     mu_star = norm_inflate(spec.mu, lift.a, guard=guard)
@@ -132,7 +139,7 @@ def transfer_via_descent(alpha: CharExp, params: TowerParams, guard: int | None 
         raise MismatchAgainstRectifier(
             f"descent gave {descended.rep}, rectifier twist gave {direct.rep}"
         )
-    return descended
+    return descended, lift
 
 
 @dataclass(frozen=True)

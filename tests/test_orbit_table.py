@@ -1,0 +1,115 @@
+"""The one-walk orbit table against the per-orbit routes it replaced."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tametransfer import (
+    ell_regular_part,
+    enumerate_orbits,
+    field_level,
+    linked_partition,
+    orbit_of,
+)
+from tametransfer.characters import _walk_orbits
+from tametransfer.errors import EnumerationTooLarge
+from tametransfer.numth import _ell_split, crt_idempotent, factorize, prime_factors
+
+SMALL_LEVELS = [
+    field_level(Q, deg)
+    for Q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+    for deg in range(1, 13)
+    if Q**deg - 1 <= 3000
+]
+LARGE_LEVEL = field_level(7, 5)  # M = 16806 = 2 * 3 * 2801
+levels = st.sampled_from(SMALL_LEVELS)
+
+
+def per_orbit_partition(level):
+    """Union-find over the orbits of the ell-regular parts, orbit by orbit."""
+    orbits = enumerate_orbits(level)
+    parent = {o.rep: o.rep for o in orbits}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for ell in prime_factors(level.M):
+        for o in orbits:
+            reg = orbit_of(ell_regular_part(o.rep_char(), ell))
+            ra, rb = find(o.rep), find(reg.rep)
+            parent[max(ra, rb)] = min(ra, rb)
+    blocks = {}
+    for o in orbits:
+        blocks.setdefault(find(o.rep), []).append(o.rep)
+    return tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
+
+
+def walked_orbits(level):
+    """(rep, size, members) of every orbit: each exponent's own walk, sorted."""
+    Q, M = level.Q, level.M
+    out = {}
+    for a in range(M):
+        members = {a}
+        x = a * Q % M
+        while x != a:
+            members.add(x)
+            x = x * Q % M
+        out[min(members)] = tuple(sorted(members))
+    return [(rep, len(m), m) for rep, m in sorted(out.items())]
+
+
+@given(levels)
+@example(LARGE_LEVEL)
+@settings(max_examples=40, deadline=None)
+def test_partition_equals_the_per_orbit_route(lvl):
+    assert linked_partition(lvl) == per_orbit_partition(lvl)
+
+
+@given(levels)
+@example(LARGE_LEVEL)
+@settings(max_examples=40, deadline=None)
+def test_enumeration_equals_an_independent_walk(lvl):
+    orbits = enumerate_orbits(lvl)
+    assert [(o.rep, o.size, o.members) for o in orbits] == walked_orbits(lvl)
+    assert all(o.level == lvl for o in orbits)
+
+
+@pytest.mark.parametrize("lvl", [field_level(5, 2), field_level(2, 6), LARGE_LEVEL])
+def test_table_lookup_is_the_orbit_of_the_regular_part(lvl):
+    rep_of, reps, members = _walk_orbits(lvl, lvl.M)
+    assert members is None
+    assert len(rep_of) == lvl.M
+    for ell in prime_factors(lvl.M):
+        _, e = _ell_split(lvl.M, ell)
+        for o in enumerate_orbits(lvl):
+            expected = orbit_of(ell_regular_part(o.rep_char(), ell)).rep
+            assert rep_of[e * o.rep % lvl.M] == expected
+
+
+@pytest.mark.parametrize("M", [1, 2, 24, 48, 728, 531440, 2**61 - 2])
+def test_ell_split_idempotents_are_complementary(M):
+    for ell, t in factorize(M).items():
+        got_t, e_reg = _ell_split(M, ell)
+        q = ell**t
+        assert got_t == t
+        assert e_reg % q == 0 and e_reg % (M // q) == 1 % (M // q)
+        assert (e_reg + crt_idempotent(M // q, q)) % M == 1 % M
+    t, e = _ell_split(M, 10007)  # a prime dividing none of these M
+    assert (t, e) == (0, 1 % M)
+
+
+@pytest.mark.parametrize("Q, deg", [(2, 1), (2, 2), (5, 2), (3, 5)])
+def test_guard_boundary(Q, deg):
+    lvl = field_level(Q, deg)
+    for fn in (enumerate_orbits, linked_partition):
+        with pytest.raises(EnumerationTooLarge):
+            fn(lvl, max_enumeration=lvl.M - 1)
+        assert fn(lvl, max_enumeration=lvl.M) == fn(lvl)
+
+
+def test_the_trivial_level_has_one_orbit():
+    lvl = field_level(2, 1)  # M = 1
+    (orbit,) = enumerate_orbits(lvl, max_enumeration=1)
+    assert (orbit.rep, orbit.size, orbit.members) == (0, 1, (0,))
+    assert linked_partition(lvl, max_enumeration=1) == ((0,),)
