@@ -127,17 +127,22 @@ def norm_inflate(alpha: CharExp, a: int, guard: int | None = None) -> CharExp:
     return CharExp(top, alpha.a * (top.M // alpha.level.M) % top.M)
 
 
+def _check_blow_up(top: FieldLevel, base: FieldLevel) -> None:
+    """Raise ``LevelMismatch`` unless ``top`` lies over ``base`` in the tower."""
+    if top.Q != base.Q or top.deg % base.deg:
+        raise LevelMismatch(
+            f"level {top.deg} over Q={top.Q} is not a blow-up of "
+            f"level {base.deg} over Q={base.Q}"
+        )
+
+
 def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
     """Invert norm inflation from ``base`` when possible.
 
     Returns the character nu with norm_inflate(nu, a) == chi, which exists
     exactly when the order ratio divides chi's exponent; None otherwise.
     """
-    if chi.level.Q != base.Q or chi.level.deg % base.deg:
-        raise LevelMismatch(
-            f"level {chi.level.deg} over Q={chi.level.Q} is not a blow-up of "
-            f"level {base.deg} over Q={base.Q}"
-        )
+    _check_blow_up(chi.level, base)
     ratio = chi.level.M // base.M
     if chi.a % ratio:
         return None

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .characters import (
     CharExp,
     GaloisOrbit,
+    _check_blow_up,
     ell_regular_part,
-    is_norm_inflated,
     norm_inflate,
     orbit_of,
 )
@@ -25,11 +25,12 @@ from .errors import (
     LevelGuardExceeded,
     LevelMismatch,
     NotNormInflated,
+    NotPrime,
     OrderViolation,
     OutOfRange,
     ZsigmondyException,
 )
-from .numth import divisors, factorize, is_prime, mobius
+from .numth import _ell_split, divisors, factorize, is_prime, mobius
 from .tower import TowerParams, level
 
 ZSIGMONDY_MAX_BITS = 1500
@@ -217,7 +218,7 @@ def regularize(
 
     if orbit_of(beta).size != a * params.n_prime:
         raise OrderViolation("lifted character is not fully regular")
-    if orbit_of(ell_regular_part(beta, ell)) != orbit_of(alpha_star):
+    if ell_regular_part(beta, ell).a not in orbit_of(alpha_star).members:
         raise OrderViolation("lifted character is not congruent to the inflated input")
     if (params.Q**f - 1) % ell == 0 or ell == params.p or ell == 2:
         raise OrderViolation(f"prime {ell} violates the primitivity constraints")
@@ -233,21 +234,36 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
     lifted character; the ell-regular part of the quotient must come from the
     base level by norm inflation, and the descended twist is applied to the
     input.  Conjugates that descend must all agree on the final orbit.
+
+    The ell-split of the lift's group order (the CRT idempotent e) and the
+    order ratio to the base level are computed once per call, so a member m
+    costs one product: x = e * (m - beta) mod M, which descends exactly when
+    the ratio divides x, to the exponent alpha + x / ratio.  Only the orbit
+    of the first candidate is walked; orbits partition the level, so every
+    other candidate must lie among its members.
     """
-    if beta_image.level != lift.beta.level:
+    top = lift.beta.level
+    if beta_image.level != top:
         raise LevelMismatch("image orbit does not live at the lift's level")
+    ell = lift.ell
+    if not is_prime(ell):
+        raise NotPrime(f"ell={ell} is not prime")
     base = alpha.level
-    results = []
+    _check_blow_up(top, base)
+    M_top, M_base = top.M, base.M
+    _, e = _ell_split(M_top, ell)
+    ratio = M_top // M_base
+    b, a = lift.beta.a, alpha.a
+    candidates = []
     for member in beta_image.members:
-        mu_cand = CharExp(beta_image.level, (member - lift.beta.a) % beta_image.level.M)
-        mu_ell = ell_regular_part(mu_cand, lift.ell)
-        nu = is_norm_inflated(mu_ell, base)
-        if nu is not None:
-            results.append(orbit_of(alpha * nu))
-    if not results:
+        x = e * (member - b) % M_top
+        if x % ratio == 0:
+            candidates.append((a + x // ratio) % M_base)
+    if not candidates:
         raise NotNormInflated(
             "no conjugate of the image divides to a norm-inflated regular twist"
         )
-    if any(r != results[0] for r in results[1:]):
+    result = orbit_of(CharExp(base, candidates[0]))
+    if any(c not in result.members for c in candidates[1:]):
         raise AmbiguousTwist("conjugates of the image descend to different orbits")
-    return results[0]
+    return result

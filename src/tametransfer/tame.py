@@ -55,6 +55,15 @@ class RectifierSpec:
     y: int
     mu: CharExp
 
+    def __post_init__(self) -> None:
+        # The transfer twists orbits by mu, which is well defined only when
+        # mu is Frobenius-fixed: Q * mu = mu (mod M).
+        lvl = self.mu.level
+        if self.mu.a * lvl.Q % lvl.M != self.mu.a:
+            raise OrderViolation(
+                f"rectifier exponent {self.mu.a} is not Frobenius-fixed at M={lvl.M}"
+            )
+
     @property
     def nontrivial(self) -> bool:
         return not self.mu.is_trivial
@@ -81,10 +90,10 @@ def rectifier(params: TowerParams, guard: int | None = None) -> RectifierSpec:
 
 
 def apply_transfer(orbit: GaloisOrbit, spec: RectifierSpec) -> GaloisOrbit:
-    """Twist an orbit by the rectifier; well defined since mu is Frobenius-fixed."""
+    """Twist an orbit by the rectifier; well defined since ``RectifierSpec``
+    admits only a Frobenius-fixed mu."""
     if orbit.level != spec.mu.level:
         raise LevelMismatch("orbit does not live at the rectifier's level")
-    assert spec.mu.frobenius() == spec.mu
     return orbit_of(char(orbit.level, orbit.rep + spec.mu.a))
 
 
@@ -231,7 +240,7 @@ def transfer_pair(pair: TamePairClass, params: TowerParams, guard: int | None = 
         raise OrderViolation("rectifier does not restrict to the pair level")
     if 2 * mu_l.a % mu_l.level.M:
         raise OrderViolation("restricted rectifier is not of order dividing two")
-    if orbit_of(pair.beta * mu_l) != orbit_of(out.beta):
+    if out.beta.level != pair.beta.level or out.beta.a not in orbit_of(pair.beta * mu_l).members:
         raise OrderViolation("transferred pair is not the quadratic shift of the input")
     return PairTransfer(pair=out, mu_l=mu_l)
 
