@@ -10,7 +10,7 @@ from tametransfer import (
     char_order,
     derive_tower,
     level,
-    orbit_of,
+    orbit_size,
     regularize,
     verify_certificate,
     zsigmondy_prime,
@@ -31,5 +31,5 @@ alpha = char(level(params, params.n_prime), 0)
 lift = regularize(alpha, params)
 print(f"\nlift of the trivial character: a={lift.a}, ell={lift.ell}")
 print(f"lifted exponent {lift.beta.a} of order {char_order(lift.beta)}")
-print(f"orbit size at the blown-up level: {orbit_of(lift.beta).size} "
+print(f"orbit size at the blown-up level: {orbit_size(lift.beta)} "
       f"(fully regular: equals {lift.a} * {params.n_prime})")

@@ -21,9 +21,9 @@ from .characters import (
     is_sigma_regular,
     norm_inflate,
     orbit_of,
+    orbit_size,
     s_invariant,
     sigma_orbit_size,
-    stabilizer_degrees,
 )
 from .errors import DomainError
 from .green import CyclotomicSum, cyclotomic_sum, element_degree, green_trace
@@ -111,6 +111,7 @@ __all__ = [
     "linked_semisimple",
     "norm_inflate",
     "orbit_of",
+    "orbit_size",
     "orbit_to_pair",
     "pair_to_orbit",
     "rectifier",
@@ -118,7 +119,6 @@ __all__ = [
     "s_invariant",
     "semisimple_endoclass",
     "sigma_orbit_size",
-    "stabilizer_degrees",
     "tame_pair",
     "transfer_pair",
     "transfer_via_descent",

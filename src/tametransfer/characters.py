@@ -46,9 +46,6 @@ class CharExp:
     def inverse(self) -> "CharExp":
         return CharExp(self.level, -self.a % self.level.M)
 
-    def frobenius(self, i: int = 1) -> "CharExp":
-        return CharExp(self.level, pow(self.level.Q, i, self.level.M) * self.a % self.level.M)
-
     @property
     def is_trivial(self) -> bool:
         return self.a == 0
@@ -67,10 +64,6 @@ class GaloisOrbit:
     rep: int
     size: int
     members: tuple[int, ...]
-
-    @property
-    def parametric_degree(self) -> int:
-        return self.size
 
     def rep_char(self) -> CharExp:
         return CharExp(self.level, self.rep)
@@ -149,49 +142,46 @@ def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
     return CharExp(base, chi.a // ratio)
 
 
+def orbit_size(alpha: CharExp) -> int:
+    """Size of the Frobenius orbit of ``alpha``, without walking it.
+
+    The f-th Frobenius power fixes the character exactly when it is norm
+    inflated from the level of degree f, that is when M / (Q**f - 1)
+    divides the exponent; the orbit size is the least such divisor f of the
+    level degree.  Equivalently, f is the order of Q modulo char_order(alpha).
+    """
+    lvl = alpha.level
+    for f in range(1, lvl.deg):
+        if lvl.deg % f == 0 and alpha.a % (lvl.M // (lvl.Q**f - 1)) == 0:
+            return f
+    return lvl.deg
+
+
 def is_e_regular(alpha: CharExp) -> bool:
     """True when the Frobenius orbit has the maximal size, the level degree."""
-    return orbit_of(alpha).size == alpha.level.deg
+    return orbit_size(alpha) == alpha.level.deg
+
+
+def _orbit_size_over(alpha: CharExp, d_prime: int) -> int:
+    """``orbit_size(alpha)``, once d_prime is checked to divide the level degree."""
+    if alpha.level.deg % d_prime:
+        raise LevelMismatch(f"d'={d_prime} does not divide level degree {alpha.level.deg}")
+    return orbit_size(alpha)
 
 
 def sigma_orbit_size(alpha: CharExp, d_prime: int) -> int:
-    """Orbit size under the subgroup generated by the d_prime-th Frobenius power."""
-    if alpha.level.deg % d_prime:
-        raise LevelMismatch(f"d'={d_prime} does not divide level degree {alpha.level.deg}")
-    Q, M = alpha.level.Q, alpha.level.M
-    step = pow(Q, d_prime, M)
-    size = 1
-    x = alpha.a * step % M
-    while x != alpha.a:
-        x = x * step % M
-        size += 1
-    return size
+    """Orbit size u = f / gcd(f, d') under the d_prime-th Frobenius power."""
+    f = _orbit_size_over(alpha, d_prime)
+    return f // math.gcd(f, d_prime)
 
 
 def is_sigma_regular(alpha: CharExp, d_prime: int) -> bool:
     return sigma_orbit_size(alpha, d_prime) == alpha.level.deg // d_prime
 
 
-def stabilizer_degrees(alpha: CharExp, d_prime: int) -> tuple[int, int]:
-    """(f, u): degrees over e and over d of the field the character lives on.
-
-    f is the Frobenius orbit size; the orbit under the index-d' subgroup has
-    size u = f / gcd(f, d').
-    """
-    if alpha.level.deg % d_prime:
-        raise LevelMismatch(f"d'={d_prime} does not divide level degree {alpha.level.deg}")
-    f = orbit_of(alpha).size
-    u = f // math.gcd(f, d_prime)
-    assert u == sigma_orbit_size(alpha, d_prime)
-    return f, u
-
-
 def s_invariant(alpha: CharExp, d_prime: int) -> int:
     """d' / gcd(f, d'), where f is the parametric degree of the character."""
-    if alpha.level.deg % d_prime:
-        raise LevelMismatch(f"d'={d_prime} does not divide level degree {alpha.level.deg}")
-    f = orbit_of(alpha).size
-    return d_prime // math.gcd(f, d_prime)
+    return d_prime // math.gcd(_orbit_size_over(alpha, d_prime), d_prime)
 
 
 def _walk_orbits(

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of
+from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of, orbit_size
 from .errors import DomainError, NotPrimePower, ZsigmondyException
 from .green import green_trace
 from .jsonio import (
@@ -213,7 +213,7 @@ def _cmd_regularize(args) -> dict:
     lift = regularize(alpha, params, a_override=args.a_override)
     doc = lift_to_json(lift)
     doc["alpha"] = char_to_json(alpha)
-    doc["f"] = orbit_of(alpha).size
+    doc["f"] = orbit_size(alpha)
     return doc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .characters import CharExp, orbit_of
+from .characters import CharExp, orbit_size
 from .errors import LevelMismatch, NotRegularCharacter, NotRegularElement
 from .tower import FieldLevel
 
@@ -47,7 +47,7 @@ def cyclotomic_sum(modulus: int, terms: list[tuple[int, int]]) -> CyclotomicSum:
 
 def element_degree(g_exp: int, level: FieldLevel) -> int:
     """Degree of the element with the given exponent: its Frobenius orbit size."""
-    return orbit_of(CharExp(level, g_exp % level.M)).size
+    return orbit_size(CharExp(level, g_exp % level.M))
 
 
 def green_trace(alpha0: CharExp, g_exp: int, u: int) -> CyclotomicSum:
@@ -60,7 +60,7 @@ def green_trace(alpha0: CharExp, g_exp: int, u: int) -> CyclotomicSum:
     lvl = alpha0.level
     if lvl.deg != u:
         raise LevelMismatch(f"character level has degree {lvl.deg}, expected {u}")
-    if orbit_of(alpha0).size != u:
+    if orbit_size(alpha0) != u:
         raise NotRegularCharacter(f"exponent {alpha0.a} has orbit size below {u}")
     g_exp %= lvl.M
     if element_degree(g_exp, lvl) != u:

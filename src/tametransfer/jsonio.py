@@ -16,11 +16,15 @@ from .tower import FieldLevel, field_level
 
 
 def _integer_root(n: int, k: int) -> int:
-    root = round(n ** (1.0 / k))
-    for r in (root - 1, root, root + 1):
-        if r >= 1 and r**k == n:
-            return r
-    raise OutOfRange(f"{n} is not a perfect {k}-th power")
+    """The exact k-th root of n, by integer Newton steps (no float overflow)."""
+    if n < 1 or k < 1:
+        raise OutOfRange(f"{n} is not a perfect {k}-th power")
+    r = 1 << -(-n.bit_length() // k)  # at least the root; Newton steps descend to its floor
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    if r**k != n:
+        raise OutOfRange(f"{n} is not a perfect {k}-th power")
+    return r
 
 
 def char_to_json(chi: CharExp) -> dict:

@@ -19,6 +19,7 @@ from .characters import (
     ell_regular_part,
     norm_inflate,
     orbit_of,
+    orbit_size,
 )
 from .errors import (
     AmbiguousTwist,
@@ -184,7 +185,7 @@ def regularize(
     base = level(params, params.n_prime, guard=guard)
     if alpha.level != base:
         raise LevelMismatch(f"character level {alpha.level} is not {base}")
-    f = orbit_of(alpha).size
+    f = orbit_size(alpha)
     if a_override is not None:
         if a_override % 2 == 0 or a_override < 7 or a_override * params.n_prime <= 6 * f:
             raise OutOfRange(
@@ -216,7 +217,7 @@ def regularize(
     xi = CharExp(top, top.M // ell)
     beta = xi * alpha_star
 
-    if orbit_of(beta).size != a * params.n_prime:
+    if orbit_size(beta) != a * params.n_prime:
         raise OrderViolation("lifted character is not fully regular")
     if ell_regular_part(beta, ell).a not in orbit_of(alpha_star).members:
         raise OrderViolation("lifted character is not congruent to the inflated input")

@@ -419,10 +419,10 @@ def check_green_traces(scale: str) -> str:
     for Q in qs:
         for u in (1, 2, 3):
             lv = field_level(Q, u)
-            regular_chars = [a for a in range(lv.M) if orbit_of(CharExp(lv, a)).size == u]
-            regular_elts = [g for g in range(lv.M) if orbit_of(CharExp(lv, g)).size == u]
-            for a in regular_chars:
-                for g in regular_elts:
+            # characters and elements share the exponents of full orbit size
+            regular = [a for a in range(lv.M) if orbit_of(CharExp(lv, a)).size == u]
+            for a in regular:
+                for g in regular:
                     base = green_trace(CharExp(lv, a), g, u)
                     conj_char = green_trace(CharExp(lv, a * Q % lv.M), g, u)
                     conj_elt = green_trace(CharExp(lv, a), g * Q % lv.M, u)

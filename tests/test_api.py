@@ -1,0 +1,73 @@
+"""The public API, pinned so that any change to it shows up in review."""
+
+import tametransfer
+
+PUBLIC_API = [
+    "CharExp",
+    "CyclotomicSum",
+    "DiscreteSeriesShape",
+    "DomainError",
+    "FieldLevel",
+    "GaloisOrbit",
+    "LinkChain",
+    "PairTransfer",
+    "RectifierSpec",
+    "RegularizationLift",
+    "SemiSimpleEndoClass",
+    "SimpleParam",
+    "TamePairClass",
+    "TowerParams",
+    "ZsigmondyCertificate",
+    "admissible_primes",
+    "apply_transfer",
+    "blow_up",
+    "blowup_parity_check",
+    "build_link_chain",
+    "char",
+    "char_order",
+    "cyclotomic_sum",
+    "cyclotomic_value",
+    "derive_tower",
+    "descend_transfer",
+    "discrete_series_shape",
+    "element_degree",
+    "ell_linked",
+    "ell_regular_part",
+    "enumerate_orbits",
+    "field_level",
+    "green_trace",
+    "inflate_orbit",
+    "is_e_regular",
+    "is_norm_inflated",
+    "is_sigma_regular",
+    "kappa_twist",
+    "level",
+    "linked_partition",
+    "linked_semisimple",
+    "norm_inflate",
+    "orbit_of",
+    "orbit_size",
+    "orbit_to_pair",
+    "pair_to_orbit",
+    "rectifier",
+    "regularize",
+    "s_invariant",
+    "semisimple_endoclass",
+    "sigma_orbit_size",
+    "tame_pair",
+    "transfer_pair",
+    "transfer_via_descent",
+    "verify_certificate",
+    "verify_link_chain",
+    "zsigmondy_exception",
+    "zsigmondy_prime",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(tametransfer.__all__) == PUBLIC_API
+
+
+def test_every_public_name_resolves():
+    for name in tametransfer.__all__:
+        assert hasattr(tametransfer, name), name

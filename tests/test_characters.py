@@ -13,8 +13,9 @@ from tametransfer import (
     is_sigma_regular,
     norm_inflate,
     orbit_of,
+    orbit_size,
     s_invariant,
-    stabilizer_degrees,
+    sigma_orbit_size,
 )
 from tametransfer.characters import CharExp
 from tametransfer.errors import LevelMismatch, NotPrime, OutOfRange
@@ -136,9 +137,13 @@ def test_e_regularity():
 
 
 def test_sigma_regularity_and_degrees():
-    assert stabilizer_degrees(char(L32, 1), 2) == (2, 1)
-    assert stabilizer_degrees(char(L23, 1), 1) == (3, 3)
-    assert stabilizer_degrees(char(L23, 1), 3) == (3, 1)
+    # (f, u): the orbit sizes under the Frobenius and under its d'-th power
+    for chi, d_prime, f, u in [
+        (char(L32, 1), 2, 2, 1),
+        (char(L23, 1), 1, 3, 3),
+        (char(L23, 1), 3, 3, 1),
+    ]:
+        assert (orbit_size(chi), sigma_orbit_size(chi, d_prime)) == (f, u)
     assert is_sigma_regular(char(L32, 2), 2)
 
 

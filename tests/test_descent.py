@@ -104,7 +104,7 @@ def descent_cases(draw):
         i = draw(st.integers(0, top.deg - 1))
         k = draw(st.integers(0, lift.ell - 1))
         image = orbit_of(
-            char(top, lift.beta.frobenius(i).a + norm_inflate(nu, lift.a).a + k * (top.M // lift.ell))
+            char(top, lift.beta.a * top.Q**i + norm_inflate(nu, lift.a).a + k * (top.M // lift.ell))
         )
     # descending another character than the lifted one makes the candidates
     # disagree on most inputs, which is the AmbiguousTwist route

@@ -19,6 +19,13 @@ def test_char_round_trip():
         assert char_from_json(doc) == chi
 
 
+def test_char_round_trip_above_float_range():
+    # M is about 2**1196 here, beyond what a float root can take
+    chi = char(field_level(10**6 + 3, 60), 5)
+    assert chi.level.M > 2**1024
+    assert char_from_json(json.loads(json.dumps(char_to_json(chi)))) == chi
+
+
 def test_char_json_uses_decimal_strings():
     chi = char(field_level(3, 14), 3**13 + 1)
     doc = char_to_json(chi)

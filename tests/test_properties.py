@@ -155,8 +155,12 @@ def test_pair_dictionary_round_trip(raw, seed):
     assert pair_to_orbit(pair, params) == orbit
 
 
+def frobenius(chi):
+    return char(chi.level, chi.a * chi.level.Q)
+
+
 @given(level_and_exponents(), st.sampled_from([2, 3, 5, 7]))
 def test_regular_part_commutes_with_frobenius(data, ell):
     lvl, a = data
     alpha = char(lvl, a)
-    assert ell_regular_part(alpha.frobenius(), ell) == ell_regular_part(alpha, ell).frobenius()
+    assert ell_regular_part(frobenius(alpha), ell) == frobenius(ell_regular_part(alpha, ell))
