@@ -26,6 +26,9 @@ from .errors import EnumerationTooLarge, LevelMismatch, NotPrime, OutOfRange
 from .numth import _ell_split, is_prime
 from .tower import FieldLevel, field_level
 
+# Largest group order M whose orbits are enumerated: the orbit table holds M entries.
+MAX_ENUMERATION = 10**6
+
 
 @dataclass(frozen=True)
 class CharExp:
@@ -106,7 +109,7 @@ def ell_regular_part(alpha: CharExp, ell: int) -> CharExp:
     return CharExp(alpha.level, e * alpha.a % alpha.level.M)
 
 
-def norm_inflate(alpha: CharExp, a: int, guard: int | None = None) -> CharExp:
+def norm_inflate(alpha: CharExp, a: int) -> CharExp:
     """Pull the character back through the norm from the level of degree a*deg.
 
     Exponents multiply by the ratio of group orders; the parametric degree is
@@ -116,7 +119,7 @@ def norm_inflate(alpha: CharExp, a: int, guard: int | None = None) -> CharExp:
         raise OutOfRange(f"blow-up factor must be at least 1, got {a}")
     if a == 1:
         return alpha
-    top = field_level(alpha.level.Q, a * alpha.level.deg, guard=guard)
+    top = field_level(alpha.level.Q, a * alpha.level.deg)
     return CharExp(top, alpha.a * (top.M // alpha.level.M) % top.M)
 
 
@@ -185,19 +188,20 @@ def s_invariant(alpha: CharExp, d_prime: int) -> int:
 
 
 def _walk_orbits(
-    level: FieldLevel, max_enumeration: int, with_members: bool = False
+    level: FieldLevel, with_members: bool = False
 ) -> tuple[array, list[int], list[tuple[int, ...]] | None]:
     """Walk every Frobenius orbit of the level once.
 
     Returns ``(rep_of, reps, members)``: ``rep_of[a]`` is the canonical
     representative of the orbit of ``a``, ``reps`` lists the representatives
     ascending, and ``members`` (only when asked for) holds each orbit's
-    sorted members in the same order.  The table has M entries, which the
-    guard bounds by ``max_enumeration`` before anything is allocated.
+    sorted members in the same order.  The table has M entries, so a level
+    with M above the fixed ``MAX_ENUMERATION`` raises before anything is
+    allocated.
     """
     Q, M = level.Q, level.M
-    if M > max_enumeration:
-        raise EnumerationTooLarge(f"M={M} exceeds enumeration bound {max_enumeration}")
+    if M > MAX_ENUMERATION:
+        raise EnumerationTooLarge(f"M={M} exceeds enumeration bound {MAX_ENUMERATION}")
     # Only the orbit {0} has representative 0, so 0 marks "not yet walked"
     # for every a >= 1; scanning upwards, the first unwalked exponent of an
     # orbit is its smallest one.
@@ -228,9 +232,9 @@ def _walk_orbits(
     return rep_of, reps, members
 
 
-def enumerate_orbits(level: FieldLevel, max_enumeration: int = 10**6) -> list[GaloisOrbit]:
+def enumerate_orbits(level: FieldLevel) -> list[GaloisOrbit]:
     """All Frobenius orbits at the level, ordered by canonical representative."""
-    rep_of, reps, members = _walk_orbits(level, max_enumeration, with_members=True)
+    rep_of, reps, members = _walk_orbits(level, with_members=True)
     del rep_of  # freed before the orbit objects are built, so it adds nothing to their peak
     return [
         GaloisOrbit(level=level, rep=rep, size=len(orbit), members=orbit)
@@ -238,6 +242,6 @@ def enumerate_orbits(level: FieldLevel, max_enumeration: int = 10**6) -> list[Ga
     ]
 
 
-def inflate_orbit(orbit: GaloisOrbit, a: int, guard: int | None = None) -> GaloisOrbit:
+def inflate_orbit(orbit: GaloisOrbit, a: int) -> GaloisOrbit:
     """Norm inflation on orbits; well defined since conjugates inflate to conjugates."""
-    return orbit_of(norm_inflate(orbit.rep_char(), a, guard=guard))
+    return orbit_of(norm_inflate(orbit.rep_char(), a))

@@ -2,8 +2,10 @@
 
 Every invocation writes exactly one JSON document to standard output and
 nothing else there; human diagnostics go to standard error.  Exit codes:
-0 success, 1 usage error, 2 domain error.  All integers that can exceed a
-machine word are rendered as decimal strings.
+0 success, 1 usage error, 2 domain error, 3 internal error (any other
+exception, reported with error kind "InternalError" and its traceback on
+standard error).  All integers that can exceed a machine word are rendered
+as decimal strings.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of, orbit_size
@@ -394,7 +397,7 @@ def build_parser() -> _Parser:
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Parse and execute; never raises for usage or domain problems."""
+    """Parse and execute; never raises, except for ``--help``'s SystemExit."""
     try:
         args = build_parser().parse_args(argv)
         payload = args.handler(args)
@@ -406,6 +409,11 @@ def run(argv: list[str]) -> CommandResult:
     except DomainError as exc:
         return CommandResult(
             status="error", error_kind=exc.kind, message=str(exc), exit_code=2
+        )
+    except Exception as exc:  # noqa: BLE001 - the last resort keeps the one-document contract
+        traceback.print_exc()  # to stderr, so the internal fault stays traceable
+        return CommandResult(
+            status="error", error_kind="InternalError", message=f"{type(exc).__name__}: {exc}", exit_code=3
         )
 
 

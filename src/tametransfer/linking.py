@@ -111,7 +111,7 @@ def verify_link_chain(chain: LinkChain) -> bool:
     return all(M % s.ell == 0 and ell_linked(s.before, s.after, s.ell) for s in chain.steps)
 
 
-def linked_partition(level: FieldLevel, max_enumeration: int = 10**6) -> tuple[tuple[int, ...], ...]:
+def linked_partition(level: FieldLevel) -> tuple[tuple[int, ...], ...]:
     """Transitive closure of ell-linking over all admissible primes.
 
     Returns blocks of orbit representatives, each block ascending and blocks
@@ -120,11 +120,12 @@ def linked_partition(level: FieldLevel, max_enumeration: int = 10**6) -> tuple[t
     closure only needs the prime divisors of M.
 
     One walk of the level fills a table from exponents to orbit
-    representatives (M entries, at most ``max_enumeration``).  Taking the
+    representatives: M entries, so ``EnumerationTooLarge`` is raised first
+    when M exceeds the fixed ``characters.MAX_ENUMERATION``.  Taking the
     ell-regular part is multiplication by a CRT idempotent fixed per ell, so
     each orbit then costs one multiplication and one table lookup per prime.
     """
-    rep_of, reps, _ = _walk_orbits(level, max_enumeration)
+    rep_of, reps, _ = _walk_orbits(level)
     M = level.M
     parent = {rep: rep for rep in reps}
 

@@ -85,7 +85,7 @@ class ZsigmondyCertificate:
     residues: tuple[int, ...]
 
 
-def zsigmondy_prime(b: int, r: int, max_bits: int = ZSIGMONDY_MAX_BITS) -> tuple[int, ZsigmondyCertificate] | None:
+def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     """Smallest primitive prime divisor of b**r - 1 with certificate, or None.
 
     Every prime dividing the r-th cyclotomic value at b is primitive except
@@ -96,9 +96,9 @@ def zsigmondy_prime(b: int, r: int, max_bits: int = ZSIGMONDY_MAX_BITS) -> tuple
     """
     if b < 2 or r < 2:
         raise OutOfRange(f"need b, r >= 2, got b={b}, r={r}")
-    if b.bit_length() * r > max_bits:
+    if b.bit_length() * r > ZSIGMONDY_MAX_BITS:
         raise LevelGuardExceeded(
-            f"b**r-1 would have about {b.bit_length() * r} bits, over the {max_bits}-bit guard"
+            f"b**r-1 would have about {b.bit_length() * r} bits, over the {ZSIGMONDY_MAX_BITS}-bit guard"
         )
     ell0 = max(factorize(r))
     # Strip every copy of the intrinsic prime; for r = 2 it can occur to a
@@ -161,28 +161,17 @@ class RegularizationLift:
     certificate: ZsigmondyCertificate
 
 
-def default_blowup(n_prime: int, f: int) -> int:
-    """Smallest odd integer >= 7 with a*n' > 6f; since f <= n', this is 7."""
-    a = 7
-    while a * n_prime <= 6 * f:
-        a += 2
-    return a
-
-
-def regularize(
-    alpha: CharExp,
-    params: TowerParams,
-    a_override: int | None = None,
-    max_retries: int = 25,
-    guard: int | None = None,
-) -> RegularizationLift:
+def regularize(alpha: CharExp, params: TowerParams, a_override: int | None = None) -> RegularizationLift:
     """Lift ``alpha`` to a fully regular character at an odd blow-up level.
 
-    The blow-up factor defaults to the smallest odd a >= 7 with a*n' > 6f
-    and is bumped by 2 on the (never yet observed) event that the primitive
-    prime search lands on an exception family.
+    The blow-up factor is 7 unless ``a_override`` names another odd a >= 7.
+    The primitive prime is searched for b = Q**f and r = a*n'/f, where the
+    parametric degree f divides n', so r >= a >= 7; the exception families
+    have r = 2 or r = 6, so the search always succeeds.  The blow-up level
+    is built before the search, so the level guard fires before any
+    factoring.
     """
-    base = level(params, params.n_prime, guard=guard)
+    base = level(params, params.n_prime)
     if alpha.level != base:
         raise LevelMismatch(f"character level {alpha.level} is not {base}")
     f = orbit_size(alpha)
@@ -193,27 +182,16 @@ def regularize(
             )
         a = a_override
     else:
-        a = default_blowup(params.n_prime, f)
+        a = 7
+    top = level(params, a * params.n_prime)  # the level guard, before any factoring
 
-    found = None
-    for _ in range(max_retries):
-        b = params.Q**f
-        r = a * params.n_prime // f
-        hit = zsigmondy_prime(b, r)
-        if hit is not None:
-            found = (a, *hit)
-            break
-        if a_override is not None:
-            raise ZsigmondyException(f"no primitive prime for b={b}, r={r} at forced a={a}")
-        a += 2
-    if found is None:
-        raise ZsigmondyException(
-            f"no primitive prime found within {max_retries} odd blow-up factors"
-        )
-    a, ell, cert = found
+    b, r = params.Q**f, a * params.n_prime // f
+    hit = zsigmondy_prime(b, r)
+    if hit is None:
+        raise ZsigmondyException(f"no primitive prime for b={b}, r={r} at a={a}")
+    ell, cert = hit
 
-    alpha_star = norm_inflate(alpha, a, guard=guard)
-    top = alpha_star.level
+    alpha_star = norm_inflate(alpha, a)
     xi = CharExp(top, top.M // ell)
     beta = xi * alpha_star
 

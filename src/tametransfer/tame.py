@@ -69,7 +69,7 @@ class RectifierSpec:
         return not self.mu.is_trivial
 
 
-def rectifier(params: TowerParams, guard: int | None = None) -> RectifierSpec:
+def rectifier(params: TowerParams) -> RectifierSpec:
     """Compute the rectifying character of an essentially tame shape."""
     if math.gcd(params.e_ef, params.p) != 1:
         raise NotEssentiallyTame(
@@ -81,7 +81,7 @@ def rectifier(params: TowerParams, guard: int | None = None) -> RectifierSpec:
         raise ShapeError(f"v={v} does not divide n/w={params.n // w}")
     u = (params.n // w) // v
     y = params.m * (params.d - 1) + params.m_prime * (params.d_prime - 1) + u * (v - 1)
-    lvl = level(params, params.n_prime, guard=guard)
+    lvl = level(params, params.n_prime)
     # Parity first: the quadratic exponent M/2 only exists when Q is odd,
     # which the p != 2 test guarantees.
     nontrivial = params.p != 2 and y % 2 == 1
@@ -123,7 +123,7 @@ def blowup_parity_check(params: TowerParams, a: int) -> bool:
     return (blown.y - a * base.y) % 2 == 0
 
 
-def transfer_via_descent(alpha: CharExp, params: TowerParams, guard: int | None = None) -> GaloisOrbit:
+def transfer_via_descent(alpha: CharExp, params: TowerParams) -> GaloisOrbit:
     """Transfer an orbit by regularizing, twisting upstairs, and descending.
 
     The image of the regularized character at the blown-up level is its twist
@@ -131,16 +131,14 @@ def transfer_via_descent(alpha: CharExp, params: TowerParams, guard: int | None 
     inflates to the blown-up rectifier).  Descending that image must land on
     the directly twisted orbit; disagreement is an internal error.
     """
-    return _transfer_with_lift(alpha, params, guard=guard)[0]
+    return _transfer_with_lift(alpha, params)[0]
 
 
-def _transfer_with_lift(
-    alpha: CharExp, params: TowerParams, guard: int | None = None
-) -> tuple[GaloisOrbit, RegularizationLift]:
+def _transfer_with_lift(alpha: CharExp, params: TowerParams) -> tuple[GaloisOrbit, RegularizationLift]:
     """``transfer_via_descent`` together with the lift it descended through."""
-    spec = rectifier(params, guard=guard)
-    lift = regularize(alpha, params, guard=guard)
-    mu_star = norm_inflate(spec.mu, lift.a, guard=guard)
+    spec = rectifier(params)
+    lift = regularize(alpha, params)
+    mu_star = norm_inflate(spec.mu, lift.a)
     beta_image = orbit_of(lift.beta * mu_star)
     descended = descend_transfer(alpha, lift, beta_image)
     direct = apply_transfer(orbit_of(alpha), spec)
@@ -176,43 +174,43 @@ class TamePairClass:
         return self.beta.level.deg
 
 
-def tame_pair(params: TowerParams, f: int, beta_exp: int, guard: int | None = None) -> TamePairClass:
+def tame_pair(params: TowerParams, f: int, beta_exp: int) -> TamePairClass:
     """Build a pair class from its degree and character exponent."""
     if f < 1 or params.n_prime % f:
         raise DegreeMismatch(f"pair degree f={f} must divide n'={params.n_prime}")
-    return TamePairClass(beta=char(field_level(params.Q, f, guard=guard), beta_exp))
+    return TamePairClass(beta=char(field_level(params.Q, f), beta_exp))
 
 
-def pair_to_orbit(pair: TamePairClass, params: TowerParams, guard: int | None = None) -> GaloisOrbit:
+def pair_to_orbit(pair: TamePairClass, params: TowerParams) -> GaloisOrbit:
     """Inflate a pair class to an orbit at the full level; degree is preserved."""
     if pair.beta.level.Q != params.Q:
         raise LevelMismatch("pair lives over a different base field")
     if params.n_prime % pair.f:
         raise DegreeMismatch(f"pair degree f={pair.f} must divide n'={params.n_prime}")
-    inflated = norm_inflate(pair.beta, params.n_prime // pair.f, guard=guard)
+    inflated = norm_inflate(pair.beta, params.n_prime // pair.f)
     orbit = orbit_of(inflated)
     if orbit.size != pair.f:
         raise OrderViolation("norm inflation changed the parametric degree")
     return orbit
 
 
-def orbit_to_pair(orbit: GaloisOrbit, params: TowerParams, guard: int | None = None) -> TamePairClass:
+def orbit_to_pair(orbit: GaloisOrbit, params: TowerParams) -> TamePairClass:
     """Recover the pair class of an orbit from its canonical representative.
 
     Every representative of parametric degree f is norm-inflated from the
     degree-f subfield level, so the exponent division below is always exact.
     """
-    top = level(params, params.n_prime, guard=guard)
+    top = level(params, params.n_prime)
     if orbit.level != top:
         raise LevelMismatch("orbit does not live at the shape's full level")
-    sub = field_level(params.Q, orbit.size, guard=guard)
+    sub = field_level(params.Q, orbit.size)
     ratio = top.M // sub.M
     if orbit.rep % ratio:
         raise NotInNormImage(
             f"representative {orbit.rep} of degree {orbit.size} is not norm-inflated"
         )
     pair = TamePairClass(beta=CharExp(sub, orbit.rep // ratio))
-    if pair_to_orbit(pair, params, guard=guard) != orbit:
+    if pair_to_orbit(pair, params) != orbit:
         raise OrderViolation("pair recovery does not invert inflation")
     return pair
 
@@ -225,16 +223,16 @@ class PairTransfer:
     mu_l: CharExp
 
 
-def transfer_pair(pair: TamePairClass, params: TowerParams, guard: int | None = None) -> PairTransfer:
+def transfer_pair(pair: TamePairClass, params: TowerParams) -> PairTransfer:
     """Transfer a pair class and expose the order-two correction character.
 
     The correction is the rectifier pushed down to the pair's subfield level;
     it is recomputed against the transferred class at runtime rather than
     trusted.
     """
-    spec = rectifier(params, guard=guard)
-    image = apply_transfer(pair_to_orbit(pair, params, guard=guard), spec)
-    out = orbit_to_pair(image, params, guard=guard)
+    spec = rectifier(params)
+    image = apply_transfer(pair_to_orbit(pair, params), spec)
+    out = orbit_to_pair(image, params)
     mu_l = is_norm_inflated(spec.mu, pair.beta.level)
     if mu_l is None:
         raise OrderViolation("rectifier does not restrict to the pair level")

@@ -15,8 +15,9 @@ modules consume is derived from these:
 
 A FieldLevel pins one layer of the residue-field lattice over e: the field
 with Q**deg elements, whose multiplicative group is cyclic of order
-M = Q**deg - 1.  M is an exact arbitrary-precision integer; a configurable
-guard rejects degrees whose M would be astronomically large.
+M = Q**deg - 1.  M is an exact arbitrary-precision integer; a guard, set only
+by the TAMETRANSFER_LEVEL_GUARD environment variable, rejects degrees whose M
+would be astronomically large.
 """
 
 from __future__ import annotations
@@ -33,9 +34,17 @@ LEVEL_GUARD_ENV = "TAMETRANSFER_LEVEL_GUARD"
 
 
 def level_guard() -> int:
-    """Maximum permitted deg_over_e; overridable via the environment."""
+    """Maximum permitted deg_over_e; the environment variable is its only override."""
     raw = os.environ.get(LEVEL_GUARD_ENV)
-    return int(raw) if raw else DEFAULT_LEVEL_GUARD
+    if not raw:
+        return DEFAULT_LEVEL_GUARD
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise OutOfRange(f"{LEVEL_GUARD_ENV}={raw!r} is not a positive integer")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -50,13 +59,13 @@ class FieldLevel:
         return f"FieldLevel(Q={self.Q}, deg={self.deg})"
 
 
-def field_level(Q: int, deg: int, guard: int | None = None) -> FieldLevel:
+def field_level(Q: int, deg: int) -> FieldLevel:
     """Build the level of degree ``deg`` over a field with Q elements."""
     if Q < 2:
         raise OutOfRange(f"base cardinality must be at least 2, got {Q}")
     if deg < 1:
         raise OutOfRange(f"deg_over_e must be at least 1, got {deg}")
-    bound = guard if guard is not None else level_guard()
+    bound = level_guard()
     if deg > bound:
         raise LevelGuardExceeded(f"deg_over_e={deg} exceeds level guard {bound}")
     return FieldLevel(Q=Q, deg=deg, M=Q**deg - 1)
@@ -106,9 +115,9 @@ def derive_tower(p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> TowerP
     )
 
 
-def level(params: TowerParams, deg_over_e: int, guard: int | None = None) -> FieldLevel:
+def level(params: TowerParams, deg_over_e: int) -> FieldLevel:
     """The field level of the given degree over e, with exact group order."""
-    return field_level(params.Q, deg_over_e, guard=guard)
+    return field_level(params.Q, deg_over_e)
 
 
 def blow_up(params: TowerParams, a: int) -> TowerParams:

@@ -43,8 +43,8 @@ def test_injected_rectifier_bug_fails_the_descent_criterion(monkeypatch):
     """Mutation sanity check: corrupting the twist must break criterion 6."""
     true_rectifier = tame_module.rectifier
 
-    def flipped(params, guard=None):
-        spec = true_rectifier(params, guard=guard)
+    def flipped(params):
+        spec = true_rectifier(params)
         mu = char(spec.mu.level, spec.mu.a + spec.mu.level.M // 2)
         return tame_module.RectifierSpec(
             params=spec.params, w=spec.w, v=spec.v, u=spec.u, y=spec.y, mu=mu

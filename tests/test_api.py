@@ -1,5 +1,7 @@
 """The public API, pinned so that any change to it shows up in review."""
 
+import inspect
+
 import tametransfer
 
 PUBLIC_API = [
@@ -71,3 +73,16 @@ def test_public_api_is_pinned():
 def test_every_public_name_resolves():
     for name in tametransfer.__all__:
         assert hasattr(tametransfer, name), name
+
+
+REMOVED_KNOBS = {"guard", "max_enumeration", "max_bits", "max_retries"}
+
+
+def test_no_public_callable_takes_a_resource_bound():
+    # each resource bound is set in one place (the TAMETRANSFER_LEVEL_GUARD
+    # variable or a module constant), never by a keyword
+    for name in tametransfer.__all__:
+        obj = getattr(tametransfer, name)
+        if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            params = set(inspect.signature(obj).parameters)
+            assert not params & REMOVED_KNOBS, (name, params & REMOVED_KNOBS)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from tametransfer import cli
 from tametransfer.cli import main, run
 
 
@@ -175,6 +178,40 @@ def test_level_guard_env_override(monkeypatch):
     assert result.error_kind == "LevelGuardExceeded"
     monkeypatch.delenv("TAMETRANSFER_LEVEL_GUARD")
     assert run(["orbit", "--Q", "2", "--nprime", "5", "--a", "1"]).exit_code == 0
+
+
+def one_document(capsys) -> dict:
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_malformed_level_guard_is_a_domain_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", raw)
+    assert main(["orbit", "--Q", "2", "--nprime", "3", "--a", "1"]) == 2
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "OutOfRange"
+    assert "TAMETRANSFER_LEVEL_GUARD" in doc["message"] and repr(raw) in doc["message"]
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_tower", boom)
+    assert main(["tower", "--shape", "3,3,2,1,1,4"]) == 3
+    doc = one_document(capsys)
+    assert doc == {"status": "error", "error_kind": "InternalError", "message": "RuntimeError: boom"}
+
+
+def test_float_root_overflow_is_an_internal_error(capsys):
+    # numth._perfect_power takes a float root, which overflows on this
+    # 1176-bit input; the last-resort handler still prints one document
+    assert main(["zsigmondy", "--b", "3", "--r", "743"]) == 3
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "InternalError"
+    assert doc["message"].startswith("OverflowError")
 
 
 def test_output_is_byte_identical_across_runs(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tametransfer import (
+    characters,
     ell_regular_part,
     enumerate_orbits,
     field_level,
@@ -77,7 +78,7 @@ def test_enumeration_equals_an_independent_walk(lvl):
 
 @pytest.mark.parametrize("lvl", [field_level(5, 2), field_level(2, 6), LARGE_LEVEL])
 def test_table_lookup_is_the_orbit_of_the_regular_part(lvl):
-    rep_of, reps, members = _walk_orbits(lvl, lvl.M)
+    rep_of, reps, members = _walk_orbits(lvl)
     assert members is None
     assert len(rep_of) == lvl.M
     for ell in prime_factors(lvl.M):
@@ -100,16 +101,21 @@ def test_ell_split_idempotents_are_complementary(M):
 
 
 @pytest.mark.parametrize("Q, deg", [(2, 1), (2, 2), (5, 2), (3, 5)])
-def test_guard_boundary(Q, deg):
+def test_guard_boundary(Q, deg, monkeypatch):
     lvl = field_level(Q, deg)
     for fn in (enumerate_orbits, linked_partition):
+        want = fn(lvl)
+        monkeypatch.setattr(characters, "MAX_ENUMERATION", lvl.M - 1)
         with pytest.raises(EnumerationTooLarge):
-            fn(lvl, max_enumeration=lvl.M - 1)
-        assert fn(lvl, max_enumeration=lvl.M) == fn(lvl)
+            fn(lvl)
+        monkeypatch.setattr(characters, "MAX_ENUMERATION", lvl.M)
+        assert fn(lvl) == want
+        monkeypatch.undo()
 
 
-def test_the_trivial_level_has_one_orbit():
+def test_the_trivial_level_has_one_orbit(monkeypatch):
     lvl = field_level(2, 1)  # M = 1
-    (orbit,) = enumerate_orbits(lvl, max_enumeration=1)
+    monkeypatch.setattr(characters, "MAX_ENUMERATION", 1)
+    (orbit,) = enumerate_orbits(lvl)
     assert (orbit.rep, orbit.size, orbit.members) == (0, 1, (0,))
-    assert linked_partition(lvl, max_enumeration=1) == ((0,),)
+    assert linked_partition(lvl) == ((0,),)

@@ -73,8 +73,8 @@ def test_regular_part_contract_for_arbitrary_moduli(modulus, raw):
 def test_norm_inflation_is_a_degree_preserving_monomorphism(data, a):
     lvl, x, y = data
     chi, psi = char(lvl, x), char(lvl, y)
-    up_chi, up_psi = norm_inflate(chi, a, guard=80), norm_inflate(psi, a, guard=80)
-    assert norm_inflate(chi * psi, a, guard=80) == up_chi * up_psi
+    up_chi, up_psi = norm_inflate(chi, a), norm_inflate(psi, a)
+    assert norm_inflate(chi * psi, a) == up_chi * up_psi
     assert char_order(up_chi) == char_order(chi)
     assert orbit_of(up_chi).size == orbit_of(chi).size
     if x != y:
@@ -86,9 +86,9 @@ def test_norm_inflation_is_a_degree_preserving_monomorphism(data, a):
 def test_quadratic_character_inflates_to_quadratic(Q, deg, a):
     # the norm map is surjective, so the order-two character pulls back to the
     # order-two character for every blow-up factor, odd or even
-    lvl = field_level(Q, deg, guard=80)
+    lvl = field_level(Q, deg)
     quadratic = char(lvl, lvl.M // 2)
-    up = norm_inflate(quadratic, a, guard=80)
+    up = norm_inflate(quadratic, a)
     assert up.a == up.level.M // 2
     assert char_order(up) == 2
 
@@ -138,10 +138,10 @@ def test_transfer_is_a_degree_preserving_involution(raw, seed):
 def test_transfer_commutes_with_odd_blowup(raw, seed, a):
     params = derive_tower(*raw)
     spec = rectifier(params)
-    blown_spec = rectifier(blow_up(params, a), guard=80)
+    blown_spec = rectifier(blow_up(params, a))
     orbit = orbit_of(char(spec.mu.level, seed % spec.mu.level.M))
-    lifted_then_moved = apply_transfer(inflate_orbit(orbit, a, guard=80), blown_spec)
-    moved_then_lifted = inflate_orbit(apply_transfer(orbit, spec), a, guard=80)
+    lifted_then_moved = apply_transfer(inflate_orbit(orbit, a), blown_spec)
+    moved_then_lifted = inflate_orbit(apply_transfer(orbit, spec), a)
     assert lifted_then_moved == moved_then_lifted
 
 

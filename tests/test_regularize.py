@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from tametransfer import (
@@ -20,6 +22,7 @@ from tametransfer.errors import (
     NotNormInflated,
     OutOfRange,
 )
+from tametransfer.cli import run
 from tametransfer.numth import factorize
 from tametransfer.regularize import ZsigmondyCertificate
 
@@ -202,3 +205,26 @@ def test_descend_rejects_inconsistent_image():
     bogus = orbit_of(char(top, lift.beta.a + 1))
     with pytest.raises((NotNormInflated, AmbiguousTwist)):
         descend_transfer(alpha, lift, bogus)
+
+
+# n' = 11 shapes: the blow-up level 7 * 11 = 77 is over the default guard of 64,
+# while factoring b**r - 1 for them takes seconds or more
+GUARDED_SHAPES = [(5, 5, 1, 1, 11, 1), (2, 8, 1, 1, 11, 1), (13, 13, 1, 1, 11, 1)]
+
+
+@pytest.mark.parametrize("shape", GUARDED_SHAPES)
+def test_regularize_guard_fires_before_factoring(shape, monkeypatch):
+    def no_search(b, r):
+        pytest.fail(f"zsigmondy_prime({b}, {r}) ran before the level guard")
+
+    monkeypatch.setattr(importlib.import_module("tametransfer.regularize"), "zsigmondy_prime", no_search)
+    params = derive_tower(*shape)
+    for alpha in (0, 1):
+        with pytest.raises(LevelGuardExceeded, match="deg_over_e=77 exceeds level guard 64"):
+            regularize(char(level(params, 11), alpha), params)
+
+
+def test_regularize_cli_guard_is_a_domain_error():
+    result = run(["regularize", "--shape", "5,5,1,1,11,1", "--alpha", "0"])
+    assert result.exit_code == 2
+    assert result.error_kind == "LevelGuardExceeded"

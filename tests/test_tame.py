@@ -117,8 +117,8 @@ def test_injected_rectifier_bug_is_caught(monkeypatch):
     # then disagrees with the true direct route computed by the caller
     true_rectifier = tame_module.rectifier
 
-    def flipped(params, guard=None):
-        spec = true_rectifier(params, guard=guard)
+    def flipped(params):
+        spec = true_rectifier(params)
         flipped_mu = char(spec.mu.level, spec.mu.a + spec.mu.level.M // 2)
         return tame_module.RectifierSpec(
             params=spec.params, w=spec.w, v=spec.v, u=spec.u, y=spec.y, mu=flipped_mu

@@ -89,5 +89,3 @@ def test_level_guard_default_and_env(monkeypatch):
     monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", "10")
     with pytest.raises(LevelGuardExceeded):
         field_level(2, 11)
-    # an explicit bound wins over the environment
-    assert field_level(2, 11, guard=12).M == 2047
