@@ -15,11 +15,13 @@ from tametransfer import (
     verify_certificate,
     zsigmondy_prime,
 )
+from tametransfer.numth import factorize
 
 hit = zsigmondy_prime(2, 14)
 ell, cert = hit
-print(f"2**14 - 1 = 16383 factors as {dict(cert.factorization)}")
+print(f"2**14 - 1 = 16383 factors as {factorize(16383)}")
 print(f"smallest primitive prime: {ell} (certificate verifies: {verify_certificate(cert)})")
+print(f"order checks (p, 2**(14/p) mod {ell}): {cert.order_checks}")
 
 print(f"\nno primitive prime for (b=2, r=6): {zsigmondy_prime(2, 6)}")
 print(f"no primitive prime for (b=7, r=2): {zsigmondy_prime(7, 2)}")

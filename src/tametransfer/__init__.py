@@ -15,8 +15,6 @@ from .characters import (
     char_order,
     ell_regular_part,
     enumerate_orbits,
-    inflate_orbit,
-    is_e_regular,
     is_norm_inflated,
     is_sigma_regular,
     norm_inflate,
@@ -30,12 +28,10 @@ from .green import CyclotomicSum, cyclotomic_sum, element_degree, green_trace
 from .linking import (
     LinkChain,
     SemiSimpleEndoClass,
-    SimpleParam,
     admissible_primes,
     build_link_chain,
     ell_linked,
     linked_partition,
-    linked_semisimple,
     semisimple_endoclass,
     verify_link_chain,
 )
@@ -79,7 +75,6 @@ __all__ = [
     "RectifierSpec",
     "RegularizationLift",
     "SemiSimpleEndoClass",
-    "SimpleParam",
     "TamePairClass",
     "TowerParams",
     "ZsigmondyCertificate",
@@ -101,14 +96,11 @@ __all__ = [
     "enumerate_orbits",
     "field_level",
     "green_trace",
-    "inflate_orbit",
-    "is_e_regular",
     "is_norm_inflated",
     "is_sigma_regular",
     "kappa_twist",
     "level",
     "linked_partition",
-    "linked_semisimple",
     "norm_inflate",
     "orbit_of",
     "orbit_size",

@@ -160,11 +160,6 @@ def orbit_size(alpha: CharExp) -> int:
     return lvl.deg
 
 
-def is_e_regular(alpha: CharExp) -> bool:
-    """True when the Frobenius orbit has the maximal size, the level degree."""
-    return orbit_size(alpha) == alpha.level.deg
-
-
 def _orbit_size_over(alpha: CharExp, d_prime: int) -> int:
     """``orbit_size(alpha)``, once d_prime is checked to divide the level degree."""
     if alpha.level.deg % d_prime:
@@ -240,8 +235,3 @@ def enumerate_orbits(level: FieldLevel) -> list[GaloisOrbit]:
         GaloisOrbit(level=level, rep=rep, size=len(orbit), members=orbit)
         for rep, orbit in zip(reps, members)
     ]
-
-
-def inflate_orbit(orbit: GaloisOrbit, a: int) -> GaloisOrbit:
-    """Norm inflation on orbits; well defined since conjugates inflate to conjugates."""
-    return orbit_of(norm_inflate(orbit.rep_char(), a))

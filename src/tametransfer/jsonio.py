@@ -1,7 +1,7 @@
 """JSON views of the public value types.
 
 Every integer that can exceed a machine word (group orders, exponents,
-primes from factorizations) is rendered as a decimal string; structural
+primes and residues modulo them) is rendered as a decimal string; structural
 integers (degrees, sizes, multiplicities) stay numeric.  Parsing a rendered
 document reproduces the original value exactly.
 """
@@ -57,21 +57,22 @@ def orbit_from_json(doc: dict, level: FieldLevel) -> GaloisOrbit:
 
 def certificate_to_json(cert: ZsigmondyCertificate) -> dict:
     return {
+        "version": 2,
         "b": str(cert.b),
         "r": cert.r,
-        "ell": None if cert.ell is None else str(cert.ell),
-        "factorization": [[str(p), e] for p, e in cert.factorization],
-        "residues": [str(x) for x in cert.residues],
+        "ell": str(cert.ell),
+        "order_checks": [[p, str(res)] for p, res in cert.order_checks],
     }
 
 
 def certificate_from_json(doc: dict) -> ZsigmondyCertificate:
+    if doc.get("version") != 2:
+        raise OutOfRange(f"certificate document version {doc.get('version')!r} is not 2")
     return ZsigmondyCertificate(
         b=int(doc["b"]),
         r=int(doc["r"]),
-        ell=None if doc["ell"] is None else int(doc["ell"]),
-        factorization=tuple((int(p), int(e)) for p, e in doc["factorization"]),
-        residues=tuple(int(x) for x in doc["residues"]),
+        ell=int(doc["ell"]),
+        order_checks=tuple((int(p), int(res)) for p, res in doc["order_checks"]),
     )
 
 

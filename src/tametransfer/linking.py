@@ -18,15 +18,6 @@ from .tower import FieldLevel
 
 
 @dataclass(frozen=True)
-class SimpleParam:
-    """An inertial-class identifier: an opaque endo-class label plus an orbit."""
-
-    theta_id: str
-    theta_degree: int
-    orbit: GaloisOrbit
-
-
-@dataclass(frozen=True)
 class LinkStep:
     ell: int
     before: GaloisOrbit
@@ -157,8 +148,3 @@ def semisimple_endoclass(components: list[tuple[str, int, int, int]]) -> SemiSim
             raise DegreeMismatch(f"degree {g_i} does not divide {m_i}*{d}")
         mults[theta_id] = mults.get(theta_id, 0) + m_i * d // g_i
     return SemiSimpleEndoClass(terms=tuple(sorted(mults.items())))
-
-
-def linked_semisimple(a: SemiSimpleEndoClass, b: SemiSimpleEndoClass) -> bool:
-    """Multiset equality of the formal sums, independent of term order."""
-    return a.terms == b.terms

@@ -24,6 +24,9 @@ def _sieve(limit: int) -> list[int]:
 
 SMALL_PRIMES: list[int] = _sieve(_SIEVE_BOUND)
 
+# the primes trial division tries before factorize turns to p-1 and rho
+_TRIAL_PRIMES = SMALL_PRIMES[:1300]
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -114,7 +117,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    for p in SMALL_PRIMES[:1300]:
+    for p in _TRIAL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -137,6 +140,20 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return out
+
+
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2.
+
+    Trial division meets the primes in ascending order, so its first hit is
+    the answer; only when it finds none is n factored outright.
+    """
+    if n < 2:
+        raise ValueError("smallest_prime_factor expects an integer >= 2")
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            return p
+    return min(factorize(n))
 
 
 def prime_factors(n: int) -> list[int]:

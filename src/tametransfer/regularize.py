@@ -11,6 +11,7 @@ character whose Frobenius orbit is as large as possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .characters import (
     CharExp,
@@ -31,13 +32,10 @@ from .errors import (
     OutOfRange,
     ZsigmondyException,
 )
-from .numth import _ell_split, divisors, factorize, is_prime, mobius
+from .numth import _ell_split, divisors, is_prime, mobius, prime_factors, smallest_prime_factor
 from .tower import TowerParams, level
 
 ZSIGMONDY_MAX_BITS = 1500
-
-# factorizations of cyclotomic values, keyed by (b, d); pure data, safe to share
-_CYCLO_FACTOR_CACHE: dict[tuple[int, int], dict[int, int]] = {}
 
 
 def cyclotomic_value(r: int, b: int) -> int:
@@ -53,36 +51,31 @@ def cyclotomic_value(r: int, b: int) -> int:
     return num // den
 
 
-def _factor_cyclotomic(b: int, d: int) -> dict[int, int]:
-    key = (b, d)
-    if key not in _CYCLO_FACTOR_CACHE:
-        _CYCLO_FACTOR_CACHE[key] = factorize(cyclotomic_value(d, b))
-    return _CYCLO_FACTOR_CACHE[key]
-
-
-def factor_power_minus_one(b: int, r: int) -> dict[int, int]:
-    """Factor b**r - 1 through its cyclotomic pieces (memoized per piece)."""
-    out: dict[int, int] = {}
-    for d in divisors(r):
-        for p, e in _factor_cyclotomic(b, d).items():
-            out[p] = out.get(p, 0) + e
-    return out
-
-
 @dataclass(frozen=True)
 class ZsigmondyCertificate:
-    """Self-contained evidence for a primitive prime divisor search.
+    """Self-contained evidence that ell is a primitive prime divisor of b**r - 1.
 
-    When ``ell`` is present it divides b**r - 1 and none of the listed
-    residues b**i - 1 mod ell (1 <= i < r) vanish.  When absent, (b, r) is
-    one of the two exception families.
+    ``order_checks`` holds (p, b**(r/p) mod ell) for each prime p | r in
+    ascending order.  With ell prime, b**r = 1 (mod ell) and no listed
+    residue equal to 1, b has order exactly r modulo ell, so ell divides
+    b**r - 1 and no earlier b**i - 1.
     """
 
     b: int
     r: int
-    ell: int | None
-    factorization: tuple[tuple[int, int], ...]
-    residues: tuple[int, ...]
+    ell: int
+    order_checks: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=1024)
+def _smallest_primitive_prime(b: int, r: int) -> int | None:
+    ell0 = prime_factors(r)[-1]
+    # Strip every copy of the intrinsic prime; for r = 2 it can occur to a
+    # power higher than one.
+    primitive_part = cyclotomic_value(r, b)
+    while primitive_part % ell0 == 0:
+        primitive_part //= ell0
+    return None if primitive_part == 1 else smallest_prime_factor(primitive_part)
 
 
 def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
@@ -91,8 +84,8 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     Every prime dividing the r-th cyclotomic value at b is primitive except
     possibly the largest prime factor of r, which can never be primitive (it
     would have to be 1 mod r).  So the primitive primes are exactly the prime
-    factors of the stripped cyclotomic value, and the certificate's
-    factorization already contains them.
+    factors of the stripped cyclotomic value, and the answer is its smallest
+    prime factor; b**r - 1 itself is never factored.
     """
     if b < 2 or r < 2:
         raise OutOfRange(f"need b, r >= 2, got b={b}, r={r}")
@@ -100,21 +93,13 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
         raise LevelGuardExceeded(
             f"b**r-1 would have about {b.bit_length() * r} bits, over the {ZSIGMONDY_MAX_BITS}-bit guard"
         )
-    ell0 = max(factorize(r))
-    # Strip every copy of the intrinsic prime; for r = 2 it can occur to a
-    # power higher than one.
-    primitive_part = cyclotomic_value(r, b)
-    while primitive_part % ell0 == 0:
-        primitive_part //= ell0
-    fac = tuple(sorted(factor_power_minus_one(b, r).items()))
-    if primitive_part == 1:
+    ell = _smallest_primitive_prime(b, r)
+    if ell is None:
         return None
-    ell = min(p for p in _factor_cyclotomic(b, r) if p != ell0)
-    if pow(b, r, ell) != 1 or any(pow(b, r // p, ell) == 1 for p in factorize(r)):
+    order_checks = tuple((p, pow(b, r // p, ell)) for p in prime_factors(r))
+    if pow(b, r, ell) != 1 or any(res == 1 for _, res in order_checks):
         raise OrderViolation(f"prime {ell} is not primitive for ({b},{r})")
-    residues = tuple((pow(b, i, ell) - 1) % ell for i in range(1, r))
-    cert = ZsigmondyCertificate(b=b, r=r, ell=ell, factorization=fac, residues=residues)
-    return ell, cert
+    return ell, ZsigmondyCertificate(b=b, r=r, ell=ell, order_checks=order_checks)
 
 
 def zsigmondy_exception(b: int, r: int) -> bool:
@@ -125,25 +110,14 @@ def zsigmondy_exception(b: int, r: int) -> bool:
 
 
 def verify_certificate(cert: ZsigmondyCertificate) -> bool:
-    """Recheck a certificate from its own fields, without refactoring."""
-    n = cert.b**cert.r - 1
-    prod = 1
-    for p, e in cert.factorization:
-        if not is_prime(p):
-            return False
-        prod *= p**e
-    if prod != n:
+    """Recheck a certificate from its own fields: ell is prime and b has
+    order exactly r modulo ell."""
+    b, r, ell = cert.b, cert.r, cert.ell
+    if b < 2 or r < 2 or not is_prime(ell) or pow(b, r, ell) != 1:
         return False
-    if cert.ell is None:
-        return cert.residues == () and zsigmondy_exception(cert.b, cert.r)
-    if not is_prime(cert.ell) or n % cert.ell:
+    if [p for p, _ in cert.order_checks] != prime_factors(r):
         return False
-    if len(cert.residues) != cert.r - 1:
-        return False
-    for i, res in enumerate(cert.residues, start=1):
-        if res != (pow(cert.b, i, cert.ell) - 1) % cert.ell or res == 0:
-            return False
-    return True
+    return all(res == pow(b, r // p, ell) and res != 1 for p, res in cert.order_checks)
 
 
 @dataclass(frozen=True)
@@ -176,10 +150,8 @@ def regularize(alpha: CharExp, params: TowerParams, a_override: int | None = Non
         raise LevelMismatch(f"character level {alpha.level} is not {base}")
     f = orbit_size(alpha)
     if a_override is not None:
-        if a_override % 2 == 0 or a_override < 7 or a_override * params.n_prime <= 6 * f:
-            raise OutOfRange(
-                f"a_override={a_override} must be odd, >= 7, with a*n' > 6f (n'={params.n_prime}, f={f})"
-            )
+        if a_override % 2 == 0 or a_override < 7:
+            raise OutOfRange(f"a_override={a_override} must be odd and >= 7")
         a = a_override
     else:
         a = 7
@@ -201,8 +173,6 @@ def regularize(alpha: CharExp, params: TowerParams, a_override: int | None = Non
         raise OrderViolation("lifted character is not congruent to the inflated input")
     if (params.Q**f - 1) % ell == 0 or ell == params.p or ell == 2:
         raise OrderViolation(f"prime {ell} violates the primitivity constraints")
-    if a * params.n_prime <= 6 * f:
-        raise OrderViolation("blow-up level is not large enough")
     return RegularizationLift(a=a, ell=ell, beta=beta, alpha_star=alpha_star, certificate=cert)
 
 

@@ -16,7 +16,6 @@ PUBLIC_API = [
     "RectifierSpec",
     "RegularizationLift",
     "SemiSimpleEndoClass",
-    "SimpleParam",
     "TamePairClass",
     "TowerParams",
     "ZsigmondyCertificate",
@@ -38,14 +37,11 @@ PUBLIC_API = [
     "enumerate_orbits",
     "field_level",
     "green_trace",
-    "inflate_orbit",
-    "is_e_regular",
     "is_norm_inflated",
     "is_sigma_regular",
     "kappa_twist",
     "level",
     "linked_partition",
-    "linked_semisimple",
     "norm_inflate",
     "orbit_of",
     "orbit_size",

@@ -8,7 +8,6 @@ from tametransfer import (
     ell_regular_part,
     enumerate_orbits,
     field_level,
-    is_e_regular,
     is_norm_inflated,
     is_sigma_regular,
     norm_inflate,
@@ -129,11 +128,12 @@ def test_is_norm_inflated_checks_levels():
 
 
 def test_e_regularity():
-    assert is_e_regular(char(L23, 1))
-    assert not is_e_regular(char(L23, 0))
+    # e-regular: the Frobenius orbit is as large as the level degree
+    assert orbit_size(char(L23, 1)) == L23.deg
+    assert orbit_size(char(L23, 0)) != L23.deg
     # a generator exponent is always fully regular
     for lvl in (L23, L32, L52, field_level(2, 4)):
-        assert is_e_regular(char(lvl, 1 % lvl.M))
+        assert orbit_size(char(lvl, 1 % lvl.M)) == lvl.deg
 
 
 def test_sigma_regularity_and_degrees():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -39,7 +40,9 @@ def test_zsigmondy_exception_is_a_domain_error():
 def test_zsigmondy_success():
     payload = ok_payload(["zsigmondy", "--b", "2", "--r", "14"])
     assert payload["ell"] == "43"
-    assert payload["certificate"]["factorization"] == [["3", 1], ["43", 1], ["127", 1]]
+    assert payload["certificate"] == {
+        "version": 2, "b": "2", "r": 14, "ell": "43", "order_checks": [[2, "42"], [7, "4"]],
+    }
 
 
 def test_tower_command():
@@ -205,13 +208,15 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert doc == {"status": "error", "error_kind": "InternalError", "message": "RuntimeError: boom"}
 
 
-def test_float_root_overflow_is_an_internal_error(capsys):
-    # numth._perfect_power takes a float root, which overflows on this
-    # 1176-bit input; the last-resort handler still prints one document
-    assert main(["zsigmondy", "--b", "3", "--r", "743"]) == 3
+def test_zsigmondy_3_743_answers_promptly(capsys):
+    # b**r - 1 has 1178 bits; its primitive prime 1487 = 2 * 743 + 1 is found
+    # by trial division, with no float root taken on the way
+    start = time.perf_counter()
+    assert main(["zsigmondy", "--b", "3", "--r", "743"]) == 0
+    assert time.perf_counter() - start < 1.0
     doc = one_document(capsys)
-    assert doc["error_kind"] == "InternalError"
-    assert doc["message"].startswith("OverflowError")
+    assert doc["payload"]["ell"] == "1487"
+    assert doc["payload"]["certificate"]["order_checks"] == [[743, "3"]]
 
 
 def test_output_is_byte_identical_across_runs(capsys):

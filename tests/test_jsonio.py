@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from tametransfer import char, derive_tower, field_level, level, orbit_of, regularize, zsigmondy_prime
+from tametransfer.errors import OutOfRange
 from tametransfer.jsonio import (
     certificate_from_json,
     certificate_to_json,
@@ -43,9 +46,20 @@ def test_orbit_round_trip():
 def test_certificate_round_trip():
     _, cert = zsigmondy_prime(2, 14)
     doc = json.loads(json.dumps(certificate_to_json(cert)))
+    assert doc == {"version": 2, "b": "2", "r": 14, "ell": "43", "order_checks": [[2, "42"], [7, "4"]]}
     assert certificate_from_json(doc) == cert
     none_hit = zsigmondy_prime(2, 6)
     assert none_hit is None
+
+
+def test_certificate_document_version_is_checked():
+    doc = certificate_to_json(zsigmondy_prime(2, 14)[1])
+    for version in (1, None):
+        with pytest.raises(OutOfRange):
+            certificate_from_json(dict(doc, version=version))
+    del doc["version"]
+    with pytest.raises(OutOfRange):
+        certificate_from_json(doc)
 
 
 def test_lift_document_shape():
@@ -55,4 +69,6 @@ def test_lift_document_shape():
     assert doc["a"] == 7
     assert doc["ell"] == "547"
     assert doc["beta"]["M"] == str(3**14 - 1)
-    assert doc["certificate"]["ell"] == "547"
+    assert doc["certificate"] == {
+        "version": 2, "b": "3", "r": 14, "ell": "547", "order_checks": [[2, "546"], [7, "9"]],
+    }

@@ -1,7 +1,6 @@
 import pytest
 
 from tametransfer import (
-    SimpleParam,
     admissible_primes,
     build_link_chain,
     char,
@@ -9,7 +8,6 @@ from tametransfer import (
     enumerate_orbits,
     field_level,
     linked_partition,
-    linked_semisimple,
     orbit_of,
     semisimple_endoclass,
     verify_link_chain,
@@ -107,19 +105,10 @@ def test_ell_linked_is_an_equivalence_relation():
                     assert (a, c) in linked
 
 
-def test_simple_param_holds_an_inertial_identifier():
-    orbit = orbit_of(char(L52, 1))
-    param = SimpleParam(theta_id="theta", theta_degree=2, orbit=orbit)
-    assert param.orbit.size == 2
-    # the simple class contributes n/g copies of its endo-class label
-    cls = semisimple_endoclass([(param.theta_id, param.theta_degree, 4, 1)])
-    assert cls.terms == (("theta", 2),)
-
-
 def test_linked_semisimple_is_order_independent():
     two_theta = semisimple_endoclass([("t1", 1, 2, 1)])
-    assert linked_semisimple(two_theta, two_theta)
+    assert two_theta == semisimple_endoclass([("t1", 1, 2, 1)])
     ab = semisimple_endoclass([("t1", 1, 1, 1), ("t2", 1, 1, 1)])
     ba = semisimple_endoclass([("t2", 1, 1, 1), ("t1", 1, 1, 1)])
-    assert linked_semisimple(ab, ba)
-    assert not linked_semisimple(two_theta, ab)
+    assert ab == ba
+    assert two_theta != ab

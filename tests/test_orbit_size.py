@@ -9,7 +9,6 @@ from tametransfer import (
     char,
     element_degree,
     field_level,
-    is_e_regular,
     is_sigma_regular,
     norm_inflate,
     orbit_size,
@@ -46,14 +45,9 @@ def ref_s_invariant(chi, d_prime):
     return d_prime // math.gcd(ref_orbit_size(chi), d_prime)
 
 
-def ref_is_e_regular(chi):
-    return ref_orbit_size(chi) == chi.level.deg
-
-
 def assert_matches_references(chi):
     f = orbit_size(chi)
     assert f == ref_orbit_size(chi)
-    assert is_e_regular(chi) == ref_is_e_regular(chi)
     assert element_degree(chi.a, chi.level) == f
     for d_prime in range(1, chi.level.deg + 1):
         if chi.level.deg % d_prime:

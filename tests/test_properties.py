@@ -11,7 +11,6 @@ from tametransfer import (
     derive_tower,
     ell_regular_part,
     field_level,
-    inflate_orbit,
     linked_partition,
     norm_inflate,
     orbit_of,
@@ -140,8 +139,8 @@ def test_transfer_commutes_with_odd_blowup(raw, seed, a):
     spec = rectifier(params)
     blown_spec = rectifier(blow_up(params, a))
     orbit = orbit_of(char(spec.mu.level, seed % spec.mu.level.M))
-    lifted_then_moved = apply_transfer(inflate_orbit(orbit, a), blown_spec)
-    moved_then_lifted = inflate_orbit(apply_transfer(orbit, spec), a)
+    lifted_then_moved = apply_transfer(orbit_of(norm_inflate(orbit.rep_char(), a)), blown_spec)
+    moved_then_lifted = orbit_of(norm_inflate(apply_transfer(orbit, spec).rep_char(), a))
     assert lifted_then_moved == moved_then_lifted
 
 

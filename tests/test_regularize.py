@@ -23,7 +23,7 @@ from tametransfer.errors import (
     OutOfRange,
 )
 from tametransfer.cli import run
-from tametransfer.numth import factorize
+from tametransfer.numth import _TRIAL_PRIMES, factorize
 from tametransfer.regularize import ZsigmondyCertificate
 
 
@@ -55,14 +55,15 @@ def test_exception_families_return_empty():
 def test_worked_primitive_prime_43():
     ell, cert = zsigmondy_prime(2, 14)
     assert ell == 43
-    assert cert.factorization == ((3, 1), (43, 1), (127, 1))
+    # 2**7 = -1 and 2**2 = 4 mod 43: the order of 2 is exactly 14
+    assert cert.order_checks == ((2, 42), (7, 4))
     assert verify_certificate(cert)
 
 
 def test_worked_primitive_prime_547():
     ell, cert = zsigmondy_prime(3, 14)
     assert ell == 547
-    assert dict(cert.factorization) == {2: 3, 547: 1, 1093: 1}
+    assert cert.order_checks == ((2, 546), (7, 9))
     assert verify_certificate(cert)
 
 
@@ -72,16 +73,27 @@ def test_smallest_primitive_prime_is_chosen():
     assert ell == 43
 
 
+def oracle_primitive_prime(b, r):
+    primitive = [p for p in factorize(b**r - 1) if all(pow(b, i, p) != 1 for i in range(1, r))]
+    return min(primitive) if primitive else None
+
+
 def test_zsigmondy_against_brute_oracle_small_grid():
     for b in range(2, 13):
         for r in range(2, 13):
-            primitive = [
-                p for p in factorize(b**r - 1) if all(pow(b, i, p) != 1 for i in range(1, r))
-            ]
-            expected = min(primitive) if primitive else None
             hit = zsigmondy_prime(b, r)
             got = None if hit is None else hit[0]
-            assert got == expected, (b, r)
+            assert got == oracle_primitive_prime(b, r), (b, r)
+
+
+@pytest.mark.parametrize("b, r, ell", [(23, 28, 10781), (17, 17, 10949)])
+def test_zsigmondy_above_the_trial_division_range(b, r, ell):
+    # no prime of the trial-division range divides the primitive part, so
+    # the answer comes from factoring it
+    assert ell > _TRIAL_PRIMES[-1]
+    hit = zsigmondy_prime(b, r)
+    assert hit is not None and hit[0] == ell == oracle_primitive_prime(b, r)
+    assert verify_certificate(hit[1])
 
 
 def test_zsigmondy_rejects_out_of_range():
@@ -93,14 +105,26 @@ def test_zsigmondy_rejects_out_of_range():
         zsigmondy_prime(2, 10**9)
 
 
+def honest(b, r, ell, primes):
+    """A certificate whose order checks are computed truthfully for ell."""
+    return ZsigmondyCertificate(b, r, ell, tuple((p, pow(b, r // p, ell)) for p in primes))
+
+
 def test_certificate_verification_rejects_tampering():
-    ell, cert = zsigmondy_prime(2, 14)
-    wrong_prime = ZsigmondyCertificate(cert.b, cert.r, 127, cert.factorization, cert.residues)
-    assert not verify_certificate(wrong_prime)
-    wrong_fac = ZsigmondyCertificate(cert.b, cert.r, ell, ((3, 2), (43, 1), (127, 1)), cert.residues)
-    assert not verify_certificate(wrong_fac)
-    short = ZsigmondyCertificate(cert.b, cert.r, ell, cert.factorization, cert.residues[:-1])
-    assert not verify_certificate(short)
+    _, cert = zsigmondy_prime(2, 14)
+    assert honest(2, 14, 43, (2, 7)) == cert
+    # 127 and 3 divide 2**14 - 1, but 2 has order 7 and 2 modulo them
+    assert not verify_certificate(honest(2, 14, 127, (2, 7)))
+    assert not verify_certificate(honest(2, 14, 3, (2, 7)))
+    # 129 = 3 * 43 passes every order check; only primality rejects it
+    composite = honest(2, 14, 129, (2, 7))
+    assert pow(2, 14, 129) == 1 and all(res != 1 for _, res in composite.order_checks)
+    assert not verify_certificate(composite)
+    # the listed primes must be exactly those of r
+    assert not verify_certificate(honest(2, 14, 43, (7,)))
+    assert not verify_certificate(honest(2, 14, 43, (2, 3, 7)))
+    # every residue must be the true one
+    assert not verify_certificate(ZsigmondyCertificate(2, 14, 43, ((2, 42), (7, 5))))
 
 
 Q2N2 = derive_tower(2, 2, 1, 1, 2, 1)   # Q = 2, n' = 2
