@@ -47,6 +47,10 @@ class ZsigmondyException(DomainError):
     pass
 
 
+class FactorizationBudgetExceeded(DomainError):
+    """A prime factor search spent its work budget before finishing."""
+
+
 class OrderViolation(DomainError):
     """Post-verification of a computed object failed; signals an internal bug."""
 

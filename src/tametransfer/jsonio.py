@@ -11,20 +11,9 @@ from __future__ import annotations
 from .characters import CharExp, GaloisOrbit, orbit_of
 from .errors import OutOfRange
 from .green import CyclotomicSum
+from .numth import _integer_root
 from .regularize import RegularizationLift, ZsigmondyCertificate
 from .tower import FieldLevel, field_level
-
-
-def _integer_root(n: int, k: int) -> int:
-    """The exact k-th root of n, by integer Newton steps (no float overflow)."""
-    if n < 1 or k < 1:
-        raise OutOfRange(f"{n} is not a perfect {k}-th power")
-    r = 1 << -(-n.bit_length() // k)  # at least the root; Newton steps descend to its floor
-    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-        r = s
-    if r**k != n:
-        raise OutOfRange(f"{n} is not a perfect {k}-th power")
-    return r
 
 
 def char_to_json(chi: CharExp) -> dict:
@@ -34,7 +23,9 @@ def char_to_json(chi: CharExp) -> dict:
 def char_from_json(doc: dict) -> CharExp:
     deg = int(doc["level_deg"])
     M = int(doc["M"])
-    level = field_level(_integer_root(M + 1, deg), deg)
+    if deg < 1 or M < 0 or (root := _integer_root(M + 1, deg)) ** deg != M + 1:
+        raise OutOfRange(f"{M + 1} is not a perfect {deg}-th power")
+    level = field_level(root, deg)
     if level.M != M:
         raise OutOfRange(f"inconsistent level document: M={M}, deg={deg}")
     return CharExp(level, int(doc["a"]))

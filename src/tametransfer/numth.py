@@ -4,11 +4,22 @@ Everything here is deterministic: primality uses fixed Miller-Rabin bases
 (proven correct below 3.3e24, used as a strong test above), and factoring
 uses trial division with a Brent-cycle Pollard rho fallback whose parameter
 sweep is fixed, so repeated runs always produce the same output.
+
+The least prime factor of an n whose prime factors are all 1 mod m (the
+primitive part of a cyclotomic value) is found by search, not by factoring
+n outright (``_least_prime_factor``): trial division over p = 1 + m,
+1 + 2m, ..., then Montgomery's elliptic-curve method with Suyama's
+sigma = 6, 7, ... in fixed order, then the split of the cofactor into
+primes.  The stages share one work budget, ``SEARCH_WORK_BUDGET``; when it
+runs out the search raises ``FactorizationBudgetExceeded``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+
+from .errors import FactorizationBudgetExceeded
 
 _SIEVE_BOUND = 100_000
 
@@ -54,13 +65,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integer_root(n: int, k: int) -> int:
+    """The floor of the k-th root of n >= 0, by integer Newton steps (no float overflow)."""
+    if n < 2 or k == 1:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # at least the root; Newton steps descend to its floor
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    """Return (root, k) with root**k == n and k >= 2, or None."""
-    for k in range(2, n.bit_length() + 1):
-        root = round(n ** (1.0 / k))
-        for r in (root - 1, root, root + 1):
-            if r > 1 and r**k == n:
-                return r, k
+    """Return (root, k) with root**k == n and prime k, or None.
+
+    Only for n with no prime factor below 2**13, which trial division has
+    removed by the time factorize or the search calls it: the root is then
+    at least 2**13, so k <= bits / 13.  A power of a composite exponent is a
+    power of a prime one.
+    """
+    top = n.bit_length() // 13
+    for k in SMALL_PRIMES:
+        if k > top:
+            return None
+        root = _integer_root(n, k)
+        if root**k == n:
+            return root, k
     return None
 
 
@@ -142,18 +171,152 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def smallest_prime_factor(n: int) -> int:
-    """The least prime dividing n >= 2.
+# The least-prime search counts its work in modular products: a trial block
+# costs one per candidate, an ECM curve _CURVE_COST (its stage 1 ladder
+# takes about 31,700 products, its stage 2 about 23,000).  The budget pays
+# for the whole trial stage and 120 curves.
+_TRIAL_BLOCK = 200  # candidates per charge; is_prime(n) runs after the first block
+_TRIAL_BLOCKS = 100
+_ECM_B1 = 2000
+_ECM_B2 = 100_000
+_ECM_D = 100  # stage 2 takes its baby steps [2d]Q for d = 1..D
+_CURVE_COST = 55_000
+SEARCH_WORK_BUDGET = _TRIAL_BLOCKS * _TRIAL_BLOCK + 120 * _CURVE_COST
 
-    Trial division meets the primes in ascending order, so its first hit is
-    the answer; only when it finds none is n factored outright.
+
+class _WorkBudget:
+    """The work units left to one search."""
+
+    def __init__(self) -> None:
+        self.left = SEARCH_WORK_BUDGET
+
+    def charge(self, units: int, stage: str, cofactor: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise FactorizationBudgetExceeded(
+                f"work budget of {SEARCH_WORK_BUDGET} units spent in the {stage} stage"
+                f" with a {cofactor.bit_length()}-bit cofactor unsplit"
+            )
+
+
+def _xdbl(X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
+    """Double an x-only point (X : Z) on the Montgomery curve with a24 = (A + 2) / 4."""
+    s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(XP: int, ZP: int, XQ: int, ZQ: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
+    """P + Q from x-only P, Q and their difference (Xd : Zd)."""
+    u = (XP - ZP) * (XQ + ZQ) % n
+    v = (XP + ZP) * (XQ - ZQ) % n
+    return Zd * (u + v) ** 2 % n, Xd * (u - v) ** 2 % n
+
+
+def _ladder(X: int, Z: int, k: int, a24: int, n: int) -> tuple[int, int]:
+    """[k](X : Z) for k >= 1 by the Montgomery ladder."""
+    X0, Z0 = X, Z
+    X1, Z1 = _xdbl(X, Z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            X0, Z0 = _xadd(X1, Z1, X0, Z0, X, Z, n)
+            X1, Z1 = _xdbl(X1, Z1, a24, n)
+        else:
+            X1, Z1 = _xadd(X0, Z0, X1, Z1, X, Z, n)
+            X0, Z0 = _xdbl(X0, Z0, a24, n)
+    return X0, Z0
+
+
+def _ecm_curve(n: int, sigma: int, k: int) -> int:
+    """gcd of n with what one ECM curve finds: Suyama's curve for sigma,
+    stage 1 by the multiplier k, stage 2 by Montgomery's standard
+    continuation over the primes in (B1, B2].  1 or n when it finds nothing."""
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    X, Z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * X * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    X, Z = _ladder(X, Z, k, a24, n)
+    g = math.gcd(Z, n)
+    if g != 1:
+        return g
+    D = _ECM_D
+    S = [(0, 0), _xdbl(X, Z, a24, n)]  # S[d] = [2d]Q
+    S.append(_xdbl(*S[1], a24, n))
+    for d in range(3, D + 1):
+        S.append(_xadd(*S[d - 1], *S[1], *S[d - 2], n))
+    beta = [XS * ZS % n for XS, ZS in S]
+    r = _ECM_B1 - 1  # odd, as B1 is even
+    T, R = _ladder(X, Z, r - 2 * D, a24, n), _ladder(X, Z, r, a24, n)
+    i, end = bisect_right(SMALL_PRIMES, r), bisect_right(SMALL_PRIMES, _ECM_B2)
+    g = 1
+    while i < end:
+        XR, ZR = R
+        alpha = XR * ZR % n
+        top = r + 2 * D
+        while i < end and SMALL_PRIMES[i] <= top:
+            delta = (SMALL_PRIMES[i] - r) // 2
+            XS, ZS = S[delta]
+            g = g * ((XR - XS) * (ZR + ZS) - alpha + beta[delta]) % n
+            i += 1
+        R, T = _xadd(*R, *S[D], *T, n), R
+        r = top
+    return math.gcd(g, n)
+
+
+def _ecm_factor(n: int, budget: _WorkBudget, stage: str) -> int:
+    """A nontrivial factor of n, odd, composite and not a perfect power,
+    from the first curve sigma = 6, 7, ... that splits it."""
+    k = 1
+    for p in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, _ECM_B1)]:
+        pe = p
+        while pe * p <= _ECM_B1:
+            pe *= p
+        k *= pe
+    sigma = 6
+    while True:
+        budget.charge(_CURVE_COST, stage, n)
+        g = _ecm_curve(n, sigma, k)
+        if 1 < g < n:
+            return g
+        sigma += 1
+
+
+def _least_prime_factor(n: int, m: int) -> int:
+    """The least prime factor of n >= 2, given that every prime factor of n is 1 mod m.
+
+    Trial division over p = 1 + m, 1 + 2m, ... needs no primality test: a
+    smaller prime factor of a dividing candidate would itself have been a
+    candidate.  Past the square root of n, n is prime.  When no candidate
+    divides n, ECM splits it and the parts are split until each is prime.
+    Raises FactorizationBudgetExceeded when the search overruns its budget.
     """
-    if n < 2:
-        raise ValueError("smallest_prime_factor expects an integer >= 2")
-    for p in _TRIAL_PRIMES:
-        if n % p == 0:
-            return p
-    return min(factorize(n))
+    budget = _WorkBudget()
+    root, p = math.isqrt(n), 1
+    for block in range(_TRIAL_BLOCKS):
+        budget.charge(_TRIAL_BLOCK, "trial", n)
+        for p in range(p + m, p + m * _TRIAL_BLOCK + 1, m):
+            if p > root:
+                return n
+            if n % p == 0:
+                return p
+        if block == 0 and is_prime(n):
+            return n
+    # n is composite, and every prime factor of it is above p
+    composites, primes, stage = [n], [], "ecm"
+    while composites:
+        c = composites.pop()
+        power = _perfect_power(c)
+        if power is not None:
+            parts = [power[0]]
+        else:
+            d = _ecm_factor(c, budget, stage)
+            parts, stage = [d, c // d], "split"
+        for part in parts:
+            (primes if is_prime(part) else composites).append(part)
+    return min(primes)
 
 
 def prime_factors(n: int) -> list[int]:

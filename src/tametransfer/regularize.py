@@ -24,6 +24,7 @@ from .characters import (
 )
 from .errors import (
     AmbiguousTwist,
+    FactorizationBudgetExceeded,
     LevelGuardExceeded,
     LevelMismatch,
     NotNormInflated,
@@ -32,7 +33,7 @@ from .errors import (
     OutOfRange,
     ZsigmondyException,
 )
-from .numth import _ell_split, divisors, is_prime, mobius, prime_factors, smallest_prime_factor
+from .numth import _ell_split, _least_prime_factor, divisors, is_prime, mobius, prime_factors
 from .tower import TowerParams, level
 
 ZSIGMONDY_MAX_BITS = 1500
@@ -75,7 +76,13 @@ def _smallest_primitive_prime(b: int, r: int) -> int | None:
     primitive_part = cyclotomic_value(r, b)
     while primitive_part % ell0 == 0:
         primitive_part //= ell0
-    return None if primitive_part == 1 else smallest_prime_factor(primitive_part)
+    if primitive_part == 1:
+        return None
+    # every prime left is primitive, so 1 mod r, and odd: 1 mod 2r for odd r
+    try:
+        return _least_prime_factor(primitive_part, r if r % 2 == 0 else 2 * r)
+    except FactorizationBudgetExceeded as exc:
+        raise FactorizationBudgetExceeded(f"primitive prime for b={b}, r={r}: {exc}") from None
 
 
 def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
@@ -85,7 +92,8 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     possibly the largest prime factor of r, which can never be primitive (it
     would have to be 1 mod r).  So the primitive primes are exactly the prime
     factors of the stripped cyclotomic value, and the answer is its smallest
-    prime factor; b**r - 1 itself is never factored.
+    prime factor, found by the budgeted search of ``numth`` over primes
+    1 mod r (1 mod 2r for odd r); b**r - 1 itself is never factored.
     """
     if b < 2 or r < 2:
         raise OutOfRange(f"need b, r >= 2, got b={b}, r={r}")

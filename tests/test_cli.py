@@ -1,10 +1,14 @@
+import importlib
 import json
 import time
 
 import pytest
 
-from tametransfer import cli
+from tametransfer import cli, numth
 from tametransfer.cli import main, run
+from tametransfer.regularize import cyclotomic_value
+
+regularize_module = importlib.import_module("tametransfer.regularize")
 
 
 def ok_payload(argv):
@@ -217,6 +221,39 @@ def test_zsigmondy_3_743_answers_promptly(capsys):
     doc = one_document(capsys)
     assert doc["payload"]["ell"] == "1487"
     assert doc["payload"]["certificate"]["order_checks"] == [[743, "3"]]
+
+
+def test_zsigmondy_10_67_answers_promptly(capsys):
+    # the primitive part of 10**67 - 1 is R67 / 9's cofactor of two large
+    # primes and 493121 = 1 + 3680 * 134, a trial candidate
+    regularize_module._smallest_primitive_prime.cache_clear()
+    start = time.perf_counter()
+    assert main(["zsigmondy", "--b", "10", "--r", "67"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = one_document(capsys)
+    assert doc["payload"]["ell"] == "493121"
+    assert doc["payload"]["certificate"]["order_checks"] == [[67, "10"]]
+
+
+def test_chain_on_the_square_of_a_huge_prime(capsys):
+    # factorize takes an exact root of (2**521 - 1)**2, not a float one
+    start = time.perf_counter()
+    assert main(["chain", "--M", str((2**521 - 1) ** 2), "--from", "1", "--to", "5"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = one_document(capsys)
+    assert doc["payload"]["primes"] == [str(2**521 - 1)]
+
+
+def test_search_budget_is_a_domain_error(monkeypatch, capsys):
+    # (18, 29) needs 27 curves; a budget of ten leaves its 117-bit primitive part unsplit
+    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS + 10 * numth._CURVE_COST)
+    regularize_module._smallest_primitive_prime.cache_clear()
+    assert main(["zsigmondy", "--b", "18", "--r", "29"]) == 2
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "FactorizationBudgetExceeded"
+    bits = cyclotomic_value(29, 18).bit_length()
+    assert "b=18, r=29" in doc["message"]
+    assert f"ecm stage with a {bits}-bit cofactor unsplit" in doc["message"]
 
 
 def test_output_is_byte_identical_across_runs(capsys):

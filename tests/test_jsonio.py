@@ -29,6 +29,12 @@ def test_char_round_trip_above_float_range():
     assert char_from_json(json.loads(json.dumps(char_to_json(chi)))) == chi
 
 
+def test_char_document_level_must_be_a_perfect_power():
+    for deg, M in [(0, 7), (-1, 7), (3, -2), (3, 8), (2, 2**1100)]:
+        with pytest.raises(OutOfRange, match="is not a perfect"):
+            char_from_json({"level_deg": deg, "M": str(M), "a": "1"})
+
+
 def test_char_json_uses_decimal_strings():
     chi = char(field_level(3, 14), 3**13 + 1)
     doc = char_to_json(chi)

@@ -1,17 +1,102 @@
-"""The smallest prime factor: a trial-division hit, else the least prime of the factorization."""
+"""The least-prime search: trial division over 1 mod m, then ECM, under one budget."""
 
 import pytest
 
-from tametransfer.numth import _TRIAL_PRIMES, factorize, smallest_prime_factor
+from tametransfer import numth
+from tametransfer.errors import FactorizationBudgetExceeded
+from tametransfer.numth import (
+    _ecm_factor,
+    _integer_root,
+    _least_prime_factor,
+    _perfect_power,
+    _WorkBudget,
+    factorize,
+    is_prime,
+)
 
 
-def test_smallest_prime_factor_is_the_least_prime_of_factorize():
-    top, big = _TRIAL_PRIMES[-1], 2**61 - 1
-    for n in [*range(2, 500), top, top * top, 10781 * 10949, big, big * 10949, 3 * big]:
-        assert smallest_prime_factor(n) == min(factorize(n)), n
+def primes_1_mod(m, above, count):
+    out, k = [], above // m + 1
+    while len(out) < count:
+        if is_prime(1 + k * m):
+            out.append(1 + k * m)
+        k += 1
+    return out
 
 
-def test_smallest_prime_factor_rejects_n_below_2():
-    for n in (-6, 0, 1):
-        with pytest.raises(ValueError):
-            smallest_prime_factor(n)
+@pytest.mark.parametrize("m", [2, 4, 14, 58, 134])
+def test_least_prime_factor_is_the_least_prime_of_factorize(m):
+    trial_top = 1 + m * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
+    small = primes_1_mod(m, 0, 4)
+    middle = primes_1_mod(m, 10**5, 2)
+    large = primes_1_mod(m, trial_top, 2)
+    cases = [*small, *middle, *large, small[0] * small[1], small[2] ** 3, small[3] * large[0],
+             middle[0] * middle[1], middle[1] * large[0] * large[1], large[0] * large[1], large[1] ** 2]
+    for n in cases:
+        assert _least_prime_factor(n, m) == min(factorize(n)), (m, n)
+
+
+def test_prime_past_the_square_root_needs_no_primality_test(monkeypatch):
+    def no_test(n):
+        pytest.fail(f"is_prime({n}) ran although a candidate passed the square root")
+
+    monkeypatch.setattr(numth, "is_prime", no_test)
+    # 1 + 58k primes whose square roots lie within the first trial block
+    for n in (59, 100_109, 10_000_303):
+        assert (n - 1) % 58 == 0 and n < (1 + 58 * numth._TRIAL_BLOCK) ** 2
+        assert _least_prime_factor(n, 58) == n
+    assert _least_prime_factor(59 * 100_109, 58) == 59
+
+
+def test_prime_above_the_first_block_is_settled_by_one_primality_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    big = primes_1_mod(58, 2**80, 1)[0]
+    assert _least_prime_factor(big, 58) == big
+    assert calls == [big]
+
+
+# Semiprimes of primes 1 mod 58 above the trial range.  Each is split by a
+# fixed curve; for the second, that curve finds the larger prime first.
+ECM_SPLITS = [
+    (268437457 * 68719477061, 268437457),
+    (1073742053 * 17179870919, 17179870919),
+    (4294967513 * 281474976710953, 4294967513),
+]
+
+
+@pytest.mark.parametrize("n, factor", ECM_SPLITS)
+def test_ecm_splits_fixed_semiprimes_the_same_way_every_run(n, factor):
+    assert _ecm_factor(n, _WorkBudget(), "ecm") == factor
+    assert _ecm_factor(n, _WorkBudget(), "ecm") == factor
+    assert _least_prime_factor(n, 58) == min(factor, n // factor)
+
+
+def test_split_stage_takes_the_least_prime_of_every_part():
+    p, q, s = 16777777, 268437457, 4294967513
+    assert _least_prime_factor(p * q * s, 58) == p
+
+
+def test_search_stops_at_its_work_budget(monkeypatch):
+    n = 268437457 * 68719477061  # needs three curves
+    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS + 2 * numth._CURVE_COST)
+    with pytest.raises(FactorizationBudgetExceeded, match=f"ecm stage with a {n.bit_length()}-bit cofactor"):
+        _least_prime_factor(n, 58)
+    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", 10 * numth._TRIAL_BLOCK)
+    with pytest.raises(FactorizationBudgetExceeded, match="trial stage"):
+        _least_prime_factor(n, 58)
+
+
+def test_integer_root_is_the_exact_floor():
+    for n in [0, 1, 2, 7, 8, 9, 10**40, 3**200 - 1, 3**200, 3**200 + 1]:
+        for k in (1, 2, 3, 5, 7):
+            r = _integer_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+
+
+def test_perfect_power_of_a_huge_prime():
+    mersenne = 2**521 - 1
+    assert _perfect_power(mersenne**2) == (mersenne, 2)
+    assert _perfect_power(mersenne**3) == (mersenne, 3)
+    assert _perfect_power(mersenne**2 + 2) is None
+    assert factorize(mersenne**2) == {mersenne: 2}

@@ -80,7 +80,7 @@ def oracle_primitive_prime(b, r):
 
 def test_zsigmondy_against_brute_oracle_small_grid():
     for b in range(2, 13):
-        for r in range(2, 13):
+        for r in range(2, 17):
             hit = zsigmondy_prime(b, r)
             got = None if hit is None else hit[0]
             assert got == oracle_primitive_prime(b, r), (b, r)
@@ -88,11 +88,30 @@ def test_zsigmondy_against_brute_oracle_small_grid():
 
 @pytest.mark.parametrize("b, r, ell", [(23, 28, 10781), (17, 17, 10949)])
 def test_zsigmondy_above_the_trial_division_range(b, r, ell):
-    # no prime of the trial-division range divides the primitive part, so
-    # the answer comes from factoring it
+    # above factorize's trial-division range, the search still meets both
+    # as candidates 1 mod 2r (10781 = 1 + 385 * 28, 10949 = 1 + 322 * 34)
     assert ell > _TRIAL_PRIMES[-1]
     hit = zsigmondy_prime(b, r)
     assert hit is not None and hit[0] == ell == oracle_primitive_prime(b, r)
+    assert verify_certificate(hit[1])
+
+
+# The pairs on which Brent rho stalled; ECM settles the ones with no prime
+# among the trial candidates.  Values from perfbench/certify_oracle.json.
+STALLED_PAIRS = [
+    (34, 29, 21333097),
+    (38, 23, 59494606445741),
+    (31, 27, 1836205027201),
+    (39, 29, 313396331),
+    (18, 29, 1505548068007783),
+    (32, 25, 269089806001),
+]
+
+
+@pytest.mark.parametrize("b, r, ell", STALLED_PAIRS)
+def test_zsigmondy_on_the_former_stalls(b, r, ell):
+    hit = zsigmondy_prime(b, r)
+    assert hit is not None and hit[0] == ell
     assert verify_certificate(hit[1])
 
 
