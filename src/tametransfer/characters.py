@@ -86,7 +86,7 @@ def orbit_of(alpha: CharExp) -> GaloisOrbit:
         x = x * Q % M
     assert alpha.level.deg % len(members) == 0
     members.sort()
-    return GaloisOrbit(level=alpha.level, rep=members[0], size=len(members), members=tuple(members))
+    return GaloisOrbit(alpha.level, members[0], len(members), tuple(members))
 
 
 def char_order(alpha: CharExp) -> int:
@@ -231,7 +231,5 @@ def enumerate_orbits(level: FieldLevel) -> list[GaloisOrbit]:
     """All Frobenius orbits at the level, ordered by canonical representative."""
     rep_of, reps, members = _walk_orbits(level, with_members=True)
     del rep_of  # freed before the orbit objects are built, so it adds nothing to their peak
-    return [
-        GaloisOrbit(level=level, rep=rep, size=len(orbit), members=orbit)
-        for rep, orbit in zip(reps, members)
-    ]
+    # Built positionally: keyword arguments make each frozen orbit slower to build.
+    return [GaloisOrbit(level, rep, len(orbit), orbit) for rep, orbit in zip(reps, members)]

@@ -295,10 +295,12 @@ def _cmd_table(args) -> dict:
     params = _resolve_shape(args)
     spec = rectifier(params)
     lvl = level(params, params.n_prime)
-    pairs = [
-        {"from": orbit_to_json(o), "to": orbit_to_json(apply_transfer(o, spec))}
-        for o in enumerate_orbits(lvl)
-    ]
+    pairs = []
+    for o in enumerate_orbits(lvl):
+        source = orbit_to_json(o)
+        image = apply_transfer(o, spec)
+        # A trivial rectifier hands back the orbit itself: reuse its document.
+        pairs.append({"from": source, "to": source if image is o else orbit_to_json(image)})
     return {"shape": _shape_payload(params), "mu_exp": str(spec.mu.a), "pairs": pairs}
 
 

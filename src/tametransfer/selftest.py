@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .characters import CharExp, ell_regular_part, enumerate_orbits, orbit_of
+from .characters import CharExp, char, ell_regular_part, enumerate_orbits, orbit_of
 from .errors import DomainError
 from .green import green_trace
 from .linking import build_link_chain, linked_partition, verify_link_chain
@@ -381,6 +381,12 @@ def check_transfer_invariants(scale: str) -> str:
         orbits = enumerate_orbits(lvl)
         image = {o.rep: apply_transfer(o, spec) for o in orbits}
         for o in orbits:
+            # apply_transfer translates members; the walk of the twisted
+            # representative is the independent reference for its image.
+            _require(
+                image[o.rep] == orbit_of(char(lvl, o.rep + spec.mu.a)),
+                f"{params.as_tuple()}: image of orbit {o.rep} is not the walked twist",
+            )
             _require(
                 image[o.rep].size == o.size,
                 f"{params.as_tuple()}: orbit {o.rep} changed parametric degree",

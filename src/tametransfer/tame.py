@@ -20,6 +20,7 @@ inflation and its inverse translate between pairs and orbit classes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .characters import (
@@ -89,12 +90,34 @@ def rectifier(params: TowerParams) -> RectifierSpec:
     return RectifierSpec(params=params, w=w, v=v, u=u, y=y, mu=mu)
 
 
+def _translate(orbit: GaloisOrbit, t: int) -> GaloisOrbit:
+    """The orbit of every member shifted by a Frobenius-fixed exponent t.
+
+    Since Q*t = t (mod M), the Frobenius commutes with x -> x + t, so the
+    shifted members are again one orbit, of the same size; it is the input
+    itself when t is 0.  The members are sorted, so the shift only moves
+    those at or above M - t to the front.
+    """
+    if t == 0:
+        return orbit
+    M = orbit.level.M
+    members = orbit.members
+    cut = bisect_left(members, M - t)
+    moved = tuple([x + t - M for x in members[cut:]] + [x + t for x in members[:cut]])
+    return GaloisOrbit(orbit.level, moved[0], orbit.size, moved)
+
+
 def apply_transfer(orbit: GaloisOrbit, spec: RectifierSpec) -> GaloisOrbit:
-    """Twist an orbit by the rectifier; well defined since ``RectifierSpec``
-    admits only a Frobenius-fixed mu."""
+    """Twist an orbit by the rectifier.
+
+    ``RectifierSpec`` admits only a Frobenius-fixed mu, so the image is the
+    orbit translated by mu, computed from the members without walking; when
+    mu is trivial it is the given object itself.  ``orbit`` must be a true
+    orbit, as built by ``orbit_of`` or ``enumerate_orbits``.
+    """
     if orbit.level != spec.mu.level:
         raise LevelMismatch("orbit does not live at the rectifier's level")
-    return orbit_of(char(orbit.level, orbit.rep + spec.mu.a))
+    return _translate(orbit, spec.mu.a)
 
 
 def kappa_twist(orbit: GaloisOrbit, chi_base: CharExp) -> GaloisOrbit:
@@ -102,14 +125,19 @@ def kappa_twist(orbit: GaloisOrbit, chi_base: CharExp) -> GaloisOrbit:
 
     Switching the normalization multiplies every parametrizing class by a
     fixed character pulled back from the degree-one base level through the
-    norm; such a character is Frobenius-fixed, so the twist is well defined
-    on orbits.  The transfer permutation commutes with it.
+    norm; such a character is Frobenius-fixed, so the twisted orbit is the
+    orbit translated by its exponent, computed without walking.  ``orbit``
+    must be a true orbit, as built by ``orbit_of`` or ``enumerate_orbits``.
+    The transfer permutation commutes with the twist.
     """
     if chi_base.level.deg != 1:
         raise LevelMismatch("normalization twists come from the degree-one base level")
     if chi_base.level.Q != orbit.level.Q:
         raise LevelMismatch("twist lives over a different base field")
-    return orbit_of(orbit.rep_char() * norm_inflate(chi_base, orbit.level.deg))
+    twist = norm_inflate(chi_base, orbit.level.deg)
+    if twist.level != orbit.level:
+        raise LevelMismatch("cannot compose characters at different levels")
+    return _translate(orbit, twist.a)
 
 
 def blowup_parity_check(params: TowerParams, a: int) -> bool:

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from tametransfer import cli, numth
+from tametransfer import char, cli, field_level, numth, orbit_of
 from tametransfer.cli import main, run
+from tametransfer.jsonio import orbit_to_json
 from tametransfer.regularize import cyclotomic_value
 
 regularize_module = importlib.import_module("tametransfer.regularize")
@@ -140,6 +141,20 @@ def test_table_command():
     assert reps == sorted(reps)
     mapping = {p["from"]["rep"]: p["to"]["rep"] for p in payload["pairs"]}
     assert mapping["0"] == "4" and mapping["1"] == "5"
+
+
+@pytest.mark.parametrize(
+    "shape, Q, nprime, mu",
+    [("3,3,1,1,3,2", 3, 6, 0), ("3,9,2,1,1,4", 9, 2, 40)],
+)
+def test_table_images_are_the_walked_twists(shape, Q, nprime, mu):
+    payload = ok_payload(["table", "--shape", shape])
+    assert payload["mu_exp"] == str(mu)
+    lvl = field_level(Q, nprime)
+    assert len(payload["pairs"]) > 1
+    for pair in payload["pairs"]:
+        walked = orbit_of(char(lvl, int(pair["from"]["rep"]) + mu))
+        assert pair["to"] == orbit_to_json(walked)
 
 
 def test_usage_error_lists_flags():

@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tametransfer import (
     apply_transfer,
@@ -12,6 +15,7 @@ from tametransfer import (
     field_level,
     kappa_twist,
     level,
+    norm_inflate,
     orbit_of,
     orbit_to_pair,
     pair_to_orbit,
@@ -26,6 +30,7 @@ from tametransfer.errors import (
     NotAdmissiblePair,
     NotEssentiallyTame,
 )
+from tametransfer.numth import is_prime_power
 import tametransfer.tame as tame_module
 
 QUATERNARY = derive_tower(3, 3, 2, 1, 1, 4)   # w=2, v=2, u=1, y=5
@@ -68,7 +73,54 @@ def test_apply_transfer_worked_values():
 def test_apply_transfer_trivial_spec_is_identity():
     spec = rectifier(SPLIT)
     for orbit in enumerate_orbits(spec.mu.level):
-        assert apply_transfer(orbit, spec) == orbit
+        assert apply_transfer(orbit, spec) is orbit
+
+
+# Every (Q, deg) with Q an odd prime power and M = Q**deg - 1 <= 3000.
+ODD_Q = [Q for Q in range(3, 3002, 2) if is_prime_power(Q)]
+ODD_LEVELS = {deg: [Q for Q in ODD_Q if Q**deg - 1 <= 3000] for deg in range(1, 8)}
+
+
+@st.composite
+def odd_spec(draw):
+    """A hand-built rectifier spec at an odd level, with mu = 0 or M/2.
+
+    For odd Q, Q * M/2 = M/2 (mod M), so M/2 is Frobenius-fixed at every level.
+    """
+    deg = draw(st.sampled_from(sorted(ODD_LEVELS)))
+    Q = draw(st.sampled_from(ODD_LEVELS[deg]))
+    params = derive_tower(is_prime_power(Q), Q, 1, 1, deg, 1)
+    lvl = level(params, deg)
+    mu = char(lvl, draw(st.sampled_from([0, lvl.M // 2])))
+    return dataclasses.replace(rectifier(params), mu=mu)
+
+
+@given(odd_spec(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_translation_is_the_walked_twist(spec, chi_seed):
+    lvl = spec.mu.level
+    chi = char(field_level(lvl.Q, 1), chi_seed)
+    shift = norm_inflate(chi, lvl.deg)
+    for orbit in enumerate_orbits(lvl):
+        assert apply_transfer(orbit, spec) == orbit_of(char(lvl, orbit.rep + spec.mu.a))
+        assert kappa_twist(orbit, chi) == orbit_of(orbit.rep_char() * shift)
+
+
+def test_transfer_table_walks_no_orbit(monkeypatch):
+    params = derive_tower(3, 3, 1, 1, 6, 1)
+    lvl = level(params, 6)
+    specs = [rectifier(params), dataclasses.replace(rectifier(params), mu=char(lvl, lvl.M // 2))]
+    chi = char(field_level(3, 1), 1)
+    orbits = enumerate_orbits(lvl)
+
+    def no_walk(alpha):
+        raise AssertionError("orbit walked")
+
+    monkeypatch.setattr(tame_module, "orbit_of", no_walk)
+    for spec in specs:
+        for orbit in orbits:
+            assert apply_transfer(orbit, spec).size == orbit.size
+            assert kappa_twist(orbit, chi).size == orbit.size
 
 
 def test_apply_transfer_is_an_involution():
