@@ -19,14 +19,13 @@ called the parametric degree of the character.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 from .errors import EnumerationTooLarge, LevelMismatch, NotPrime, OutOfRange
 from .numth import _ell_split, is_prime
 from .tower import FieldLevel, field_level
 
-# Largest group order M whose orbits are enumerated: the orbit table holds M entries.
+# Largest group order M whose orbits are enumerated: the walk marks M exponents, a byte each.
 MAX_ENUMERATION = 10**6
 
 
@@ -184,52 +183,49 @@ def s_invariant(alpha: CharExp, d_prime: int) -> int:
 
 def _walk_orbits(
     level: FieldLevel, with_members: bool = False
-) -> tuple[array, list[int], list[tuple[int, ...]] | None]:
+) -> tuple[list[int], list[tuple[int, ...]] | None]:
     """Walk every Frobenius orbit of the level once.
 
-    Returns ``(rep_of, reps, members)``: ``rep_of[a]`` is the canonical
-    representative of the orbit of ``a``, ``reps`` lists the representatives
+    Returns ``(reps, members)``: ``reps`` lists the canonical representatives
     ascending, and ``members`` (only when asked for) holds each orbit's
-    sorted members in the same order.  The table has M entries, so a level
-    with M above the fixed ``MAX_ENUMERATION`` raises before anything is
-    allocated.
+    sorted members in the same order.  Visited exponents are marked one byte
+    each, M bytes, so a level with M above the fixed ``MAX_ENUMERATION``
+    raises before anything is allocated.
     """
     Q, M = level.Q, level.M
     if M > MAX_ENUMERATION:
         raise EnumerationTooLarge(f"M={M} exceeds enumeration bound {MAX_ENUMERATION}")
-    # Only the orbit {0} has representative 0, so 0 marks "not yet walked"
-    # for every a >= 1; scanning upwards, the first unwalked exponent of an
-    # orbit is its smallest one.
-    rep_of = array("I" if M <= 0xFFFFFFFF else "Q", [0]) * M
+    # {0} is an orbit of its own; scanning upwards from 1, the first unvisited
+    # exponent of an orbit is its smallest one.
+    seen = bytearray(M)
     reps = [0]
     members: list[tuple[int, ...]] | None = [(0,)] if with_members else None
     for a in range(1, M):
-        if rep_of[a]:
+        if seen[a]:
             continue
         reps.append(a)
         x = a
         if members is None:
             while True:
-                rep_of[x] = a
+                seen[x] = 1
                 x = x * Q % M
                 if x == a:
                     break
         else:
             orbit = []
             while True:
-                rep_of[x] = a
+                seen[x] = 1
                 orbit.append(x)
                 x = x * Q % M
                 if x == a:
                     break
             orbit.sort()
             members.append(tuple(orbit))
-    return rep_of, reps, members
+    return reps, members
 
 
 def enumerate_orbits(level: FieldLevel) -> list[GaloisOrbit]:
     """All Frobenius orbits at the level, ordered by canonical representative."""
-    rep_of, reps, members = _walk_orbits(level, with_members=True)
-    del rep_of  # freed before the orbit objects are built, so it adds nothing to their peak
+    reps, members = _walk_orbits(level, with_members=True)
     # Built positionally: keyword arguments make each frozen orbit slower to build.
     return [GaloisOrbit(level, rep, len(orbit), orbit) for rep, orbit in zip(reps, members)]

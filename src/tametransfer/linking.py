@@ -106,36 +106,19 @@ def linked_partition(level: FieldLevel) -> tuple[tuple[int, ...], ...]:
     """Transitive closure of ell-linking over all admissible primes.
 
     Returns blocks of orbit representatives, each block ascending and blocks
-    ordered by their smallest representative.  Primes not dividing M act
-    trivially on regular parts and can never merge distinct orbits, so the
-    closure only needs the prime divisors of M.
-
-    One walk of the level fills a table from exponents to orbit
-    representatives: M entries, so ``EnumerationTooLarge`` is raised first
-    when M exceeds the fixed ``characters.MAX_ENUMERATION``.  Taking the
-    ell-regular part is multiplication by a CRT idempotent fixed per ell, so
-    each orbit then costs one multiplication and one table lookup per prime.
+    ordered by their smallest representative.  At a fixed level the closure
+    is always one block holding every orbit.  The quotient of any two
+    exponents splits by CRT into parts of prime-power order, one for each
+    prime ell dividing M; adding the ell-power part leaves the ell-regular
+    part unchanged, because the idempotents are orthogonal, so each such
+    addition is one ell-linking step.  ``build_link_chain`` constructs
+    exactly these chains.  The block is therefore the list of orbit
+    representatives from one walk of the level, which raises
+    ``EnumerationTooLarge`` first when M exceeds the fixed
+    ``characters.MAX_ENUMERATION``.
     """
-    rep_of, reps, _ = _walk_orbits(level)
-    M = level.M
-    parent = {rep: rep for rep in reps}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ell in prime_factors(M):
-        _, e = _ell_split(M, ell)
-        for rep in reps:
-            ra, rb = find(rep), find(rep_of[e * rep % M])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    blocks: dict[int, list[int]] = {}
-    for rep in reps:
-        blocks.setdefault(find(rep), []).append(rep)
-    return tuple(tuple(sorted(b)) for _, b in sorted(blocks.items()))
+    reps, _ = _walk_orbits(level)
+    return (tuple(reps),)
 
 
 def semisimple_endoclass(components: list[tuple[str, int, int, int]]) -> SemiSimpleEndoClass:

@@ -79,9 +79,9 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     """Return (root, k) with root**k == n and prime k, or None.
 
     Only for n with no prime factor below 2**13, which trial division has
-    removed by the time factorize or the search calls it: the root is then
-    at least 2**13, so k <= bits / 13.  A power of a composite exponent is a
-    power of a prime one.
+    removed by the time factorize, the search or is_prime_power calls it:
+    the root is then at least 2**13, so k <= bits / 13.  A power of a
+    composite exponent is a power of a prime one.
     """
     top = n.bit_length() // 13
     for k in SMALL_PRIMES:
@@ -341,13 +341,22 @@ def mobius(n: int) -> int:
 
 
 def is_prime_power(n: int) -> int | None:
-    """Return the prime base if n = p**k for a prime p and k >= 1, else None."""
+    """Return the prime base if n = p**k for a prime p and k >= 1, else None.
+
+    Nothing is factored: a trial prime dividing n must be the base, and
+    otherwise n has no prime factor below 2**13, so its perfect-power roots
+    can be taken until none is left and the last one tested for primality.
+    """
     if n < 2:
         return None
-    fac = factorize(n)
-    if len(fac) != 1:
-        return None
-    return next(iter(fac))
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+    while (power := _perfect_power(n)) is not None:
+        n = power[0]
+    return n if is_prime(n) else None
 
 
 def crt_idempotent(q: int, m_rest: int) -> int:

@@ -16,12 +16,13 @@ modules consume is derived from these:
 A FieldLevel pins one layer of the residue-field lattice over e: the field
 with Q**deg elements, whose multiplicative group is cyclic of order
 M = Q**deg - 1.  M is an exact arbitrary-precision integer; a guard, set only
-by the TAMETRANSFER_LEVEL_GUARD environment variable, rejects degrees whose M
-would be astronomically large.
+by the TAMETRANSFER_LEVEL_GUARD environment variable (read once per process),
+rejects degrees whose M would be astronomically large.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -33,8 +34,14 @@ DEFAULT_LEVEL_GUARD = 64
 LEVEL_GUARD_ENV = "TAMETRANSFER_LEVEL_GUARD"
 
 
+@functools.cache
 def level_guard() -> int:
-    """Maximum permitted deg_over_e; the environment variable is its only override."""
+    """Maximum permitted deg_over_e; the environment variable is its only override.
+
+    The variable is read once per process.  ``level_guard.cache_clear()``
+    makes the next call read it again; a malformed value is never cached, so
+    it raises ``OutOfRange`` on every call.
+    """
     raw = os.environ.get(LEVEL_GUARD_ENV)
     if not raw:
         return DEFAULT_LEVEL_GUARD

@@ -8,6 +8,7 @@ from tametransfer import char, cli, field_level, numth, orbit_of
 from tametransfer.cli import main, run
 from tametransfer.jsonio import orbit_to_json
 from tametransfer.regularize import cyclotomic_value
+from tametransfer.tower import level_guard
 
 regularize_module = importlib.import_module("tametransfer.regularize")
 
@@ -195,10 +196,12 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_level_guard_env_override(monkeypatch):
     monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", "4")
+    level_guard.cache_clear()
     result = run(["orbit", "--Q", "2", "--nprime", "5", "--a", "1"])
     assert result.exit_code == 2
     assert result.error_kind == "LevelGuardExceeded"
     monkeypatch.delenv("TAMETRANSFER_LEVEL_GUARD")
+    level_guard.cache_clear()
     assert run(["orbit", "--Q", "2", "--nprime", "5", "--a", "1"]).exit_code == 0
 
 
@@ -313,3 +316,19 @@ def test_selftest_command_reports_in_payload(monkeypatch):
     assert result.payload["criteria"][0]["passed"] is True
     assert result.payload["criteria"][1]["passed"] is False
     assert result.payload["all_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # q = 3 * P1 * P2 with two 62-bit primes: the trial prime 3 leaves P1 * P2 behind
+        ["tower", "--shape", "3,41381082025253164594480119908671901949,1,1,1,1"],
+        # a 124-bit d with no small factor, no perfect power and not prime
+        ["green", "--d", "13793694008417721531493373302890633983", "--u", "1", "--alpha0", "1", "--g", "1"],
+    ],
+)
+def test_prime_power_check_factors_nothing(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert one_document(capsys)["error_kind"] == "NotPrimePower"

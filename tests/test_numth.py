@@ -12,6 +12,7 @@ from tametransfer.numth import (
     _WorkBudget,
     factorize,
     is_prime,
+    is_prime_power,
 )
 
 
@@ -100,3 +101,51 @@ def test_perfect_power_of_a_huge_prime():
     assert _perfect_power(mersenne**3) == (mersenne, 3)
     assert _perfect_power(mersenne**2 + 2) is None
     assert factorize(mersenne**2) == {mersenne: 2}
+
+
+def prime_power_base(factors):
+    """The reference answer from a known factorization {prime: exponent}."""
+    return next(iter(factors)) if len(factors) == 1 else None
+
+
+def small_factorization(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def multiply(factors):
+    n = 1
+    for p, k in factors.items():
+        n *= p**k
+    return n
+
+
+def test_is_prime_power_below_5000():
+    assert is_prime_power(0) is None and is_prime_power(1) is None
+    for n in range(2, 5000):
+        assert is_prime_power(n) == prime_power_base(small_factorization(n)), n
+
+
+# 10663 is the least prime above the trial primes; the others are far above
+BIG_PRIMES = [10663, 1000003, 2**61 - 1]
+
+
+def test_is_prime_power_on_large_primes_and_composites():
+    cases = []
+    for p in BIG_PRIMES:
+        cases += [{p: k} for k in range(1, 8)]
+        cases += [{2: 1, p: 1}, {p: 2, 3: 1}, {2: 3, p: 3}]
+        for q in BIG_PRIMES:
+            if q != p:
+                cases += [{p: 1, q: 1}, {p: 2, q: 2}, {p: 3, q: 1}, {p: 5, q: 5}]
+    cases += [{2: k, 3: k} for k in range(1, 6)] + [{2: 64}, {3: 40}, {10657: 4}]
+    for factors in cases:
+        n = multiply(factors)
+        assert is_prime_power(n) == prime_power_base(factors), factors

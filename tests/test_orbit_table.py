@@ -1,4 +1,9 @@
-"""The one-walk orbit table against the per-orbit routes it replaced."""
+"""The one-walk level routes against independent per-orbit ones.
+
+``enumerate_orbits`` is checked against each exponent's own walk, and
+``linked_partition``, which returns the level's one block from the walk,
+against a union-find over the orbits of the ell-regular parts.
+"""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,9 +14,9 @@ from tametransfer import (
     enumerate_orbits,
     field_level,
     linked_partition,
+    linking,
     orbit_of,
 )
-from tametransfer.characters import _walk_orbits
 from tametransfer.errors import EnumerationTooLarge
 from tametransfer.numth import _ell_split, crt_idempotent, factorize, prime_factors
 
@@ -23,6 +28,13 @@ SMALL_LEVELS = [
 ]
 LARGE_LEVEL = field_level(7, 5)  # M = 16806 = 2 * 3 * 2801
 levels = st.sampled_from(SMALL_LEVELS)
+# The one-block argument needs neither a field nor a prime power: bare moduli
+# (the degree-one level over M + 1, as ``chain --M`` builds them) and levels
+# over non-prime-power Q are partitioned the same way.
+BARE_LEVELS = [field_level(M + 1, 1) for M in (1, 2, 12, 60, 97, 210, 1001, 2310, 2999)]
+COMPOSITE_Q_LEVELS = [
+    field_level(Q, deg) for Q in (6, 10, 12) for deg in range(1, 6) if Q**deg - 1 <= 3000
+]
 
 
 def per_orbit_partition(level):
@@ -60,11 +72,27 @@ def walked_orbits(level):
     return [(rep, len(m), m) for rep, m in sorted(out.items())]
 
 
-@given(levels)
+@given(st.sampled_from(SMALL_LEVELS + BARE_LEVELS + COMPOSITE_Q_LEVELS))
 @example(LARGE_LEVEL)
-@settings(max_examples=40, deadline=None)
+@example(field_level(2311, 1))  # M = 2310 = 2 * 3 * 5 * 7 * 11
+@example(field_level(6, 4))  # M = 1295 = 5 * 7 * 37
+@example(field_level(10, 3))  # M = 999 = 3**3 * 37
+@example(field_level(12, 3))  # M = 1727 = 11 * 157
+@settings(max_examples=60, deadline=None)
 def test_partition_equals_the_per_orbit_route(lvl):
     assert linked_partition(lvl) == per_orbit_partition(lvl)
+
+
+@pytest.mark.parametrize("lvl", [field_level(5, 2), field_level(2, 6), LARGE_LEVEL])
+def test_partition_factors_nothing(lvl, monkeypatch):
+    want = per_orbit_partition(lvl)
+
+    def refuse(*args):
+        raise AssertionError("linked_partition split M into primes")
+
+    monkeypatch.setattr(linking, "prime_factors", refuse)
+    monkeypatch.setattr(linking, "_ell_split", refuse)
+    assert linked_partition(lvl) == want
 
 
 @given(levels)
@@ -74,18 +102,6 @@ def test_enumeration_equals_an_independent_walk(lvl):
     orbits = enumerate_orbits(lvl)
     assert [(o.rep, o.size, o.members) for o in orbits] == walked_orbits(lvl)
     assert all(o.level == lvl for o in orbits)
-
-
-@pytest.mark.parametrize("lvl", [field_level(5, 2), field_level(2, 6), LARGE_LEVEL])
-def test_table_lookup_is_the_orbit_of_the_regular_part(lvl):
-    rep_of, reps, members = _walk_orbits(lvl)
-    assert members is None
-    assert len(rep_of) == lvl.M
-    for ell in prime_factors(lvl.M):
-        _, e = _ell_split(lvl.M, ell)
-        for o in enumerate_orbits(lvl):
-            expected = orbit_of(ell_regular_part(o.rep_char(), ell)).rep
-            assert rep_of[e * o.rep % lvl.M] == expected
 
 
 @pytest.mark.parametrize("M", [1, 2, 24, 48, 728, 531440, 2**61 - 2])

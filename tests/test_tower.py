@@ -8,6 +8,7 @@ from tametransfer.errors import (
     NotPrimePower,
     OutOfRange,
 )
+from tametransfer.tower import level_guard
 
 
 def test_derive_quaternion_like_shape():
@@ -85,7 +86,9 @@ def test_level_guard_default_and_env(monkeypatch):
     with pytest.raises(LevelGuardExceeded):
         field_level(2, 65)
     monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", "70")
+    level_guard.cache_clear()
     assert field_level(2, 65).M == 2**65 - 1
     monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", "10")
+    level_guard.cache_clear()
     with pytest.raises(LevelGuardExceeded):
         field_level(2, 11)
