@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every invocation writes exactly one JSON document to standard output and
-nothing else there; human diagnostics go to standard error.  Exit codes:
+nothing else there; human diagnostics go to standard error.  The one
+exception is ``-h``/``--help``, at the top or after a command, which prints
+the usage text instead and exits 0.  Exit codes:
 0 success, 1 usage error, 2 domain error, 3 internal error (any other
 exception, reported with error kind "InternalError" and its traceback on
 standard error).  All integers that can exceed a machine word are rendered
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from dataclasses import dataclass
 
 from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of, orbit_size
@@ -29,7 +30,6 @@ from .jsonio import (
 from .linking import build_link_chain, linked_partition
 from .numth import is_prime_power
 from .regularize import regularize, zsigmondy_prime
-from .selftest import run_selftest
 from .tame import (
     _transfer_with_lift,
     apply_transfer,
@@ -305,103 +305,69 @@ def _cmd_table(args) -> dict:
 
 
 def _cmd_selftest(args) -> dict:
+    from .selftest import run_selftest  # imported here: no other command pays for it
+
     return run_selftest(args.scale)
 
 
-def build_parser() -> _Parser:
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+
+
+def _ints(*flags: str) -> tuple:
+    return tuple((flag, _REQUIRED_INT) for flag in flags)
+
+
+# name -> (help line, takes the shape flags, its own flags in usage order);
+# the handler of a command is ``_cmd_<name>``, looked up when the parser is built
+_COMMANDS: dict[str, tuple[str | None, bool, tuple]] = {
+    "tower": ("derive all tower invariants from a shape", True, ()),
+    "orbit": (None, False, _ints("--Q", "--nprime", "--a")),
+    "order": (None, False, _ints("--Q", "--nprime", "--a")),
+    "regular-part": (None, False, _ints("--Q", "--nprime", "--a", "--ell")),
+    "chain": (None, False, (("--M", _INT), ("--Q", _INT), ("--nprime", _INT),
+                            ("--from", {**_REQUIRED_INT, "dest": "src"}), ("--to", {**_REQUIRED_INT, "dest": "dst"}))),
+    "partition": (None, False, _ints("--Q", "--nprime")),
+    "zsigmondy": (None, False, _ints("--b", "--r")),
+    "regularize": (None, True, (*_ints("--alpha"), ("--a-override", _INT))),
+    "rectifier": (None, True, ()),
+    "transfer": (None, True, _ints("--alpha")),
+    "transfer-descent": (None, True, _ints("--alpha")),
+    "pair": (None, True, _ints("--f", "--beta")),
+    "pair-transfer": (None, True, _ints("--f", "--beta")),
+    "green": (None, False, _ints("--d", "--u", "--alpha0", "--g")),
+    "table": (None, True, ()),
+    "selftest": (None, False, (("--scale", {"choices": ("small", "full"), "default": "small"}),)),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The parser for ``argv``: when ``argv`` starts with a command name, only
+    that command's subparser is built, under the same usage line as the full
+    parser; otherwise (and with no ``argv``) every command's."""
     parser = _Parser(prog="tametransfer", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tower", help="derive all tower invariants from a shape")
-    _add_shape_flags(p)
-    p.set_defaults(handler=_cmd_tower)
-
-    for name, handler in (("orbit", _cmd_orbit), ("order", _cmd_order)):
-        p = sub.add_parser(name)
-        p.add_argument("--Q", type=int, required=True)
-        p.add_argument("--nprime", type=int, required=True)
-        p.add_argument("--a", type=int, required=True)
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("regular-part")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--nprime", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(handler=_cmd_regular_part)
-
-    p = sub.add_parser("chain")
-    p.add_argument("--M", type=int)
-    p.add_argument("--Q", type=int)
-    p.add_argument("--nprime", type=int)
-    p.add_argument("--from", dest="src", type=int, required=True)
-    p.add_argument("--to", dest="dst", type=int, required=True)
-    p.set_defaults(handler=_cmd_chain)
-
-    p = sub.add_parser("partition")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--nprime", type=int, required=True)
-    p.set_defaults(handler=_cmd_partition)
-
-    p = sub.add_parser("zsigmondy")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(handler=_cmd_zsigmondy)
-
-    p = sub.add_parser("regularize")
-    _add_shape_flags(p)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--a-override", dest="a_override", type=int)
-    p.set_defaults(handler=_cmd_regularize)
-
-    p = sub.add_parser("rectifier")
-    _add_shape_flags(p)
-    p.set_defaults(handler=_cmd_rectifier)
-
-    p = sub.add_parser("transfer")
-    _add_shape_flags(p)
-    p.add_argument("--alpha", type=int, required=True)
-    p.set_defaults(handler=_cmd_transfer)
-
-    p = sub.add_parser("transfer-descent")
-    _add_shape_flags(p)
-    p.add_argument("--alpha", type=int, required=True)
-    p.set_defaults(handler=_cmd_transfer_descent)
-
-    p = sub.add_parser("pair")
-    _add_shape_flags(p)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.set_defaults(handler=_cmd_pair)
-
-    p = sub.add_parser("pair-transfer")
-    _add_shape_flags(p)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.set_defaults(handler=_cmd_pair_transfer)
-
-    p = sub.add_parser("green")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--alpha0", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(handler=_cmd_green)
-
-    p = sub.add_parser("table")
-    _add_shape_flags(p)
-    p.set_defaults(handler=_cmd_table)
-
-    p = sub.add_parser("selftest")
-    p.add_argument("--scale", choices=("small", "full"), default="small")
-    p.set_defaults(handler=_cmd_selftest)
-
+    names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    # With one command built, the usage line still names every command.  The
+    # full parser keeps no metavar: one would rename the command argument in
+    # its own errors ("invalid choice", "required").
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, shape, flags = _COMMANDS[name]
+        # help=None would still list the command, blank, under the full help's commands
+        p = sub.add_parser(name, **({"help": help_line} if help_line else {}))
+        if shape:
+            _add_shape_flags(p)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; never raises, except for ``--help``'s SystemExit."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         payload = args.handler(args)
         return CommandResult(status="ok", payload=payload, exit_code=0)
     except _UsageError as exc:
@@ -413,6 +379,8 @@ def run(argv: list[str]) -> CommandResult:
             status="error", error_kind=exc.kind, message=str(exc), exit_code=2
         )
     except Exception as exc:  # noqa: BLE001 - the last resort keeps the one-document contract
+        import traceback
+
         traceback.print_exc()  # to stderr, so the internal fault stays traceable
         return CommandResult(
             status="error", error_kind="InternalError", message=f"{type(exc).__name__}: {exc}", exit_code=3

@@ -2,8 +2,9 @@
 
 Everything here is deterministic: primality uses fixed Miller-Rabin bases
 (proven correct below 3.3e24, used as a strong test above), and factoring
-uses trial division with a Brent-cycle Pollard rho fallback whose parameter
-sweep is fixed, so repeated runs always produce the same output.
+(``factorize``) uses trial division, then Pollard's p-1 with a fixed base
+and bound, then a Brent-cycle Pollard rho fallback whose parameter sweep is
+fixed, so repeated runs always produce the same output.
 
 The least prime factor of an n whose prime factors are all 1 mod m (the
 primitive part of a cyclotomic value) is found by search, not by factoring
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import compress
 
 from .errors import FactorizationBudgetExceeded
 
@@ -25,12 +27,17 @@ _SIEVE_BOUND = 100_000
 
 
 def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
+    """The primes up to ``limit``, by a sieve of Eratosthenes over the odd numbers."""
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * ((limit + 1) // 2)  # flags[i] stands for 2i + 1
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
         if flags[i]:
-            flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
-    return [i for i, f in enumerate(flags) if f]
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return [2, *compress(range(1, limit + 1, 2), flags)]
 
 
 SMALL_PRIMES: list[int] = _sieve(_SIEVE_BOUND)

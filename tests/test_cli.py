@@ -1,9 +1,13 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import tametransfer
 from tametransfer import char, cli, field_level, numth, orbit_of
 from tametransfer.cli import main, run
 from tametransfer.jsonio import orbit_to_json
@@ -332,3 +336,97 @@ def test_prime_power_check_factors_nothing(argv, capsys):
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert one_document(capsys)["error_kind"] == "NotPrimePower"
+
+
+# a valid argv tail per command; the equivalence test breaks each in several ways
+VALID = {
+    "tower": ["--shape", "3,3,2,1,1,4"],
+    "orbit": ["--Q", "2", "--nprime", "3", "--a", "1"],
+    "order": ["--Q", "5", "--nprime", "2", "--a", "9"],
+    "regular-part": ["--Q", "5", "--nprime", "2", "--a", "1", "--ell", "3"],
+    "chain": ["--M", "24", "--from", "1", "--to", "5"],
+    "partition": ["--Q", "2", "--nprime", "3"],
+    "zsigmondy": ["--b", "2", "--r", "14"],
+    "regularize": ["--shape", "2,2,1,1,2,1", "--alpha", "0"],
+    "rectifier": ["--p", "3", "--q", "3", "--eEF", "2", "--fEF", "1", "--m", "1", "--d", "4"],
+    "transfer": ["--shape", "3,3,2,1,1,4", "--alpha", "1"],
+    "transfer-descent": ["--shape", "3,3,2,1,1,4", "--alpha", "0"],
+    "pair": ["--shape", "3,3,2,1,1,4", "--f", "1", "--beta", "1"],
+    "pair-transfer": ["--shape", "3,3,2,1,1,4", "--f", "1", "--beta", "1"],
+    "green": ["--d", "2", "--u", "2", "--alpha0", "1", "--g", "1"],
+    "table": ["--shape", "3,3,2,1,1,4"],
+    "selftest": ["--scale", "small"],
+}
+
+
+def bad_argvs():
+    yield from (["frobnicate"], [], ["-h"])
+    for name, tail in VALID.items():
+        if name != "selftest":  # selftest has no required flag: dropping one would run it
+            yield [name, *tail[:-2]]  # a missing required flag
+        yield [name, *tail, "--bogus", "1"]
+        yield [name, *tail, "junk"]
+        yield [name, *tail[:-1], "x"]  # a value that is not an integer (or a choice)
+        yield [name, "-h"]
+
+
+def outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # -h and --help
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def commands_built(argv):
+    (action,) = [a for a in cli.build_parser(argv)._actions if a.dest == "command"]
+    return list(action.choices)
+
+
+def test_a_command_builds_only_its_own_subparser():
+    assert list(VALID) == list(cli._COMMANDS)
+    for argv in (None, [], ["frobnicate"], ["-h"], ["--", "orbit"]):
+        assert commands_built(argv) == list(VALID)
+    assert commands_built(["orbit", "-h"]) == ["orbit"]
+
+
+def test_one_command_parser_answers_as_the_full_parser(monkeypatch, capsys):
+    full_parser = cli.build_parser
+    per_command = {}
+    for argv in bad_argvs():
+        per_command[tuple(argv)] = outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    for argv, (code, out) in per_command.items():
+        assert code in (0, 1), argv
+        assert outcome(list(argv), capsys) == (code, out), argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["orbit", "-h"], ["selftest", "--help"]])
+def test_help_prints_usage_text_and_exits_zero(argv, capsys):
+    code, out = outcome(argv, capsys)
+    assert code == 0
+    assert out.startswith("usage: tametransfer")
+
+
+STARTUP_PROBE = """
+import json, sys
+from tametransfer.cli import main
+main(["orbit", "--Q", "2", "--nprime", "3", "--a", "1"])
+after_orbit = sorted(m for m in sys.modules if m.startswith("tametransfer."))
+main(["selftest", "--scale", "small"])
+print(json.dumps({"after_orbit": after_orbit, "selftest_loaded": "tametransfer.selftest" in sys.modules}))
+"""
+
+
+def test_only_selftest_imports_selftest():
+    src = os.path.dirname(os.path.dirname(tametransfer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    orbit_doc, selftest_doc, probe = (json.loads(line) for line in done.stdout.splitlines())
+    assert orbit_doc["payload"]["members"] == ["1", "2", "4"]
+    assert selftest_doc["payload"]["all_passed"] is True
+    assert probe["selftest_loaded"] is True
+    layers = ("tower", "numth", "characters", "linking", "regularize", "tame", "green", "jsonio")
+    assert "tametransfer.selftest" not in probe["after_orbit"]
+    assert {f"tametransfer.{layer}" for layer in layers} <= set(probe["after_orbit"])

@@ -149,3 +149,13 @@ def test_is_prime_power_on_large_primes_and_composites():
     for factors in cases:
         n = multiply(factors)
         assert is_prime_power(n) == prime_power_base(factors), factors
+
+
+def test_sieve_matches_an_independent_prime_list():
+    from sympy import primerange
+
+    for limit in range(401):
+        assert numth._sieve(limit) == list(primerange(2, limit + 1)), limit
+    assert numth._sieve(10**5) == list(primerange(2, 10**5 + 1)) == numth.SMALL_PRIMES
+    assert numth._TRIAL_PRIMES == numth.SMALL_PRIMES[:1300]
+    assert numth._TRIAL_PRIMES[-1] == 10657
