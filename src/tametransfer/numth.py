@@ -11,12 +11,18 @@ primitive part of a cyclotomic value) is found by search, not by factoring
 n outright (``_least_prime_factor``): trial division over p = 1 + m,
 1 + 2m, ..., then Montgomery's elliptic-curve method with Suyama's
 sigma = 6, 7, ... in fixed order, then the split of the cofactor into
-primes.  The stages share one work budget, ``SEARCH_WORK_BUDGET``; when it
-runs out the search raises ``FactorizationBudgetExceeded``.
+primes.  A curve's stage 1 ladder starts from its base point scaled to
+Z = 1; its stage 2 brings every baby and giant step to affine x with one
+batch inversion (Montgomery's trick) and so takes one product a prime, and
+falls back to the projective terms when the product of the steps' Z is not
+a unit mod n.  Either way each curve's gcd is that of the projective
+continuation.  The stages share one work budget, ``SEARCH_WORK_BUDGET``;
+when it runs out the search raises ``FactorizationBudgetExceeded``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from itertools import compress
@@ -179,9 +185,14 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # The least-prime search counts its work in modular products: a trial block
-# costs one per candidate, an ECM curve _CURVE_COST (its stage 1 ladder
-# takes about 31,700 products, its stage 2 about 23,000).  The budget pays
-# for the whole trial stage and 120 curves.
+# costs one per candidate, an ECM curve _CURVE_COST.  A curve takes about
+# 44,200 products: 28,800 in its stage 1 ladder (10 a bit of the 2,878-bit
+# multiplier) and 15,400 in stage 2 (6,100 to build its baby and giant steps
+# and bring them to affine x, then one a prime in (B1, B2]).  The charge is
+# kept at the 55,000 a curve took with a projective stage 2 (two products a
+# prime) and an 11-product ladder step, so SEARCH_WORK_BUDGET, every budget
+# verdict and every message stay as they were.  The budget pays for the
+# whole trial stage and 120 curves.
 _TRIAL_BLOCK = 200  # candidates per charge; is_prime(n) runs after the first block
 _TRIAL_BLOCKS = 100
 _ECM_B1 = 2000
@@ -206,13 +217,6 @@ class _WorkBudget:
             )
 
 
-def _xdbl(X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
-    """Double an x-only point (X : Z) on the Montgomery curve with a24 = (A + 2) / 4."""
-    s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
-    t = s - d
-    return s * d % n, t * (d + a24 * t) % n
-
-
 def _xadd(XP: int, ZP: int, XQ: int, ZQ: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
     """P + Q from x-only P, Q and their difference (Xd : Zd)."""
     u = (XP - ZP) * (XQ + ZQ) % n
@@ -220,69 +224,114 @@ def _xadd(XP: int, ZP: int, XQ: int, ZQ: int, Xd: int, Zd: int, n: int) -> tuple
     return Zd * (u + v) ** 2 % n, Xd * (u - v) ** 2 % n
 
 
-def _ladder(X: int, Z: int, k: int, a24: int, n: int) -> tuple[int, int]:
-    """[k](X : Z) for k >= 1 by the Montgomery ladder."""
-    X0, Z0 = X, Z
-    X1, Z1 = _xdbl(X, Z, a24, n)
+def _ladder(x: int, k: int, a24: int, n: int) -> tuple[int, int]:
+    """[k](x : 1) for k >= 1 by the Montgomery ladder on the curve with a24 = (A + 2) / 4.
+
+    A step doubles one point and adds the two with _xadd written out; as
+    every sum has the base (x : 1) for its difference, a bit takes 10 products.
+    """
+    s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
+    t = s - d
+    X0, Z0, X1, Z1 = x, 1, s * d % n, t * (d + a24 * t) % n
     for bit in bin(k)[3:]:
-        if bit == "1":
-            X0, Z0 = _xadd(X1, Z1, X0, Z0, X, Z, n)
-            X1, Z1 = _xdbl(X1, Z1, a24, n)
-        else:
-            X1, Z1 = _xadd(X0, Z0, X1, Z1, X, Z, n)
-            X0, Z0 = _xdbl(X0, Z0, a24, n)
+        p, m = X1 + Z1, X1 - Z1
+        u, v = m * (X0 + Z0) % n, p * (X0 - Z0) % n
+        w, y = u + v, u - v
+        if bit == "1":  # R0 = R0 + R1, R1 = 2 R1
+            X0, Z0 = w * w % n, x * y * y % n
+            s, d = p * p % n, m * m % n
+            t = s - d
+            X1, Z1 = s * d % n, t * (d + a24 * t) % n
+        else:  # R1 = R0 + R1, R0 = 2 R0
+            X1, Z1 = w * w % n, x * y * y % n
+            p, m = X0 + Z0, X0 - Z0
+            s, d = p * p % n, m * m % n
+            t = s - d
+            X0, Z0 = s * d % n, t * (d + a24 * t) % n
     return X0, Z0
+
+
+def _affine_x(points: list[tuple[int, int]], n: int) -> list[int] | None:
+    """x = X / Z of every point (X : Z) by Montgomery's batch inversion: one
+    pow(., -1, n) and four products a point.  None when the product of the Z
+    is not a unit mod n."""
+    prefix, zz = [], 1
+    for _, Z in points:
+        prefix.append(zz)
+        zz = zz * Z % n
+    if math.gcd(zz, n) != 1:
+        return None
+    inv, xs = pow(zz, -1, n), [0] * len(points)
+    for j in range(len(points) - 1, -1, -1):
+        X, Z = points[j]
+        xs[j] = X * prefix[j] * inv % n
+        inv = inv * Z % n
+    return xs
 
 
 def _ecm_curve(n: int, sigma: int, k: int) -> int:
     """gcd of n with what one ECM curve finds: Suyama's curve for sigma,
     stage 1 by the multiplier k, stage 2 by Montgomery's standard
-    continuation over the primes in (B1, B2].  1 or n when it finds nothing."""
+    continuation over the primes in (B1, B2].  1 or n when it finds nothing.
+
+    Both stages start from a point scaled to Z = 1.  Stage 2 takes its D
+    baby steps [2d]Q and its giant steps [r]Q to affine x by one batch
+    inversion (_affine_x), then multiplies x([r]Q) - x([2d]Q) for each prime
+    r + 2d: a unit times the projective X_r Z_2d - X_2d Z_r, so the gcd is
+    the same.  When the product of the Z is not a unit mod n, it multiplies
+    the projective terms instead.
+    """
     u, v = (sigma * sigma - 5) % n, 4 * sigma % n
     X, Z = pow(u, 3, n), pow(v, 3, n)
     den = 16 * X * v % n
     g = math.gcd(den, n)
     if g != 1:
         return g
-    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
-    X, Z = _ladder(X, Z, k, a24, n)
+    inv = pow(den * Z, -1, n)  # 1 / (16 u^3 v^4)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * Z * inv % n
+    X, Z = _ladder(den * X * inv % n, k, a24, n)  # from x = X / Z
     g = math.gcd(Z, n)
     if g != 1:
         return g
-    D = _ECM_D
-    S = [(0, 0), _xdbl(X, Z, a24, n)]  # S[d] = [2d]Q
-    S.append(_xdbl(*S[1], a24, n))
+    x, D = X * pow(Z, -1, n) % n, _ECM_D
+    # steps[d] = [2d]Q for d = 1..D, after a placeholder; then [r]Q for the giant steps r
+    steps = [(0, 1), _ladder(x, 2, a24, n), _ladder(x, 4, a24, n)]
     for d in range(3, D + 1):
-        S.append(_xadd(*S[d - 1], *S[1], *S[d - 2], n))
-    beta = [XS * ZS % n for XS, ZS in S]
-    r = _ECM_B1 - 1  # odd, as B1 is even
-    T, R = _ladder(X, Z, r - 2 * D, a24, n), _ladder(X, Z, r, a24, n)
-    i, end = bisect_right(SMALL_PRIMES, r), bisect_right(SMALL_PRIMES, _ECM_B2)
-    g = 1
-    while i < end:
-        XR, ZR = R
-        alpha = XR * ZR % n
-        top = r + 2 * D
-        while i < end and SMALL_PRIMES[i] <= top:
-            delta = (SMALL_PRIMES[i] - r) // 2
-            XS, ZS = S[delta]
-            g = g * ((XR - XS) * (ZR + ZS) - alpha + beta[delta]) % n
-            i += 1
-        R, T = _xadd(*R, *S[D], *T, n), R
-        r = top
+        steps.append(_xadd(*steps[d - 1], *steps[1], *steps[d - 2], n))
+    r0 = _ECM_B1 - 1  # odd, as B1 is even; the giant step r covers the primes in (r, r + 2D]
+    i, end = bisect_right(SMALL_PRIMES, r0), bisect_right(SMALL_PRIMES, _ECM_B2)
+    giants = range(r0, SMALL_PRIMES[end - 1], 2 * D)
+    T, R = _ladder(x, r0 - 2 * D, a24, n), _ladder(x, r0, a24, n)
+    steps.append(R)
+    for _ in giants[1:]:
+        R, T = _xadd(*R, *steps[D], *T, n), R
+        steps.append(R)
+    xs, g = _affine_x(steps, n), 1
+    for j, r in enumerate(giants, D + 1):
+        top = bisect_right(SMALL_PRIMES, r + 2 * D, i, end)
+        if xs is None:
+            XR, ZR = steps[j]
+            for p in SMALL_PRIMES[i:top]:
+                XS, ZS = steps[(p - r) // 2]
+                g = g * (XR * ZS - XS * ZR) % n
+        else:
+            xr = xs[j]
+            for p in SMALL_PRIMES[i:top]:
+                g = g * (xr - xs[(p - r) // 2]) % n
+        i = top
     return math.gcd(g, n)
+
+
+@functools.cache
+def _ecm_multiplier() -> int:
+    """The stage 1 multiplier: over the primes p <= B1, the product of the largest power of p <= B1."""
+    return math.prod(p ** int(math.log(_ECM_B1, p)) for p in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, _ECM_B1)])
 
 
 def _ecm_factor(n: int, budget: _WorkBudget, stage: str) -> int:
     """A nontrivial factor of n, odd, composite and not a perfect power,
     from the first curve sigma = 6, 7, ... that splits it."""
-    k = 1
-    for p in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, _ECM_B1)]:
-        pe = p
-        while pe * p <= _ECM_B1:
-            pe *= p
-        k *= pe
-    sigma = 6
+    k, sigma = _ecm_multiplier(), 6
     while True:
         budget.charge(_CURVE_COST, stage, n)
         g = _ecm_curve(n, sigma, k)

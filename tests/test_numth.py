@@ -1,5 +1,9 @@
 """The least-prime search: trial division over 1 mod m, then ECM, under one budget."""
 
+import math
+import random
+from bisect import bisect_right
+
 import pytest
 
 from tametransfer import numth
@@ -78,8 +82,18 @@ def test_split_stage_takes_the_least_prime_of_every_part():
     assert _least_prime_factor(p * q * s, 58) == p
 
 
+def count_curves(monkeypatch):
+    """Spy on numth._ecm_curve; the returned list grows by one (n, sigma) per curve run."""
+    calls, curve = [], numth._ecm_curve
+    monkeypatch.setattr(numth, "_ecm_curve", lambda n, sigma, k: calls.append((n, sigma)) or curve(n, sigma, k))
+    return calls
+
+
 def test_search_stops_at_its_work_budget(monkeypatch):
     n = 268437457 * 68719477061  # needs three curves
+    curves = count_curves(monkeypatch)
+    assert _least_prime_factor(n, 58) == 268437457
+    assert curves == [(n, 6), (n, 7), (n, 8)]
     monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS + 2 * numth._CURVE_COST)
     with pytest.raises(FactorizationBudgetExceeded, match=f"ecm stage with a {n.bit_length()}-bit cofactor"):
         _least_prime_factor(n, 58)
@@ -159,3 +173,161 @@ def test_sieve_matches_an_independent_prime_list():
     assert numth._sieve(10**5) == list(primerange(2, 10**5 + 1)) == numth.SMALL_PRIMES
     assert numth._TRIAL_PRIMES == numth.SMALL_PRIMES[:1300]
     assert numth._TRIAL_PRIMES[-1] == 10657
+
+
+# The projective ECM curve, the reference every curve's gcd must equal: a
+# ladder from (X : Z) with 11 products a bit, and a stage 2 that multiplies
+# (X_r - X_s)(Z_r + Z_s) - X_r Z_r + X_s Z_s, two products a prime.
+def ref_xdbl(X, Z, a24, n):
+    s, d = (X + Z) ** 2 % n, (X - Z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def ref_xadd(XP, ZP, XQ, ZQ, Xd, Zd, n):
+    u = (XP - ZP) * (XQ + ZQ) % n
+    v = (XP + ZP) * (XQ - ZQ) % n
+    return Zd * (u + v) ** 2 % n, Xd * (u - v) ** 2 % n
+
+
+def ref_ladder(X, Z, k, a24, n):
+    X0, Z0 = X, Z
+    X1, Z1 = ref_xdbl(X, Z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            X0, Z0 = ref_xadd(X1, Z1, X0, Z0, X, Z, n)
+            X1, Z1 = ref_xdbl(X1, Z1, a24, n)
+        else:
+            X1, Z1 = ref_xadd(X0, Z0, X1, Z1, X, Z, n)
+            X0, Z0 = ref_xdbl(X0, Z0, a24, n)
+    return X0, Z0
+
+
+def ref_suyama(n, sigma):
+    """The base point (X : Z) and a24 of Suyama's curve for sigma, or None when
+    16 X v is not a unit."""
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    X, Z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * X * v % n
+    if math.gcd(den, n) != 1:
+        return None
+    return X, Z, pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+
+
+def ref_ecm_curve(n, sigma, k):
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    X, Z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * X * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    X, Z = ref_ladder(X, Z, k, a24, n)
+    g = math.gcd(Z, n)
+    if g != 1:
+        return g
+    D = numth._ECM_D
+    S = [(0, 0), ref_xdbl(X, Z, a24, n)]
+    S.append(ref_xdbl(*S[1], a24, n))
+    for d in range(3, D + 1):
+        S.append(ref_xadd(*S[d - 1], *S[1], *S[d - 2], n))
+    beta = [XS * ZS % n for XS, ZS in S]
+    primes = numth.SMALL_PRIMES
+    r = numth._ECM_B1 - 1
+    T, R = ref_ladder(X, Z, r - 2 * D, a24, n), ref_ladder(X, Z, r, a24, n)
+    i, end = bisect_right(primes, r), bisect_right(primes, numth._ECM_B2)
+    g = 1
+    while i < end:
+        XR, ZR = R
+        alpha = XR * ZR % n
+        top = r + 2 * D
+        while i < end and primes[i] <= top:
+            delta = (primes[i] - r) // 2
+            XS, ZS = S[delta]
+            g = g * ((XR - XS) * (ZR + ZS) - alpha + beta[delta]) % n
+            i += 1
+        R, T = ref_xadd(*R, *S[D], *T, n), R
+        r = top
+    return math.gcd(g, n)
+
+
+def primitive_part(b, r):
+    """b**r - 1 over b - 1 with the copies of r removed, for a prime r."""
+    n = (b**r - 1) // (b - 1)
+    while n % r == 0:
+        n //= r
+    return n
+
+
+# (b, r): the least prime of the primitive part of b**r - 1, and the curves
+# _least_prime_factor runs to find it
+SEARCH_CURVES = {(18, 29): (1505548068007783, 27), (20, 19): (75368484119, 12), (34, 29): (21333097, 8)}
+
+
+def seeded_cofactors(seed, count):
+    """Products of two or three primes 1 mod 58 above the trial range."""
+    rng, trial_top = random.Random(seed), 1 + 58 * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
+    out = []
+    for _ in range(count):
+        n = 1
+        for _ in range(rng.choice((2, 3))):
+            n *= primes_1_mod(58, rng.randrange(trial_top, 2 ** rng.randrange(21, 46)), 1)[0]
+        out.append(n)
+    return out
+
+
+def test_every_curve_finds_the_gcd_of_the_projective_curve(monkeypatch):
+    unaffine, affine_x = [], numth._affine_x
+
+    def spy(points, n):
+        xs = affine_x(points, n)
+        if xs is None:
+            unaffine.append(n)
+        return xs
+
+    monkeypatch.setattr(numth, "_affine_x", spy)
+    k = numth._ecm_multiplier()
+    cases = [n for n, _ in ECM_SPLITS] + [primitive_part(b, r) for b, r in SEARCH_CURVES] + seeded_cofactors(12, 4)
+    for n in cases:
+        for sigma in range(6, 14):
+            assert numth._ecm_curve(n, sigma, k) == ref_ecm_curve(n, sigma, k), (n, sigma)
+    # a giant or baby step at O modulo one prime: stage 2 multiplies projective terms
+    assert 1073742053 * 17179870919 in unaffine
+    unaffine.clear()
+    assert numth._ecm_curve(1073742053 * 17179870919, 8, k) == 1073742053 * 17179870919
+    assert unaffine == [1073742053 * 17179870919]
+
+
+def test_ladder_from_the_normalized_base_is_the_projective_ladder_up_to_scale():
+    p, q = 1009, 1000003
+    n = p * q
+    X, Z, a24 = ref_suyama(n, 6)
+    x = X * pow(Z, -1, n) % n
+    orders = [k for k in range(1, 2 * p) if ref_ladder(X, Z, k, a24, n)[1] % p == 0]
+    assert orders, "the point has an order below 2p modulo p"
+    for k in [1, 2, 3, 4, 5, 17, 255, 256, orders[0], 3 * orders[0], numth._ecm_multiplier()]:
+        Xk, Zk = numth._ladder(x, k, a24, n)
+        Xr, Zr = ref_ladder(X, Z, k, a24, n)
+        assert (Xk * Zr - Xr * Zk) % n == 0, k
+        assert math.gcd(Zk, n) == math.gcd(Zr, n), k
+    assert math.gcd(numth._ladder(x, orders[0], a24, n)[1], n) == p
+
+
+def test_affine_x_inverts_every_z_or_reports_a_non_unit():
+    n = 1009 * 1000003
+    points = [(3, 5), (7, 11), (n - 1, 2), (123456, 654321)]
+    assert numth._affine_x(points, n) == [X * pow(Z, -1, n) % n for X, Z in points]
+    assert numth._affine_x([*points, (1, 1009 * 4)], n) is None
+
+
+def test_stage_one_multiplier_is_the_lcm_up_to_b1():
+    assert numth._ecm_multiplier() == math.lcm(*range(1, numth._ECM_B1 + 1))
+
+
+@pytest.mark.parametrize("b, r", SEARCH_CURVES)
+def test_search_runs_the_same_curves(monkeypatch, b, r):
+    n, (ell, curve_count) = primitive_part(b, r), SEARCH_CURVES[b, r]
+    curves = count_curves(monkeypatch)
+    assert _least_prime_factor(n, 2 * r) == ell
+    assert len(curves) == curve_count
+    assert n % ell == 0 and is_prime(ell) and ell % (2 * r) == 1
