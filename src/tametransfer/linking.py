@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import CharExp, GaloisOrbit, _walk_orbits, ell_regular_part, orbit_of
-from .errors import DegreeMismatch, LevelMismatch
+from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
 from .numth import _ell_split, factorize, prime_factors
 from .tower import FieldLevel
 
@@ -67,15 +67,20 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
     The quotient character decomposes uniquely over the primes dividing M
     into factors of prime-power order (CRT idempotents); multiplying them in
     one at a time yields consecutive ell-linked characters.  Primes whose
-    factor is trivial contribute no step.
+    factor is trivial contribute no step.  Raises FactorizationBudgetExceeded,
+    naming the level, when M does not factor within the work budget.
     """
     if alpha.level != alpha_prime.level:
         raise LevelMismatch("characters live at different levels")
-    M = alpha.level.M
+    M, level = alpha.level.M, alpha.level
+    try:
+        primes = sorted(factorize(M))
+    except FactorizationBudgetExceeded as exc:
+        raise FactorizationBudgetExceeded(f"order of the level Q={level.Q}, deg={level.deg}: {exc}") from None
     xi = (alpha_prime.a - alpha.a) % M
     steps = []
     current = alpha
-    for ell in sorted(factorize(M)):
+    for ell in primes:
         _, e_reg = _ell_split(M, ell)
         xi_ell = (1 - e_reg) * xi % M
         if xi_ell == 0:

@@ -2,22 +2,27 @@
 
 Everything here is deterministic: primality uses fixed Miller-Rabin bases
 (proven correct below 3.3e24, used as a strong test above), and factoring
-(``factorize``) uses trial division, then Pollard's p-1 with a fixed base
-and bound, then a Brent-cycle Pollard rho fallback whose parameter sweep is
-fixed, so repeated runs always produce the same output.
+has one engine whose curves are fixed, so repeated runs always produce the
+same output.
 
-The least prime factor of an n whose prime factors are all 1 mod m (the
-primitive part of a cyclotomic value) is found by search, not by factoring
-n outright (``_least_prime_factor``): trial division over p = 1 + m,
-1 + 2m, ..., then Montgomery's elliptic-curve method with Suyama's
-sigma = 6, 7, ... in fixed order, then the split of the cofactor into
-primes.  A curve's stage 1 ladder starts from its base point scaled to
-Z = 1; its stage 2 brings every baby and giant step to affine x with one
+The engine splits a number with no small prime factor (``_split``): a part
+is kept when prime, replaced by its root when a perfect power, and otherwise
+split by Montgomery's elliptic-curve method with Suyama's sigma = 6, 7, ...
+in fixed order.  A curve's stage 1 ladder starts from its base point scaled
+to Z = 1; its stage 2 brings every baby and giant step to affine x with one
 batch inversion (Montgomery's trick) and so takes one product a prime, and
 falls back to the projective terms when the product of the steps' Z is not
 a unit mod n.  Either way each curve's gcd is that of the projective
-continuation.  The stages share one work budget, ``SEARCH_WORK_BUDGET``;
-when it runs out the search raises ``FactorizationBudgetExceeded``.
+continuation.  Every curve is charged to one work budget,
+``SEARCH_WORK_BUDGET``; when it runs out the engine raises
+``FactorizationBudgetExceeded``.
+
+Two entry points feed it.  ``factorize`` trial-divides by the primes below
+10**5 and hands what is left to the engine.  The least prime factor of an n
+whose prime factors are all 1 mod m (the primitive part of a cyclotomic
+value) is found by search, not by factoring n outright
+(``_least_prime_factor``): trial division over p = 1 + m, 1 + 2m, ...,
+charged to the same budget, then the engine on the cofactor.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ def _sieve(limit: int) -> list[int]:
 
 
 SMALL_PRIMES: list[int] = _sieve(_SIEVE_BOUND)
-
-# the primes trial division tries before factorize turns to p-1 and rho
-_TRIAL_PRIMES = SMALL_PRIMES[:1300]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -92,7 +94,7 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     """Return (root, k) with root**k == n and prime k, or None.
 
     Only for n with no prime factor below 2**13, which trial division has
-    removed by the time factorize, the search or is_prime_power calls it:
+    removed by the time _split or is_prime_power calls it:
     the root is then at least 2**13, so k <= bits / 13.  A power of a
     composite exponent is a power of a prime one.
     """
@@ -106,93 +108,15 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _pollard_pm1(n: int, bound: int = 100_000) -> int | None:
-    a = 2
-    for p in SMALL_PRIMES:
-        if p > bound:
-            break
-        a = pow(a, p ** int(math.log(bound, p)), n)
-        g = math.gcd(a - 1, n)
-        if 1 < g < n:
-            return g
-    return None
-
-
-def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of an odd composite n (Brent's cycle method).
-
-    The polynomial constant c is swept deterministically, so the factor found
-    for a given n never varies between runs.
-    """
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        y, m = 2, 128
-        g = q = r = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g, y = 1, ys
-            while g == 1:
-                y = (y * y + c) % n
-                g = math.gcd(abs(x - y), n)
-        if g != n:
-            return g
-        c += 1
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Full prime factorization of n >= 1 as an exponent map."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        if n == 1:
-            return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        power = _perfect_power(m)
-        if power is not None:
-            root, k = power
-            stack.extend([root] * k)
-            continue
-        d = _pollard_pm1(m) or _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-# The least-prime search counts its work in modular products: a trial block
-# costs one per candidate, an ECM curve _CURVE_COST.  A curve takes about
-# 44,200 products: 28,800 in its stage 1 ladder (10 a bit of the 2,878-bit
-# multiplier) and 15,400 in stage 2 (6,100 to build its baby and giant steps
-# and bring them to affine x, then one a prime in (B1, B2]).  The charge is
-# kept at the 55,000 a curve took with a projective stage 2 (two products a
-# prime) and an 11-product ladder step, so SEARCH_WORK_BUDGET, every budget
-# verdict and every message stay as they were.  The budget pays for the
-# whole trial stage and 120 curves.
+# The engine counts its work in modular products: a trial block of the
+# least-prime search costs one per candidate, an ECM curve _CURVE_COST.  A
+# curve takes about 44,200 products: 28,800 in its stage 1 ladder (10 a bit
+# of the 2,878-bit multiplier) and 15,400 in stage 2 (6,100 to build its baby
+# and giant steps and bring them to affine x, then one a prime in (B1, B2]).
+# The charge is kept at the 55,000 a curve took with a projective stage 2
+# (two products a prime) and an 11-product ladder step, so
+# SEARCH_WORK_BUDGET, every budget verdict and every message stay as they
+# were.  The budget pays for the search's whole trial stage and 120 curves.
 _TRIAL_BLOCK = 200  # candidates per charge; is_prime(n) runs after the first block
 _TRIAL_BLOCKS = 100
 _ECM_B1 = 2000
@@ -203,7 +127,7 @@ SEARCH_WORK_BUDGET = _TRIAL_BLOCKS * _TRIAL_BLOCK + 120 * _CURVE_COST
 
 
 class _WorkBudget:
-    """The work units left to one search."""
+    """The work units left to one search or one factorization."""
 
     def __init__(self) -> None:
         self.left = SEARCH_WORK_BUDGET
@@ -340,13 +264,36 @@ def _ecm_factor(n: int, budget: _WorkBudget, stage: str) -> int:
         sigma += 1
 
 
+def _split(n: int, budget: _WorkBudget) -> dict[int, int]:
+    """The prime factorization of n > 1, which has no prime factor below 2**13.
+
+    A part is kept if prime, else replaced by its perfect-power root, else
+    split by ECM, until every part is prime.  Each part carries its exponent,
+    so the root of a power is split once, not once per copy.  The first ECM
+    split is charged to the ecm stage of the budget, the later ones to the
+    split stage.
+    """
+    parts, primes, stage = [(n, 1)], {}, "ecm"
+    while parts:
+        m, e = parts.pop()
+        if is_prime(m):
+            primes[m] = primes.get(m, 0) + e
+        elif (power := _perfect_power(m)) is not None:
+            parts.append((power[0], e * power[1]))
+        else:
+            d = _ecm_factor(m, budget, stage)
+            parts += [(d, e), (m // d, e)]
+            stage = "split"
+    return primes
+
+
 def _least_prime_factor(n: int, m: int) -> int:
     """The least prime factor of n >= 2, given that every prime factor of n is 1 mod m.
 
     Trial division over p = 1 + m, 1 + 2m, ... needs no primality test: a
     smaller prime factor of a dividing candidate would itself have been a
     candidate.  Past the square root of n, n is prime.  When no candidate
-    divides n, ECM splits it and the parts are split until each is prime.
+    divides n, _split factors it under the search's budget.
     Raises FactorizationBudgetExceeded when the search overruns its budget.
     """
     budget = _WorkBudget()
@@ -361,18 +308,31 @@ def _least_prime_factor(n: int, m: int) -> int:
         if block == 0 and is_prime(n):
             return n
     # n is composite, and every prime factor of it is above p
-    composites, primes, stage = [n], [], "ecm"
-    while composites:
-        c = composites.pop()
-        power = _perfect_power(c)
-        if power is not None:
-            parts = [power[0]]
-        else:
-            d = _ecm_factor(c, budget, stage)
-            parts, stage = [d, c // d], "split"
-        for part in parts:
-            (primes if is_prime(part) else composites).append(part)
-    return min(primes)
+    return min(_split(n, budget))
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Full prime factorization of n >= 1 as an exponent map.
+
+    Trial division over SMALL_PRIMES stops once p * p > n, which leaves 1 or
+    a prime.  A cofactor left after all of them has no prime factor below
+    10**5 and goes to _split under one work budget, so a number that
+    overruns SEARCH_WORK_BUDGET raises FactorizationBudgetExceeded.
+    """
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    out: dict[int, int] = {}
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                out[n] = 1
+            return out
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        out.update(_split(n, _WorkBudget()))
+    return out
 
 
 def prime_factors(n: int) -> list[int]:
@@ -399,13 +359,16 @@ def mobius(n: int) -> int:
 def is_prime_power(n: int) -> int | None:
     """Return the prime base if n = p**k for a prime p and k >= 1, else None.
 
-    Nothing is factored: a trial prime dividing n must be the base, and
-    otherwise n has no prime factor below 2**13, so its perfect-power roots
-    can be taken until none is left and the last one tested for primality.
+    Nothing is factored: a small prime dividing n must be the base, n is
+    prime when none divides it up to its square root, and otherwise n has no
+    prime factor below 10**5, so its perfect-power roots can be taken until
+    none is left and the last one tested for primality.
     """
     if n < 2:
         return None
-    for p in _TRIAL_PRIMES:
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            return n
         if n % p == 0:
             while n % p == 0:
                 n //= p

@@ -266,6 +266,25 @@ def test_chain_on_the_square_of_a_huge_prime(capsys):
     assert doc["payload"]["primes"] == [str(2**521 - 1)]
 
 
+@pytest.mark.parametrize("Q, nprime", [(97561, 11), (10007, 13)])
+def test_chain_on_levels_with_large_prime_factors_answers_promptly(Q, nprime, capsys):
+    # M = Q**nprime - 1 has three prime factors above 10**5, of up to 80 bits
+    start = time.perf_counter()
+    assert main(["chain", "--Q", str(Q), "--nprime", str(nprime), "--from", "1", "--to", "5"]) == 0
+    assert time.perf_counter() - start < 5.0
+    doc = one_document(capsys)
+    assert doc["payload"]["M"] == str(Q**nprime - 1)
+
+
+def test_chain_on_two_62_bit_primes_ends_at_the_work_budget(capsys):
+    start = time.perf_counter()
+    assert main(["chain", "--M", "13793694008417721531493373302890633983", "--from", "1", "--to", "5"]) == 2
+    assert time.perf_counter() - start < 10.0
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "FactorizationBudgetExceeded"
+    assert "deg=1: work budget of 6620000 units spent in the ecm stage" in doc["message"]
+
+
 def test_search_budget_is_a_domain_error(monkeypatch, capsys):
     # (18, 29) needs 27 curves; a budget of ten leaves its 117-bit primitive part unsplit
     monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS + 10 * numth._CURVE_COST)

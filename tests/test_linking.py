@@ -8,11 +8,12 @@ from tametransfer import (
     enumerate_orbits,
     field_level,
     linked_partition,
+    numth,
     orbit_of,
     semisimple_endoclass,
     verify_link_chain,
 )
-from tametransfer.errors import DegreeMismatch, EnumerationTooLarge, LevelMismatch
+from tametransfer.errors import DegreeMismatch, EnumerationTooLarge, FactorizationBudgetExceeded, LevelMismatch
 
 L52 = field_level(5, 2)  # M = 24
 
@@ -62,6 +63,18 @@ def test_chain_empty_when_equal():
 def test_chain_level_check():
     with pytest.raises(LevelMismatch):
         build_link_chain(char(L52, 0), char(field_level(2, 3), 0))
+
+
+def test_chain_budget_error_names_the_level(monkeypatch):
+    # one curve splits off 1608023 and leaves a 130-bit cofactor of 10007**13 - 1
+    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._CURVE_COST)
+    level = field_level(10007, 13)
+    with pytest.raises(FactorizationBudgetExceeded) as caught:
+        build_link_chain(char(level, 1), char(level, 5))
+    assert str(caught.value) == (
+        "order of the level Q=10007, deg=13: work budget of 55000 units spent"
+        " in the split stage with a 130-bit cofactor unsplit"
+    )
 
 
 def test_partition_single_block_small_levels():

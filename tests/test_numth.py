@@ -1,4 +1,5 @@
-"""The least-prime search: trial division over 1 mod m, then ECM, under one budget."""
+"""The factoring engine: factorize and the least-prime search, each a trial
+division, then perfect powers and ECM under one budget."""
 
 import math
 import random
@@ -117,6 +118,37 @@ def test_perfect_power_of_a_huge_prime():
     assert factorize(mersenne**2) == {mersenne: 2}
 
 
+# criterion 1's box b**r - 1 for b <= 30, r <= 24: the numbers that keep two
+# or three primes above 10**5, then a seeded sample of the rest
+CRITERION_1_HARD = [(20, 19), (20, 22), (21, 19), (23, 22), (23, 23), (26, 23), (29, 23)]
+CRITERION_1_SAMPLE = CRITERION_1_HARD + random.Random(13).sample(
+    sorted({(b, r) for b in range(2, 31) for r in range(2, 25)} - set(CRITERION_1_HARD)), 33
+)
+
+
+def test_factorize_agrees_with_sympy_and_splits_each_composite_once(monkeypatch):
+    from sympy import factorint, nextprime
+
+    def two_primes_above(k):
+        p = nextprime(2**k)
+        return p, nextprime(p)
+
+    q, q2 = nextprime(10**5), nextprime(nextprime(10**5))
+    p, s = nextprime(2**20), nextprime(2**32)
+    cases = [b**r - 1 for b, r in CRITERION_1_SAMPLE]
+    cases += [math.prod(two_primes_above(k)) for k in (14, 17, 20, 32)]
+    cases += [q**2, q**3 * s, (p * q) ** 2, (q * q2) ** 2]
+    split, ecm_factor = [], numth._ecm_factor
+    monkeypatch.setattr(numth, "_ecm_factor", lambda n, budget, stage: split.append(n) or ecm_factor(n, budget, stage))
+    for n in cases:
+        split.clear()
+        assert factorize(n) == factorint(n), n
+        assert len(split) == len(set(split)) and not any(map(is_prime, split)), n
+    split.clear()
+    factorize((p * q) ** 2)
+    assert split == [p * q]
+
+
 def prime_power_base(factors):
     """The reference answer from a known factorization {prime: exponent}."""
     return next(iter(factors)) if len(factors) == 1 else None
@@ -147,7 +179,8 @@ def test_is_prime_power_below_5000():
         assert is_prime_power(n) == prime_power_base(small_factorization(n)), n
 
 
-# 10663 is the least prime above the trial primes; the others are far above
+# 10663 follows 10657, the 1300th prime; 1000003 and 2**61 - 1 lie above the
+# trial primes of is_prime_power, which end below 10**5
 BIG_PRIMES = [10663, 1000003, 2**61 - 1]
 
 
@@ -171,8 +204,6 @@ def test_sieve_matches_an_independent_prime_list():
     for limit in range(401):
         assert numth._sieve(limit) == list(primerange(2, limit + 1)), limit
     assert numth._sieve(10**5) == list(primerange(2, 10**5 + 1)) == numth.SMALL_PRIMES
-    assert numth._TRIAL_PRIMES == numth.SMALL_PRIMES[:1300]
-    assert numth._TRIAL_PRIMES[-1] == 10657
 
 
 # The projective ECM curve, the reference every curve's gcd must equal: a

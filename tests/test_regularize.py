@@ -23,7 +23,7 @@ from tametransfer.errors import (
     OutOfRange,
 )
 from tametransfer.cli import run
-from tametransfer.numth import _TRIAL_PRIMES, factorize
+from tametransfer.numth import factorize
 from tametransfer.regularize import ZsigmondyCertificate
 
 
@@ -88,9 +88,9 @@ def test_zsigmondy_against_brute_oracle_small_grid():
 
 @pytest.mark.parametrize("b, r, ell", [(23, 28, 10781), (17, 17, 10949)])
 def test_zsigmondy_above_the_trial_division_range(b, r, ell):
-    # above factorize's trial-division range, the search still meets both
-    # as candidates 1 mod 2r (10781 = 1 + 385 * 28, 10949 = 1 + 322 * 34)
-    assert ell > _TRIAL_PRIMES[-1]
+    # both lie above 10657, the 1300th prime, and the search meets them as
+    # candidates 1 mod 2r (10781 = 1 + 385 * 28, 10949 = 1 + 322 * 34)
+    assert ell > 10657
     hit = zsigmondy_prime(b, r)
     assert hit is not None and hit[0] == ell == oracle_primitive_prime(b, r)
     assert verify_certificate(hit[1])
