@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EnumerationTooLarge, LevelMismatch, NotPrime, OutOfRange
+from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange
 from .numth import _ell_split, is_prime
-from .tower import FieldLevel, field_level
+from .tower import MAX_LEVEL_BITS, FieldLevel, field_level
 
 # Largest group order M whose orbits are enumerated: the walk marks M exponents, a byte each.
 MAX_ENUMERATION = 10**6
@@ -98,8 +98,12 @@ def ell_regular_part(alpha: CharExp, ell: int) -> CharExp:
 
     Writing M = ell**t * M0 with ell not dividing M0, the exponent is scaled
     by the idempotent that is 1 mod M0 and 0 mod ell**t; this kills exactly
-    the ell-part of the character.
+    the ell-part of the character.  An ell with more bits than the level
+    guard admits in any M divides no M, and is refused before its primality
+    test.
     """
+    if ell.bit_length() > MAX_LEVEL_BITS:
+        raise LevelGuardExceeded(f"ell has {ell.bit_length()} bits; no level's M has more than {MAX_LEVEL_BITS}")
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
     t, e = _ell_split(alpha.level.M, ell)

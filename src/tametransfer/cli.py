@@ -284,9 +284,9 @@ def _cmd_pair_transfer(args) -> dict:
 
 
 def _cmd_green(args) -> dict:
+    lvl = field_level(args.d, args.u)  # the level guard, before the prime-power test
     if is_prime_power(args.d) is None:
         raise NotPrimePower(f"base cardinality d={args.d} is not a prime power")
-    lvl = field_level(args.d, args.u)
     trace = green_trace(char(lvl, args.alpha0), args.g, args.u)
     return cyclotomic_to_json(trace)
 

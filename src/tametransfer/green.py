@@ -22,8 +22,12 @@ class CyclotomicSum:
     coeffs: tuple[tuple[int, int], ...]
 
     def evaluate(self) -> complex:
+        # 2*pi*e must stay a finite float: beyond 2**1021, e and the modulus
+        # drop the same low bits, which moves each angle by less than 2*pi/2**1020
+        shift = max(self.modulus.bit_length() - 1021, 0)
+        modulus = self.modulus >> shift
         return sum(
-            (c * cmath.exp(2j * cmath.pi * e / self.modulus) for e, c in self.coeffs),
+            (c * cmath.exp(2j * cmath.pi * (e >> shift) / modulus) for e, c in self.coeffs),
             start=0j,
         )
 

@@ -25,7 +25,6 @@ from .characters import (
 from .errors import (
     AmbiguousTwist,
     FactorizationBudgetExceeded,
-    LevelGuardExceeded,
     LevelMismatch,
     NotNormInflated,
     NotPrime,
@@ -34,9 +33,7 @@ from .errors import (
     ZsigmondyException,
 )
 from .numth import _ell_split, _least_prime_factor, divisors, is_prime, mobius, prime_factors
-from .tower import TowerParams, level
-
-ZSIGMONDY_MAX_BITS = 1500
+from .tower import TowerParams, field_level, level
 
 
 def cyclotomic_value(r: int, b: int) -> int:
@@ -93,14 +90,13 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     would have to be 1 mod r).  So the primitive primes are exactly the prime
     factors of the stripped cyclotomic value, and the answer is its smallest
     prime factor, found by the budgeted search of ``numth`` over primes
-    1 mod r (1 mod 2r for odd r); b**r - 1 itself is never factored.
+    1 mod r (1 mod 2r for odd r); b**r - 1 itself is never factored.  It is
+    the group order of the level of degree r over b, so that level's guard
+    refuses the search before any work.
     """
     if b < 2 or r < 2:
         raise OutOfRange(f"need b, r >= 2, got b={b}, r={r}")
-    if b.bit_length() * r > ZSIGMONDY_MAX_BITS:
-        raise LevelGuardExceeded(
-            f"b**r-1 would have about {b.bit_length() * r} bits, over the {ZSIGMONDY_MAX_BITS}-bit guard"
-        )
+    field_level(b, r)
     ell = _smallest_primitive_prime(b, r)
     if ell is None:
         return None

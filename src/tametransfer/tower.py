@@ -15,43 +15,22 @@ modules consume is derived from these:
 
 A FieldLevel pins one layer of the residue-field lattice over e: the field
 with Q**deg elements, whose multiplicative group is cyclic of order
-M = Q**deg - 1.  M is an exact arbitrary-precision integer; a guard, set only
-by the TAMETRANSFER_LEVEL_GUARD environment variable (read once per process),
-rejects degrees whose M would be astronomically large.
+M = Q**deg - 1.  M is an exact arbitrary-precision integer; the one level
+guard, the constant MAX_LEVEL_BITS, refuses a level whose M has more bits.
+A primitive prime search on b**r - 1 is refused by the same guard, because
+b**r - 1 is the group order of the level of degree r over b.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch, LevelGuardExceeded, NotPrime, NotPrimePower, OutOfRange
 from .numth import is_prime, is_prime_power
 
-DEFAULT_LEVEL_GUARD = 64
-LEVEL_GUARD_ENV = "TAMETRANSFER_LEVEL_GUARD"
-
-
-@functools.cache
-def level_guard() -> int:
-    """Maximum permitted deg_over_e; the environment variable is its only override.
-
-    The variable is read once per process.  ``level_guard.cache_clear()``
-    makes the next call read it again; a malformed value is never cached, so
-    it raises ``OutOfRange`` on every call.
-    """
-    raw = os.environ.get(LEVEL_GUARD_ENV)
-    if not raw:
-        return DEFAULT_LEVEL_GUARD
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0
-    if bound < 1:
-        raise OutOfRange(f"{LEVEL_GUARD_ENV}={raw!r} is not a positive integer")
-    return bound
+# Largest number of bits of a level's group order M = Q**deg - 1.
+MAX_LEVEL_BITS = 1500
 
 
 @dataclass(frozen=True)
@@ -72,10 +51,11 @@ def field_level(Q: int, deg: int) -> FieldLevel:
         raise OutOfRange(f"base cardinality must be at least 2, got {Q}")
     if deg < 1:
         raise OutOfRange(f"deg_over_e must be at least 1, got {deg}")
-    bound = level_guard()
-    if deg > bound:
-        raise LevelGuardExceeded(f"deg_over_e={deg} exceeds level guard {bound}")
-    return FieldLevel(Q=Q, deg=deg, M=Q**deg - 1)
+    # M has at least (Q.bit_length() - 1) * deg bits: a level that is over the
+    # bound by that count alone is refused before Q**deg is computed
+    if (Q.bit_length() - 1) * deg > MAX_LEVEL_BITS or (M := Q**deg - 1).bit_length() > MAX_LEVEL_BITS:
+        raise LevelGuardExceeded(f"level Q={Q}, deg={deg}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits")
+    return FieldLevel(Q=Q, deg=deg, M=M)
 
 
 @dataclass(frozen=True)

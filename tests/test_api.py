@@ -75,8 +75,9 @@ REMOVED_KNOBS = {"guard", "max_enumeration", "max_bits", "max_retries"}
 
 
 def test_no_public_callable_takes_a_resource_bound():
-    # each resource bound is set in one place (the TAMETRANSFER_LEVEL_GUARD
-    # variable or a module constant), never by a keyword
+    # each resource bound is a module constant set in one place
+    # (tower.MAX_LEVEL_BITS, characters.MAX_ENUMERATION, numth.SEARCH_WORK_BUDGET),
+    # never a keyword
     for name in tametransfer.__all__:
         obj = getattr(tametransfer, name)
         if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, BaseException)):

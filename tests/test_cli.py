@@ -12,7 +12,6 @@ from tametransfer import char, cli, field_level, numth, orbit_of
 from tametransfer.cli import main, run
 from tametransfer.jsonio import orbit_to_json
 from tametransfer.regularize import cyclotomic_value
-from tametransfer.tower import level_guard
 
 regularize_module = importlib.import_module("tametransfer.regularize")
 
@@ -115,6 +114,17 @@ def test_transfer_descent_command():
     assert payload["lift"]["ell"] == "547"
 
 
+@pytest.mark.parametrize("shape, nprime, ell", [("2,2,1,1,10,1", 10, "43"), ("3,9,1,1,15,1", 15, "43"),
+                                                ("11,11,1,1,20,1", 20, "29")])
+def test_transfer_descent_at_nprime_10_to_20(shape, nprime, ell):
+    # the blow-up level has degree 7n' >= 70, and an M of at most 485 bits
+    payload = ok_payload(["transfer-descent", "--shape", shape, "--alpha", "1"])
+    assert payload["agrees_with_rectifier"] is True
+    assert payload["from"]["size"] == nprime
+    assert payload["lift"]["beta"]["level_deg"] == 7 * nprime
+    assert payload["lift"]["ell"] == ell
+
+
 def test_pair_commands():
     payload = ok_payload(["pair", "--shape", "3,3,2,1,1,4", "--f", "1", "--beta", "1"])
     assert payload["orbit"]["members"] == ["4"]
@@ -137,6 +147,44 @@ def test_green_command_validates_prime_power():
     result = run(["green", "--d", "6", "--u", "2", "--alpha0", "1", "--g", "1"])
     assert result.exit_code == 2
     assert result.error_kind == "NotPrimePower"
+
+
+def test_green_builds_the_level_before_the_prime_power_test(monkeypatch, capsys):
+    def no_test(d):
+        pytest.fail("is_prime_power ran before the level guard")
+
+    monkeypatch.setattr(cli, "is_prime_power", no_test)
+    start = time.perf_counter()
+    assert main(["green", "--d", str(2**4423 - 1), "--u", "1", "--alpha0", "1", "--g", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert one_document(capsys)["error_kind"] == "LevelGuardExceeded"
+
+
+@pytest.mark.parametrize("d, u", [(2**521 - 1, 2), (2, 1100)])
+def test_green_numeric_value_beyond_float_range(d, u):
+    # M = d**u - 1 is over 2**1024, so e / M cannot be taken in floats; the
+    # value is checked against the sum of the roots of unity in 400 digits
+    import mpmath
+
+    payload = ok_payload(["green", "--d", str(d), "--u", str(u), "--alpha0", "1", "--g", "1"])
+    M = d**u - 1
+    assert payload["modulus"] == str(M) and len(payload["terms"]) == u
+    with mpmath.workdps(400):
+        want = sum(c * mpmath.expjpi(2 * mpmath.mpf(int(e)) / M) for e, c in payload["terms"])
+        assert abs(complex(*payload["numeric"]) - complex(want)) < 1e-9
+
+
+def test_regular_part_refuses_an_ell_over_the_guard_before_testing_it(monkeypatch, capsys):
+    def no_test(n):
+        pytest.fail("is_prime ran on an ell over the guard")
+
+    monkeypatch.setattr(importlib.import_module("tametransfer.characters"), "is_prime", no_test)
+    start = time.perf_counter()
+    assert main(["regular-part", "--Q", "2", "--nprime", "3", "--a", "1", "--ell", str(2**11213 - 1)]) == 2
+    assert time.perf_counter() - start < 1.0
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "LevelGuardExceeded"
+    assert doc["message"] == "ell has 11213 bits; no level's M has more than 1500"
 
 
 def test_table_command():
@@ -198,30 +246,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert result.exit_code == 1
 
 
-def test_level_guard_env_override(monkeypatch):
-    monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", "4")
-    level_guard.cache_clear()
-    result = run(["orbit", "--Q", "2", "--nprime", "5", "--a", "1"])
-    assert result.exit_code == 2
-    assert result.error_kind == "LevelGuardExceeded"
-    monkeypatch.delenv("TAMETRANSFER_LEVEL_GUARD")
-    level_guard.cache_clear()
-    assert run(["orbit", "--Q", "2", "--nprime", "5", "--a", "1"]).exit_code == 0
-
-
 def one_document(capsys) -> dict:
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
-
-
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_malformed_level_guard_is_a_domain_error(raw, monkeypatch, capsys):
-    monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", raw)
-    assert main(["orbit", "--Q", "2", "--nprime", "3", "--a", "1"]) == 2
-    doc = one_document(capsys)
-    assert doc["error_kind"] == "OutOfRange"
-    assert "TAMETRANSFER_LEVEL_GUARD" in doc["message"] and repr(raw) in doc["message"]
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
@@ -274,6 +302,16 @@ def test_chain_on_levels_with_large_prime_factors_answers_promptly(Q, nprime, ca
     assert time.perf_counter() - start < 5.0
     doc = one_document(capsys)
     assert doc["payload"]["M"] == str(Q**nprime - 1)
+
+
+def test_chain_on_a_modulus_over_the_guard_ends_at_once(capsys):
+    # deg = 1 is no bound: M itself has 3002 bits
+    start = time.perf_counter()
+    assert main(["chain", "--M", str(2**3001 + 1905), "--from", "0", "--to", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "LevelGuardExceeded"
+    assert doc["message"].endswith("deg=1: M = Q**deg - 1 has more than 1500 bits")
 
 
 def test_chain_on_two_62_bit_primes_ends_at_the_work_budget(capsys):

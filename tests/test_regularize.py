@@ -250,24 +250,52 @@ def test_descend_rejects_inconsistent_image():
         descend_transfer(alpha, lift, bogus)
 
 
-# n' = 11 shapes: the blow-up level 7 * 11 = 77 is over the default guard of 64,
-# while factoring b**r - 1 for them takes seconds or more
-GUARDED_SHAPES = [(5, 5, 1, 1, 11, 1), (2, 8, 1, 1, 11, 1), (13, 13, 1, 1, 11, 1)]
+# shapes whose blow-up level of degree 7n' has an M over the 1500-bit guard
+# (5**651 - 1 has 1512 bits, 2**1505 - 1 has 1505, 13**406 - 1 has 1503), while
+# their base levels are admitted
+GUARDED_SHAPES = [(5, 5, 1, 1, 93, 1), (2, 2, 1, 1, 215, 1), (13, 13, 1, 1, 58, 1)]
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    def fail(b, r):
+        pytest.fail(f"zsigmondy_prime({b}, {r}) ran before the level guard")
+
+    monkeypatch.setattr(importlib.import_module("tametransfer.regularize"), "zsigmondy_prime", fail)
 
 
 @pytest.mark.parametrize("shape", GUARDED_SHAPES)
-def test_regularize_guard_fires_before_factoring(shape, monkeypatch):
-    def no_search(b, r):
-        pytest.fail(f"zsigmondy_prime({b}, {r}) ran before the level guard")
-
-    monkeypatch.setattr(importlib.import_module("tametransfer.regularize"), "zsigmondy_prime", no_search)
+def test_regularize_guard_fires_before_factoring(shape, no_search):
     params = derive_tower(*shape)
+    top = f"level Q={params.Q}, deg={7 * params.n_prime}: M = Q\\*\\*deg - 1 has more than 1500 bits"
     for alpha in (0, 1):
-        with pytest.raises(LevelGuardExceeded, match="deg_over_e=77 exceeds level guard 64"):
-            regularize(char(level(params, 11), alpha), params)
+        with pytest.raises(LevelGuardExceeded, match=top):
+            regularize(char(level(params, params.n_prime), alpha), params)
 
 
-def test_regularize_cli_guard_is_a_domain_error():
+def test_regularize_cli_guard_is_a_domain_error(no_search):
+    for shape, Q, deg in [("5,5,1,1,93,1", 5, 651), ("2,2,1,1,215,1", 2, 1505)]:
+        result = run(["regularize", "--shape", shape, "--alpha", "0"])
+        assert result.exit_code == 2
+        assert result.error_kind == "LevelGuardExceeded"
+        assert result.message == f"level Q={Q}, deg={deg}: M = Q**deg - 1 has more than 1500 bits"
+
+
+def test_regularize_answers_at_blow_up_degree_77():
+    # the blow-up level has degree 77 and an M of 179 bits; its primitive prime
+    # needs 27 ECM curves
     result = run(["regularize", "--shape", "5,5,1,1,11,1", "--alpha", "0"])
-    assert result.exit_code == 2
-    assert result.error_kind == "LevelGuardExceeded"
+    assert result.exit_code == 0, result.message
+    assert result.payload["ell"] == "527093491"
+    assert result.payload["a"] == 7
+    assert result.payload["beta"]["level_deg"] == 77
+
+
+def test_zsigmondy_guard_is_the_bits_of_b_to_the_r(monkeypatch):
+    # the guard counts the bits of b**r - 1 itself: 751 for (2, 751)
+    monkeypatch.setattr(importlib.import_module("tametransfer.regularize"), "_smallest_primitive_prime",
+                        lambda b, r: None)
+    assert zsigmondy_prime(2, 751) is None
+    assert zsigmondy_prime(2, 1500) is None
+    with pytest.raises(LevelGuardExceeded, match="Q=2, deg=1501"):
+        zsigmondy_prime(2, 1501)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tametransfer import blow_up, derive_tower, field_level, level
@@ -8,7 +10,7 @@ from tametransfer.errors import (
     NotPrimePower,
     OutOfRange,
 )
-from tametransfer.tower import level_guard
+from tametransfer.tower import MAX_LEVEL_BITS
 
 
 def test_derive_quaternion_like_shape():
@@ -82,13 +84,19 @@ def test_blow_up_invariants():
         assert blown.m_prime == a * base.m_prime
 
 
-def test_level_guard_default_and_env(monkeypatch):
+def test_level_bound_is_the_bits_of_M():
+    # the one guard is the bits of M, whatever the degree
+    assert MAX_LEVEL_BITS == 1500
+    assert field_level(2, 1500).M.bit_length() == 1500
+    assert field_level(3, 946).M.bit_length() == 1500
+    with pytest.raises(LevelGuardExceeded, match=r"level Q=2, deg=1501: M = Q\*\*deg - 1 has more than 1500 bits"):
+        field_level(2, 1501)
+    with pytest.raises(LevelGuardExceeded, match="Q=3, deg=947"):
+        field_level(3, 947)
+    # a degree far over the bound is refused before Q**deg is computed
+    start = time.perf_counter()
+    with pytest.raises(LevelGuardExceeded, match="deg=1000000000000"):
+        field_level(2, 10**12)
     with pytest.raises(LevelGuardExceeded):
-        field_level(2, 65)
-    monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", "70")
-    level_guard.cache_clear()
-    assert field_level(2, 65).M == 2**65 - 1
-    monkeypatch.setenv("TAMETRANSFER_LEVEL_GUARD", "10")
-    level_guard.cache_clear()
-    with pytest.raises(LevelGuardExceeded):
-        field_level(2, 11)
+        field_level(2**3001 + 1906, 1)
+    assert time.perf_counter() - start < 0.1
