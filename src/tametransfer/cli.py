@@ -213,7 +213,7 @@ def _cmd_zsigmondy(args) -> dict:
 def _cmd_regularize(args) -> dict:
     params = _resolve_shape(args)
     alpha = char(level(params, params.n_prime), args.alpha)
-    lift = regularize(alpha, params, a_override=args.a_override)
+    lift = regularize(alpha, params)
     doc = lift_to_json(lift)
     doc["alpha"] = char_to_json(alpha)
     doc["f"] = orbit_size(alpha)
@@ -329,7 +329,7 @@ _COMMANDS: dict[str, tuple[str | None, bool, tuple]] = {
                             ("--from", {**_REQUIRED_INT, "dest": "src"}), ("--to", {**_REQUIRED_INT, "dest": "dst"}))),
     "partition": (None, False, _ints("--Q", "--nprime")),
     "zsigmondy": (None, False, _ints("--b", "--r")),
-    "regularize": (None, True, (*_ints("--alpha"), ("--a-override", _INT))),
+    "regularize": (None, True, _ints("--alpha")),
     "rectifier": (None, True, ()),
     "transfer": (None, True, _ints("--alpha")),
     "transfer-descent": (None, True, _ints("--alpha")),

@@ -48,7 +48,7 @@ class ZsigmondyException(DomainError):
 
 
 class FactorizationBudgetExceeded(DomainError):
-    """A prime factor search spent its work budget before finishing."""
+    """A factorization or prime factor search ran numth.MAX_ECM_CURVES curves without finishing."""
 
 
 class OrderViolation(DomainError):

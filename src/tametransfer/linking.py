@@ -68,7 +68,7 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
     into factors of prime-power order (CRT idempotents); multiplying them in
     one at a time yields consecutive ell-linked characters.  Primes whose
     factor is trivial contribute no step.  Raises FactorizationBudgetExceeded,
-    naming the level, when M does not factor within the work budget.
+    naming the level, when M does not factor within numth.MAX_ECM_CURVES curves.
     """
     if alpha.level != alpha_prime.level:
         raise LevelMismatch("characters live at different levels")

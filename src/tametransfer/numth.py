@@ -13,16 +13,16 @@ to Z = 1; its stage 2 brings every baby and giant step to affine x with one
 batch inversion (Montgomery's trick) and so takes one product a prime, and
 falls back to the projective terms when the product of the steps' Z is not
 a unit mod n.  Either way each curve's gcd is that of the projective
-continuation.  Every curve is charged to one work budget,
-``SEARCH_WORK_BUDGET``; when it runs out the engine raises
+continuation.  One call of the engine runs at most ``MAX_ECM_CURVES``
+curves over all of its parts; the next curve would raise
 ``FactorizationBudgetExceeded``.
 
 Two entry points feed it.  ``factorize`` trial-divides by the primes below
 10**5 and hands what is left to the engine.  The least prime factor of an n
 whose prime factors are all 1 mod m (the primitive part of a cyclotomic
 value) is found by search, not by factoring n outright
-(``_least_prime_factor``): trial division over p = 1 + m, 1 + 2m, ...,
-charged to the same budget, then the engine on the cofactor.
+(``_least_prime_factor``): trial division over a fixed number of candidates
+p = 1 + m, 1 + 2m, ..., then the engine on the cofactor.
 """
 
 from __future__ import annotations
@@ -108,37 +108,12 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-# The engine counts its work in modular products: a trial block of the
-# least-prime search costs one per candidate, an ECM curve _CURVE_COST.  A
-# curve takes about 44,200 products: 28,800 in its stage 1 ladder (10 a bit
-# of the 2,878-bit multiplier) and 15,400 in stage 2 (6,100 to build its baby
-# and giant steps and bring them to affine x, then one a prime in (B1, B2]).
-# The charge is kept at the 55,000 a curve took with a projective stage 2
-# (two products a prime) and an 11-product ladder step, so
-# SEARCH_WORK_BUDGET, every budget verdict and every message stay as they
-# were.  The budget pays for the search's whole trial stage and 120 curves.
-_TRIAL_BLOCK = 200  # candidates per charge; is_prime(n) runs after the first block
+_TRIAL_BLOCK = 200  # candidates per block; is_prime(n) runs after the first block
 _TRIAL_BLOCKS = 100
 _ECM_B1 = 2000
 _ECM_B2 = 100_000
 _ECM_D = 100  # stage 2 takes its baby steps [2d]Q for d = 1..D
-_CURVE_COST = 55_000
-SEARCH_WORK_BUDGET = _TRIAL_BLOCKS * _TRIAL_BLOCK + 120 * _CURVE_COST
-
-
-class _WorkBudget:
-    """The work units left to one search or one factorization."""
-
-    def __init__(self) -> None:
-        self.left = SEARCH_WORK_BUDGET
-
-    def charge(self, units: int, stage: str, cofactor: int) -> None:
-        self.left -= units
-        if self.left < 0:
-            raise FactorizationBudgetExceeded(
-                f"work budget of {SEARCH_WORK_BUDGET} units spent in the {stage} stage"
-                f" with a {cofactor.bit_length()}-bit cofactor unsplit"
-            )
+MAX_ECM_CURVES = 120  # per factorization or search, over all of its parts
 
 
 def _xadd(XP: int, ZP: int, XQ: int, ZQ: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
@@ -252,28 +227,31 @@ def _ecm_multiplier() -> int:
     return math.prod(p ** int(math.log(_ECM_B1, p)) for p in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, _ECM_B1)])
 
 
-def _ecm_factor(n: int, budget: _WorkBudget, stage: str) -> int:
+def _ecm_factor(n: int, curves: int, stage: str) -> tuple[int, int]:
     """A nontrivial factor of n, odd, composite and not a perfect power,
-    from the first curve sigma = 6, 7, ... that splits it."""
-    k, sigma = _ecm_multiplier(), 6
-    while True:
-        budget.charge(_CURVE_COST, stage, n)
+    from the first curve sigma = 6, 7, ... that splits it, and the number of
+    curves run.  When none of the first ``curves`` curves splits n,
+    FactorizationBudgetExceeded names the stage and n's bits."""
+    k = _ecm_multiplier()
+    for sigma in range(6, 6 + curves):
         g = _ecm_curve(n, sigma, k)
         if 1 < g < n:
-            return g
-        sigma += 1
+            return g, sigma - 5
+    raise FactorizationBudgetExceeded(
+        f"{MAX_ECM_CURVES} ECM curves spent in the {stage} stage with a {n.bit_length()}-bit cofactor unsplit"
+    )
 
 
-def _split(n: int, budget: _WorkBudget) -> dict[int, int]:
+def _split(n: int) -> dict[int, int]:
     """The prime factorization of n > 1, which has no prime factor below 2**13.
 
     A part is kept if prime, else replaced by its perfect-power root, else
     split by ECM, until every part is prime.  Each part carries its exponent,
-    so the root of a power is split once, not once per copy.  The first ECM
-    split is charged to the ecm stage of the budget, the later ones to the
-    split stage.
+    so the root of a power is split once, not once per copy.  All parts
+    share MAX_ECM_CURVES curves; the first ECM split is the ecm stage, the
+    later ones the split stage.
     """
-    parts, primes, stage = [(n, 1)], {}, "ecm"
+    parts, primes, stage, curves = [(n, 1)], {}, "ecm", MAX_ECM_CURVES
     while parts:
         m, e = parts.pop()
         if is_prime(m):
@@ -281,9 +259,9 @@ def _split(n: int, budget: _WorkBudget) -> dict[int, int]:
         elif (power := _perfect_power(m)) is not None:
             parts.append((power[0], e * power[1]))
         else:
-            d = _ecm_factor(m, budget, stage)
+            d, used = _ecm_factor(m, curves, stage)
             parts += [(d, e), (m // d, e)]
-            stage = "split"
+            stage, curves = "split", curves - used
     return primes
 
 
@@ -292,14 +270,12 @@ def _least_prime_factor(n: int, m: int) -> int:
 
     Trial division over p = 1 + m, 1 + 2m, ... needs no primality test: a
     smaller prime factor of a dividing candidate would itself have been a
-    candidate.  Past the square root of n, n is prime.  When no candidate
-    divides n, _split factors it under the search's budget.
-    Raises FactorizationBudgetExceeded when the search overruns its budget.
+    candidate.  Past the square root of n, n is prime.  When none of the
+    _TRIAL_BLOCKS blocks of candidates divides n, _split factors it, and
+    raises FactorizationBudgetExceeded when its curves run out.
     """
-    budget = _WorkBudget()
     root, p = math.isqrt(n), 1
     for block in range(_TRIAL_BLOCKS):
-        budget.charge(_TRIAL_BLOCK, "trial", n)
         for p in range(p + m, p + m * _TRIAL_BLOCK + 1, m):
             if p > root:
                 return n
@@ -308,7 +284,7 @@ def _least_prime_factor(n: int, m: int) -> int:
         if block == 0 and is_prime(n):
             return n
     # n is composite, and every prime factor of it is above p
-    return min(_split(n, budget))
+    return min(_split(n))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -316,8 +292,8 @@ def factorize(n: int) -> dict[int, int]:
 
     Trial division over SMALL_PRIMES stops once p * p > n, which leaves 1 or
     a prime.  A cofactor left after all of them has no prime factor below
-    10**5 and goes to _split under one work budget, so a number that
-    overruns SEARCH_WORK_BUDGET raises FactorizationBudgetExceeded.
+    10**5 and goes to _split, so a number that MAX_ECM_CURVES curves do
+    not factor raises FactorizationBudgetExceeded.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -331,7 +307,7 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n > 1:
-        out.update(_split(n, _WorkBudget()))
+        out.update(_split(n))
     return out
 
 

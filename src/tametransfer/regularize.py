@@ -35,6 +35,8 @@ from .errors import (
 from .numth import _ell_split, _least_prime_factor, divisors, is_prime, mobius, prime_factors
 from .tower import TowerParams, field_level, level
 
+BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
+
 
 def cyclotomic_value(r: int, b: int) -> int:
     """The r-th cyclotomic polynomial evaluated at b, by Moebius inversion."""
@@ -139,26 +141,19 @@ class RegularizationLift:
     certificate: ZsigmondyCertificate
 
 
-def regularize(alpha: CharExp, params: TowerParams, a_override: int | None = None) -> RegularizationLift:
+def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
     """Lift ``alpha`` to a fully regular character at an odd blow-up level.
 
-    The blow-up factor is 7 unless ``a_override`` names another odd a >= 7.
-    The primitive prime is searched for b = Q**f and r = a*n'/f, where the
-    parametric degree f divides n', so r >= a >= 7; the exception families
-    have r = 2 or r = 6, so the search always succeeds.  The blow-up level
-    is built before the search, so the level guard fires before any
-    factoring.
+    The blow-up factor is a = BLOW_UP_FACTOR.  The primitive prime is
+    searched for b = Q**f and r = a*n'/f, where the parametric degree f
+    divides n', so r >= a = 7; the exception families have r = 2 or r = 6,
+    so the search always succeeds.  The blow-up level is built before the
+    search, so the level guard fires before any factoring.
     """
     base = level(params, params.n_prime)
     if alpha.level != base:
         raise LevelMismatch(f"character level {alpha.level} is not {base}")
-    f = orbit_size(alpha)
-    if a_override is not None:
-        if a_override % 2 == 0 or a_override < 7:
-            raise OutOfRange(f"a_override={a_override} must be odd and >= 7")
-        a = a_override
-    else:
-        a = 7
+    f, a = orbit_size(alpha), BLOW_UP_FACTOR
     top = level(params, a * params.n_prime)  # the level guard, before any factoring
 
     b, r = params.Q**f, a * params.n_prime // f

@@ -215,7 +215,10 @@ def check_regularization_contract(scale: str) -> str:
 # ----------------------------------------------------------------------
 # criterion 5: rectifier parity formula over a sweep of tame shapes
 
-def tame_shape_sweep(limit: int | None = None, max_n_prime: int = 7) -> list[TowerParams]:
+_SWEEP_MAX_N_PRIME = 7  # the sweep leaves out shapes of larger n'
+
+
+def tame_shape_sweep(limit: int | None = None) -> list[TowerParams]:
     """Deterministic sweep of valid essentially tame shapes.
 
     The residue characteristic varies fastest so that any prefix of the sweep
@@ -231,7 +234,7 @@ def tame_shape_sweep(limit: int | None = None, max_n_prime: int = 7) -> list[Tow
                         if math.gcd(e_ef, p) != 1:
                             continue
                         g = e_ef * f_ef
-                        if (m * d) % g or (m * d // g) > max_n_prime:
+                        if (m * d) % g or (m * d // g) > _SWEEP_MAX_N_PRIME:
                             continue
                         out.append(derive_tower(p, p, e_ef, f_ef, m, d))
                         if limit is not None and len(out) >= limit:

@@ -16,7 +16,8 @@ modules consume is derived from these:
 A FieldLevel pins one layer of the residue-field lattice over e: the field
 with Q**deg elements, whose multiplicative group is cyclic of order
 M = Q**deg - 1.  M is an exact arbitrary-precision integer; the one level
-guard, the constant MAX_LEVEL_BITS, refuses a level whose M has more bits.
+guard, the constant MAX_LEVEL_BITS, refuses a level whose M has more bits,
+and a shape whose Q - 1 has more bits, since it admits no level.
 A primitive prime search on b**r - 1 is refused by the same guard, because
 b**r - 1 is the group order of the level of degree r over b.
 """
@@ -82,6 +83,10 @@ def derive_tower(p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> TowerP
     """Validate the six shape integers and compute every derived invariant."""
     if min(p, q, e_ef, f_ef, m, d) < 1:
         raise OutOfRange("all tower parameters must be positive")
+    # every level over Q = q**f_ef has M >= Q - 1, so no level is admitted when
+    # Q - 1 is over the guard; the bits of q decide a large f_ef before the power
+    if (q.bit_length() - 1) * f_ef > MAX_LEVEL_BITS or ((Q := q**f_ef) - 1).bit_length() > MAX_LEVEL_BITS:
+        raise LevelGuardExceeded(f"shape q={q}, f_ef={f_ef}: Q - 1 = q**f_ef - 1 has more than {MAX_LEVEL_BITS} bits")
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if is_prime_power(q) != p:
@@ -98,7 +103,7 @@ def derive_tower(p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> TowerP
     assert m_prime * d_prime == n_prime
     return TowerParams(
         p=p, q=q, e_ef=e_ef, f_ef=f_ef, m=m, d=d,
-        g=g, n=n, Q=q**f_ef, d_prime=d_prime, m_prime=m_prime, n_prime=n_prime,
+        g=g, n=n, Q=Q, d_prime=d_prime, m_prime=m_prime, n_prime=n_prime,
     )
 
 

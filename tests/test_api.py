@@ -71,15 +71,22 @@ def test_every_public_name_resolves():
         assert hasattr(tametransfer, name), name
 
 
-REMOVED_KNOBS = {"guard", "max_enumeration", "max_bits", "max_retries"}
+REMOVED_KNOBS = {"guard", "max_enumeration", "max_bits", "max_retries", "a_override"}
 
 
 def test_no_public_callable_takes_a_resource_bound():
     # each resource bound is a module constant set in one place
-    # (tower.MAX_LEVEL_BITS, characters.MAX_ENUMERATION, numth.SEARCH_WORK_BUDGET),
-    # never a keyword
+    # (tower.MAX_LEVEL_BITS, characters.MAX_ENUMERATION, numth.MAX_ECM_CURVES),
+    # never a keyword, and so is the blow-up factor of regularize
     for name in tametransfer.__all__:
         obj = getattr(tametransfer, name)
         if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, BaseException)):
             params = set(inspect.signature(obj).parameters)
             assert not params & REMOVED_KNOBS, (name, params & REMOVED_KNOBS)
+
+
+def test_resource_constants_are_pinned():
+    # raising a bound changes which inputs finish, so it shows up here
+    assert tametransfer.tower.MAX_LEVEL_BITS == 1500
+    assert tametransfer.characters.MAX_ENUMERATION == 10**6
+    assert tametransfer.numth.MAX_ECM_CURVES == 120

@@ -314,25 +314,50 @@ def test_chain_on_a_modulus_over_the_guard_ends_at_once(capsys):
     assert doc["message"].endswith("deg=1: M = Q**deg - 1 has more than 1500 bits")
 
 
+@pytest.mark.parametrize("command", ["tower", "rectifier"])
+@pytest.mark.parametrize("f_ef", [20000, 10**12])
+def test_shape_with_q_to_the_f_ef_over_the_guard_ends_at_once(capsys, command, f_ef):
+    # Q - 1 = 2**f_ef - 1 has more than 1500 bits, so no level over Q is admitted
+    start = time.perf_counter()
+    assert main([command, "--shape", f"2,2,1,{f_ef},{f_ef},1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "LevelGuardExceeded"
+    assert doc["message"] == f"shape q=2, f_ef={f_ef}: Q - 1 = q**f_ef - 1 has more than 1500 bits"
+
+
+def test_shape_guard_is_the_bits_of_q_to_the_f_ef_minus_one():
+    # 2**1500 - 1 and 3**946 - 1 have 1500 bits; 3**947 - 1 has 1501
+    assert ok_payload(["tower", "--shape", "2,2,1,1500,1500,1"])["Q"] == str(2**1500)
+    assert ok_payload(["tower", "--shape", "3,3,1,946,946,1"])["Q"] == str(3**946)
+    result = run(["tower", "--shape", "3,3,1,947,947,1"])
+    assert (result.exit_code, result.error_kind) == (2, "LevelGuardExceeded")
+
+
+def test_regularize_takes_no_a_override(capsys):
+    assert main(["regularize", "--shape", "2,2,1,1,2,1", "--alpha", "0", "--a-override", "9"]) == 1
+    assert one_document(capsys)["error_kind"] == "UsageError"
+
+
 def test_chain_on_two_62_bit_primes_ends_at_the_work_budget(capsys):
     start = time.perf_counter()
     assert main(["chain", "--M", "13793694008417721531493373302890633983", "--from", "1", "--to", "5"]) == 2
     assert time.perf_counter() - start < 10.0
     doc = one_document(capsys)
     assert doc["error_kind"] == "FactorizationBudgetExceeded"
-    assert "deg=1: work budget of 6620000 units spent in the ecm stage" in doc["message"]
+    assert "deg=1: 120 ECM curves spent in the ecm stage" in doc["message"]
 
 
 def test_search_budget_is_a_domain_error(monkeypatch, capsys):
     # (18, 29) needs 27 curves; a budget of ten leaves its 117-bit primitive part unsplit
-    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS + 10 * numth._CURVE_COST)
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 10)
     regularize_module._smallest_primitive_prime.cache_clear()
     assert main(["zsigmondy", "--b", "18", "--r", "29"]) == 2
     doc = one_document(capsys)
     assert doc["error_kind"] == "FactorizationBudgetExceeded"
     bits = cyclotomic_value(29, 18).bit_length()
     assert "b=18, r=29" in doc["message"]
-    assert f"ecm stage with a {bits}-bit cofactor unsplit" in doc["message"]
+    assert doc["message"].endswith(f"10 ECM curves spent in the ecm stage with a {bits}-bit cofactor unsplit")
 
 
 def test_output_is_byte_identical_across_runs(capsys):

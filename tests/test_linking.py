@@ -67,12 +67,12 @@ def test_chain_level_check():
 
 def test_chain_budget_error_names_the_level(monkeypatch):
     # one curve splits off 1608023 and leaves a 130-bit cofactor of 10007**13 - 1
-    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._CURVE_COST)
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 1)
     level = field_level(10007, 13)
     with pytest.raises(FactorizationBudgetExceeded) as caught:
         build_link_chain(char(level, 1), char(level, 5))
     assert str(caught.value) == (
-        "order of the level Q=10007, deg=13: work budget of 55000 units spent"
+        "order of the level Q=10007, deg=13: 1 ECM curves spent"
         " in the split stage with a 130-bit cofactor unsplit"
     )
 

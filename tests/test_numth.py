@@ -14,7 +14,6 @@ from tametransfer.numth import (
     _integer_root,
     _least_prime_factor,
     _perfect_power,
-    _WorkBudget,
     factorize,
     is_prime,
     is_prime_power,
@@ -73,8 +72,8 @@ ECM_SPLITS = [
 
 @pytest.mark.parametrize("n, factor", ECM_SPLITS)
 def test_ecm_splits_fixed_semiprimes_the_same_way_every_run(n, factor):
-    assert _ecm_factor(n, _WorkBudget(), "ecm") == factor
-    assert _ecm_factor(n, _WorkBudget(), "ecm") == factor
+    assert _ecm_factor(n, numth.MAX_ECM_CURVES, "ecm")[0] == factor
+    assert _ecm_factor(n, numth.MAX_ECM_CURVES, "ecm")[0] == factor
     assert _least_prime_factor(n, 58) == min(factor, n // factor)
 
 
@@ -95,12 +94,20 @@ def test_search_stops_at_its_work_budget(monkeypatch):
     curves = count_curves(monkeypatch)
     assert _least_prime_factor(n, 58) == 268437457
     assert curves == [(n, 6), (n, 7), (n, 8)]
-    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS + 2 * numth._CURVE_COST)
-    with pytest.raises(FactorizationBudgetExceeded, match=f"ecm stage with a {n.bit_length()}-bit cofactor"):
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 2)
+    with pytest.raises(FactorizationBudgetExceeded) as caught:
         _least_prime_factor(n, 58)
-    monkeypatch.setattr(numth, "SEARCH_WORK_BUDGET", 10 * numth._TRIAL_BLOCK)
-    with pytest.raises(FactorizationBudgetExceeded, match="trial stage"):
-        _least_prime_factor(n, 58)
+    assert str(caught.value) == f"2 ECM curves spent in the ecm stage with a {n.bit_length()}-bit cofactor unsplit"
+
+
+def test_search_and_factorize_each_run_at_most_max_ecm_curves(monkeypatch):
+    n = 268437457 * 68719477061  # needs three curves
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 2)
+    for run in (lambda: _least_prime_factor(n, 58), lambda: factorize(n)):
+        curves = count_curves(monkeypatch)
+        with pytest.raises(FactorizationBudgetExceeded, match="^2 ECM curves spent in the ecm stage"):
+            run()
+        assert curves == [(n, 6), (n, 7)]
 
 
 def test_integer_root_is_the_exact_floor():

@@ -183,25 +183,6 @@ def test_regularize_orbit_size_is_lcm():
         assert orbit_of(lift.beta).size == f * r
 
 
-def test_regularize_rejects_bad_override():
-    alpha = char(level(Q3N2, 2), 0)
-    for bad in (1, 5, 6, 8):
-        with pytest.raises(OutOfRange):
-            regularize(alpha, Q3N2, a_override=bad)
-    # the shape with a seven-element residue field encodes the classical
-    # a = 1 failure; the artifact refuses the override before searching
-    seven = derive_tower(7, 7, 1, 1, 2, 1)
-    with pytest.raises(OutOfRange):
-        regularize(char(level(seven, 2), 0), seven, a_override=1)
-
-
-def test_regularize_accepts_valid_override():
-    alpha = char(level(Q3N2, 2), 0)
-    lift = regularize(alpha, Q3N2, a_override=9)
-    assert lift.a == 9
-    assert orbit_of(lift.beta).size == 18
-
-
 def test_regularize_level_check():
     with pytest.raises(LevelMismatch):
         regularize(char(level(Q3N2, 3), 0), Q3N2)
