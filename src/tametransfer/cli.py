@@ -169,14 +169,14 @@ def _cmd_regular_part(args) -> dict:
 
 
 def _cmd_chain(args) -> dict:
-    if args.M is not None:
+    if args.M is not None and args.Q is None and args.nprime is None:
         # Frobenius multiplication by M+1 is trivial mod M, so a bare modulus
         # is modeled as the degree-one level over a base of that cardinality.
         lvl = field_level(args.M + 1, 1)
-    elif args.Q is not None and args.nprime is not None:
+    elif args.M is None and args.Q is not None and args.nprime is not None:
         lvl = field_level(args.Q, args.nprime)
     else:
-        raise _UsageError("chain needs either --M or both --Q and --nprime")
+        raise _UsageError("chain needs either --M alone or both --Q and --nprime")
     chain = build_link_chain(char(lvl, args.src), char(lvl, args.dst))
     return {
         "M": str(lvl.M),
@@ -307,7 +307,7 @@ def _cmd_table(args) -> dict:
 def _cmd_selftest(args) -> dict:
     from .selftest import run_selftest  # imported here: no other command pays for it
 
-    return run_selftest(args.scale)
+    return run_selftest()
 
 
 _INT = {"type": int}
@@ -337,7 +337,7 @@ _COMMANDS: dict[str, tuple[str | None, bool, tuple]] = {
     "pair-transfer": (None, True, _ints("--f", "--beta")),
     "green": (None, False, _ints("--d", "--u", "--alpha0", "--g")),
     "table": (None, True, ()),
-    "selftest": (None, False, (("--scale", {"choices": ("small", "full"), "default": "small"}),)),
+    "selftest": (None, False, ()),
 }
 
 

@@ -1,9 +1,10 @@
 """Acceptance criteria as executable checks.
 
-Each criterion is a function taking a scale ("small" or "full") and either
-returning a human-readable detail string or raising CheckFailure.  The CLI
-selftest command and the acceptance test suite both drive this registry, so
-there is exactly one source of truth for what passing means.
+Each criterion is a function of no arguments that either returns a
+human-readable detail string or raises CheckFailure.  ``run_criterion`` runs
+one and holds it to its budget; the CLI selftest command and the acceptance
+test suite both run every criterion through it, so there is exactly one
+source of truth for what passing means.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def _oracle_zsigmondy(b: int, r: int) -> int | None:
     return min(primitive) if primitive else None
 
 
-def check_zsigmondy_oracle(scale: str) -> str:
-    b_max, r_max = (30, 24) if scale == "small" else (34, 26)
+def check_zsigmondy_oracle() -> str:
+    b_max, r_max = 30, 24
     empties = []
     for b in range(2, b_max + 1):
         for r in range(2, r_max + 1):
@@ -80,14 +81,13 @@ def check_zsigmondy_oracle(scale: str) -> str:
 # ----------------------------------------------------------------------
 # criterion 2: uniqueness of the ell-regular part by exhaustive search
 
-_UNIQUENESS_LEVELS_SMALL = [(2, 3), (5, 2), (7, 2), (3, 5), (3, 6)]  # M = 7, 24, 48, 242, 728
-_UNIQUENESS_LEVELS_FULL = _UNIQUENESS_LEVELS_SMALL + [(3, 4), (2, 6), (5, 3)]
+# M = 7, 24, 48, 242, 728, 80, 63, 124
+_UNIQUENESS_LEVELS = [(2, 3), (5, 2), (7, 2), (3, 5), (3, 6), (3, 4), (2, 6), (5, 3)]
 
 
-def check_ell_regular_uniqueness(scale: str) -> str:
-    levels = _UNIQUENESS_LEVELS_SMALL if scale == "small" else _UNIQUENESS_LEVELS_FULL
+def check_ell_regular_uniqueness() -> str:
     total = 0
-    for Q, deg in levels:
+    for Q, deg in _UNIQUENESS_LEVELS:
         lvl = field_level(Q, deg)
         M = lvl.M
         order = [M // math.gcd(x, M) for x in range(M)]
@@ -110,20 +110,18 @@ def check_ell_regular_uniqueness(scale: str) -> str:
                 got = ell_regular_part(CharExp(lvl, a), ell).a
                 _require(matches[0] == got, f"M={M}, a={a}, ell={ell}: {got} != {matches[0]}")
                 total += 1
-    return f"{total} exhaustive uniqueness checks over M in {[Q**d - 1 for Q, d in levels]}"
+    return f"{total} exhaustive uniqueness checks over M in {[Q**d - 1 for Q, d in _UNIQUENESS_LEVELS]}"
 
 
 # ----------------------------------------------------------------------
 # criterion 3: one linking class per level, with explicit verified chains
 
-_LINKING_LEVELS_SMALL = [(2, 2), (2, 3), (3, 2), (4, 3), (5, 2)]
-_LINKING_LEVELS_FULL = _LINKING_LEVELS_SMALL + [(2, 4), (3, 3), (5, 3)]
+_LINKING_LEVELS = [(2, 2), (2, 3), (3, 2), (4, 3), (5, 2), (2, 4), (3, 3), (5, 3)]
 
 
-def check_linking_completeness(scale: str) -> str:
-    levels = _LINKING_LEVELS_SMALL if scale == "small" else _LINKING_LEVELS_FULL
+def check_linking_completeness() -> str:
     chains = 0
-    for Q, deg in levels:
+    for Q, deg in _LINKING_LEVELS:
         lvl = field_level(Q, deg)
         orbits = enumerate_orbits(lvl)
         blocks = linked_partition(lvl)
@@ -153,14 +151,13 @@ def check_linking_completeness(scale: str) -> str:
                     f"(Q={Q}, n'={deg}): chain prime outside divisors of M",
                 )
                 chains += 1
-    return f"single block at {len(levels)} levels; {chains} ordered chains verified"
+    return f"single block at {len(_LINKING_LEVELS)} levels; {chains} ordered chains verified"
 
 
 # ----------------------------------------------------------------------
 # criterion 4: the regularization lift honours its whole contract
 
-_REG_SHAPES_SMALL = [(2, 2, 1, 1, 2, 1), (3, 3, 1, 1, 2, 1), (2, 2, 1, 1, 3, 1)]
-_REG_SHAPES_FULL = _REG_SHAPES_SMALL + [(5, 5, 1, 1, 2, 1), (2, 2, 1, 1, 4, 1)]
+_REG_SHAPES = [(2, 2, 1, 1, 2, 1), (3, 3, 1, 1, 2, 1), (2, 2, 1, 1, 3, 1), (5, 5, 1, 1, 2, 1), (2, 2, 1, 1, 4, 1)]
 
 
 def _is_ell_power(n: int, ell: int) -> bool:
@@ -169,10 +166,9 @@ def _is_ell_power(n: int, ell: int) -> bool:
     return n == 1
 
 
-def check_regularization_contract(scale: str) -> str:
-    shapes = _REG_SHAPES_SMALL if scale == "small" else _REG_SHAPES_FULL
+def check_regularization_contract() -> str:
     lifts = 0
-    for raw in shapes:
+    for raw in _REG_SHAPES:
         params = derive_tower(*raw)
         lvl = level(params, params.n_prime)
         for orbit in enumerate_orbits(lvl):
@@ -218,13 +214,9 @@ def check_regularization_contract(scale: str) -> str:
 _SWEEP_MAX_N_PRIME = 7  # the sweep leaves out shapes of larger n'
 
 
-def tame_shape_sweep(limit: int | None = None) -> list[TowerParams]:
-    """Deterministic sweep of valid essentially tame shapes.
-
-    The residue characteristic varies fastest so that any prefix of the sweep
-    already mixes p = 2 with odd p (and hence trivial with possibly
-    nontrivial rectifiers).
-    """
+def tame_shape_sweep() -> list[TowerParams]:
+    """Deterministic sweep of valid essentially tame shapes, mixing p = 2 with
+    odd p (and hence trivial with possibly nontrivial rectifiers)."""
     out = []
     for f_ef in (1, 2):
         for e_ef in (1, 2, 3, 4, 5):
@@ -237,8 +229,6 @@ def tame_shape_sweep(limit: int | None = None) -> list[TowerParams]:
                         if (m * d) % g or (m * d // g) > _SWEEP_MAX_N_PRIME:
                             continue
                         out.append(derive_tower(p, p, e_ef, f_ef, m, d))
-                        if limit is not None and len(out) >= limit:
-                            return out
     return out
 
 
@@ -254,8 +244,8 @@ def _independent_y(p: int, e_ef: int, f_ef: int, m: int, d: int) -> int:
     return m * (d - 1) + mp * (dp - 1) + u * (v - 1)
 
 
-def check_rectifier_formula(scale: str) -> str:
-    shapes = tame_shape_sweep(limit=None if scale == "full" else 60)
+def check_rectifier_formula() -> str:
+    shapes = tame_shape_sweep()
     _require(len(shapes) >= 50, f"sweep produced only {len(shapes)} shapes")
     nontrivial = 0
     for params in shapes:
@@ -284,14 +274,12 @@ def check_rectifier_formula(scale: str) -> str:
 # ----------------------------------------------------------------------
 # criterion 6: descent route equals rectifier route on every orbit
 
-_DESCENT_SHAPES_SMALL = [(3, 3, 2, 1, 1, 4), (3, 3, 1, 1, 1, 2)]
-_DESCENT_SHAPES_FULL = _DESCENT_SHAPES_SMALL + [(3, 3, 2, 1, 2, 4)]
+_DESCENT_SHAPES = [(3, 3, 2, 1, 1, 4), (3, 3, 1, 1, 1, 2), (3, 3, 2, 1, 2, 4)]
 
 
-def check_descent_replay(scale: str) -> str:
-    shapes = _DESCENT_SHAPES_SMALL if scale == "small" else _DESCENT_SHAPES_FULL
+def check_descent_replay() -> str:
     transfers = 0
-    for raw in shapes:
+    for raw in _DESCENT_SHAPES:
         params = derive_tower(*raw)
         spec = rectifier(params)
         lvl = level(params, params.n_prime)
@@ -315,11 +303,10 @@ def check_descent_replay(scale: str) -> str:
 # ----------------------------------------------------------------------
 # criterion 7: the pair dictionary is a bijection and its correction squares to 1
 
-def check_pair_dictionary(scale: str) -> str:
-    qs, max_np = ((2, 3, 5), 4) if scale == "small" else ((2, 3, 5, 7), 5)
+def check_pair_dictionary() -> str:
     round_trips = 0
-    for Q in qs:
-        for n_prime in range(1, max_np + 1):
+    for Q in (2, 3, 5):
+        for n_prime in range(1, 5):
             params = derive_tower(Q, Q, 1, 1, n_prime, 1)
             lvl = level(params, n_prime)
             for orbit in enumerate_orbits(lvl):
@@ -342,7 +329,7 @@ def check_pair_dictionary(scale: str) -> str:
                     _require(back == pair, f"Q={Q}, f={f}, beta={b}: pair does not round-trip")
                     round_trips += 1
     corrections = 0
-    for params in tame_shape_sweep(limit=60 if scale == "small" else None):
+    for params in tame_shape_sweep():
         for f in range(1, params.n_prime + 1):
             if params.n_prime % f:
                 continue
@@ -361,24 +348,23 @@ def check_pair_dictionary(scale: str) -> str:
 # ----------------------------------------------------------------------
 # criterion 8: transfer preserves degree and respects regular parts
 
-def _small_invariant_shapes(scale: str) -> list[TowerParams]:
-    shapes = [derive_tower(*raw) for raw in _DESCENT_SHAPES_SMALL]
-    bound = 3000 if scale == "small" else 20000
+def _small_invariant_shapes() -> list[TowerParams]:
+    shapes = [derive_tower(*raw) for raw in _DESCENT_SHAPES]
     # The transfer action only depends on (Q, n', parity of y), so keep one
     # sweep representative per such class to stay inside the budget.
     seen = set()
     for params in tame_shape_sweep():
         spec = rectifier(params)
         key = (params.Q, params.n_prime, spec.nontrivial)
-        if params.Q**params.n_prime - 1 <= bound and key not in seen:
+        if params.Q**params.n_prime - 1 <= 3000 and key not in seen:
             seen.add(key)
             shapes.append(params)
     return shapes
 
 
-def check_transfer_invariants(scale: str) -> str:
+def check_transfer_invariants() -> str:
     checked = 0
-    for params in _small_invariant_shapes(scale):
+    for params in _small_invariant_shapes():
         spec = rectifier(params)
         lvl = level(params, params.n_prime)
         orbits = enumerate_orbits(lvl)
@@ -416,16 +402,15 @@ def check_transfer_invariants(scale: str) -> str:
 # ----------------------------------------------------------------------
 # criterion 9: trace sums, their numeric values, and their invariances
 
-def check_green_traces(scale: str) -> str:
+def check_green_traces() -> str:
     lvl = field_level(2, 2)
     val = green_trace(CharExp(lvl, 1), 1, 2).evaluate()
     _require(abs(val - 1) < 1e-12, f"-(z3 + z3^2) evaluated to {val}")
     lvl8 = field_level(3, 2)
     val8 = green_trace(CharExp(lvl8, 1), 1, 2).evaluate()
     _require(abs(val8 - complex(0, -math.sqrt(2))) < 1e-12, f"-(z8 + z8^3) evaluated to {val8}")
-    qs = (2, 3, 4) if scale == "small" else (2, 3, 4, 5)
     checked = 0
-    for Q in qs:
+    for Q in (2, 3, 4):
         for u in (1, 2, 3):
             lv = field_level(Q, u)
             # characters and elements share the exponents of full orbit size
@@ -457,7 +442,7 @@ def check_green_traces(scale: str) -> str:
 class Criterion:
     name: str
     budget_seconds: float
-    run: Callable[[str], str]
+    run: Callable[[], str]
 
 
 CRITERIA: tuple[Criterion, ...] = (
@@ -473,36 +458,29 @@ CRITERIA: tuple[Criterion, ...] = (
 )
 
 
-def run_selftest(scale: str = "small") -> dict:
-    """Run every criterion at the given scale; failures are reported, not raised."""
-    if scale not in ("small", "full"):
-        raise DomainError(f"unknown selftest scale {scale!r}")
-    results = []
-    for crit in sorted(CRITERIA, key=lambda c: c.name):
-        start = time.perf_counter()
-        try:
-            detail = crit.run(scale)
-            passed = True
-        except (CheckFailure, DomainError, AssertionError) as exc:
-            detail = str(exc)
-            passed = False
-        elapsed = time.perf_counter() - start
-        # The stated runtime budgets belong to the criteria's own scope, which
-        # is the small scale; extended sweeps are allowed to run longer.
-        if passed and scale == "small" and elapsed >= crit.budget_seconds:
-            passed = False
-            detail = f"passed checks but took {elapsed:.2f}s, over the {crit.budget_seconds}s budget"
-        results.append(
-            {
-                "name": crit.name,
-                "passed": passed,
-                "seconds": round(elapsed, 3),
-                "budget_seconds": crit.budget_seconds,
-                "detail": detail,
-            }
-        )
+def run_criterion(crit: Criterion) -> dict:
+    """Run one criterion and hold it to its budget; a failure is reported, not raised."""
+    start = time.perf_counter()
+    try:
+        detail = crit.run()
+        passed = True
+    except (DomainError, AssertionError) as exc:
+        detail = str(exc)
+        passed = False
+    elapsed = time.perf_counter() - start
+    if passed and elapsed >= crit.budget_seconds:
+        passed = False
+        detail = f"passed checks but took {elapsed:.2f}s, over the {crit.budget_seconds}s budget"
     return {
-        "scale": scale,
-        "criteria": results,
-        "all_passed": all(r["passed"] for r in results),
+        "name": crit.name,
+        "passed": passed,
+        "seconds": round(elapsed, 3),
+        "budget_seconds": crit.budget_seconds,
+        "detail": detail,
     }
+
+
+def run_selftest() -> dict:
+    """Run every criterion in name order: the selftest report, version 2."""
+    results = [run_criterion(crit) for crit in sorted(CRITERIA, key=lambda c: c.name)]
+    return {"version": 2, "criteria": results, "all_passed": all(r["passed"] for r in results)}

@@ -386,15 +386,15 @@ def test_selftest_command_reports_in_payload(monkeypatch):
     import tametransfer.selftest as selftest_module
     from tametransfer.selftest import Criterion
 
-    def fine(scale):
-        return f"fine at {scale}"
+    def fine():
+        return "fine"
 
-    def broken(scale):
+    def broken():
         raise selftest_module.CheckFailure("broken on purpose")
 
     fake = (Criterion("2_broken", 5.0, broken), Criterion("1_fine", 5.0, fine))
     monkeypatch.setattr(selftest_module, "CRITERIA", fake)
-    result = run(["selftest", "--scale", "small"])
+    result = run(["selftest"])
     # failures are reported in the payload, not via the exit code
     assert result.exit_code == 0
     names = [c["name"] for c in result.payload["criteria"]]
@@ -437,7 +437,7 @@ VALID = {
     "pair-transfer": ["--shape", "3,3,2,1,1,4", "--f", "1", "--beta", "1"],
     "green": ["--d", "2", "--u", "2", "--alpha0", "1", "--g", "1"],
     "table": ["--shape", "3,3,2,1,1,4"],
-    "selftest": ["--scale", "small"],
+    "selftest": [],
 }
 
 
@@ -448,7 +448,7 @@ def bad_argvs():
             yield [name, *tail[:-2]]  # a missing required flag
         yield [name, *tail, "--bogus", "1"]
         yield [name, *tail, "junk"]
-        yield [name, *tail[:-1], "x"]  # a value that is not an integer (or a choice)
+        yield [name, *tail[:-1], "x"]  # a value that is not an integer
         yield [name, "-h"]
 
 
@@ -495,7 +495,7 @@ import json, sys
 from tametransfer.cli import main
 main(["orbit", "--Q", "2", "--nprime", "3", "--a", "1"])
 after_orbit = sorted(m for m in sys.modules if m.startswith("tametransfer."))
-main(["selftest", "--scale", "small"])
+main(["selftest"])
 print(json.dumps({"after_orbit": after_orbit, "selftest_loaded": "tametransfer.selftest" in sys.modules}))
 """
 
@@ -512,3 +512,28 @@ def test_only_selftest_imports_selftest():
     layers = ("tower", "numth", "characters", "linking", "regularize", "tame", "green", "jsonio")
     assert "tametransfer.selftest" not in probe["after_orbit"]
     assert {f"tametransfer.{layer}" for layer in layers} <= set(probe["after_orbit"])
+
+
+@pytest.mark.parametrize("level_flags", [["--Q", "2", "--nprime", "3"], ["--Q", "2"], ["--nprime", "3"]])
+def test_chain_refuses_a_bare_modulus_with_level_flags(level_flags, capsys):
+    assert main(["chain", "--M", "24", *level_flags, "--from", "1", "--to", "5"]) == 1
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "UsageError"
+    assert "chain needs either --M alone or both --Q and --nprime" in doc["message"]
+
+
+def test_selftest_report_is_version_2_with_every_criterion(capsys):
+    from tametransfer.selftest import CRITERIA
+
+    assert main(["selftest"]) == 0
+    payload = one_document(capsys)["payload"]
+    assert set(payload) == {"version", "criteria", "all_passed"}
+    assert payload["version"] == 2
+    assert payload["all_passed"] is True
+    reported = [(c["name"], c["budget_seconds"]) for c in payload["criteria"]]
+    assert reported == sorted((c.name, c.budget_seconds) for c in CRITERIA)
+
+
+def test_selftest_takes_no_scale(capsys):
+    assert main(["selftest", "--scale", "small"]) == 1
+    assert one_document(capsys)["error_kind"] == "UsageError"
