@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of, orbit_size
-from .errors import DomainError, NotPrimePower, ZsigmondyException
+from .errors import DomainError, NotPrimePower, OutOfRange, ZsigmondyException
 from .green import green_trace
 from .jsonio import (
     certificate_to_json,
@@ -70,37 +70,12 @@ _SHAPE_KEYS = ("p", "q", "eEF", "fEF", "m", "d")
 
 def _add_shape_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--shape", help="comma-separated p,q,eEF,fEF,m,d")
-    sub.add_argument("--config", help="key=value file with the shape parameters")
     for key in _SHAPE_KEYS:
         sub.add_argument(f"--{key}", dest=f"shape_{key}", type=int)
 
 
-def _read_config(path: str) -> dict[str, int]:
-    vals: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise _UsageError(f"config line is not key=value: {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _SHAPE_KEYS:
-                    raise _UsageError(f"unknown config key {key!r}, expected one of {_SHAPE_KEYS}")
-                vals[key] = int(value.strip())
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:
-        raise _UsageError(f"bad integer in config file: {exc}") from exc
-    return vals
-
-
 def _resolve_shape(args: argparse.Namespace) -> TowerParams:
     vals: dict[str, int] = {}
-    if args.config:
-        vals.update(_read_config(args.config))
     if args.shape:
         parts = args.shape.split(",")
         if len(parts) != 6:
@@ -170,6 +145,8 @@ def _cmd_regular_part(args) -> dict:
 
 def _cmd_chain(args) -> dict:
     if args.M is not None and args.Q is None and args.nprime is None:
+        if args.M < 1:
+            raise OutOfRange(f"--M must be at least 1, got {args.M}")
         # Frobenius multiplication by M+1 is trivial mod M, so a bare modulus
         # is modeled as the degree-one level over a base of that cardinality.
         lvl = field_level(args.M + 1, 1)

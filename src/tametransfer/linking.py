@@ -85,7 +85,8 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
         xi_ell = (1 - e_reg) * xi % M
         if xi_ell == 0:
             continue
-        before = orbit_of(current)
+        # each step starts on the orbit the previous step ended on
+        before = steps[-1].after if steps else orbit_of(current)
         current = CharExp(alpha.level, (current.a + xi_ell) % M)
         steps.append(LinkStep(ell=ell, before=before, after=orbit_of(current)))
     assert current.a == alpha_prime.a

@@ -88,6 +88,14 @@ def test_chain_command_requires_some_level():
     assert result.error_kind == "UsageError"
 
 
+@pytest.mark.parametrize("M", [0, -5])
+def test_chain_refuses_a_modulus_below_one_by_its_flag(M):
+    result = run(["chain", "--M", str(M), "--from", "0", "--to", "0"])
+    assert result.exit_code == 2
+    assert result.error_kind == "OutOfRange"
+    assert result.message == f"--M must be at least 1, got {M}"
+
+
 def test_partition_command():
     payload = ok_payload(["partition", "--Q", "2", "--nprime", "3"])
     assert payload["block_count"] == 1
@@ -229,21 +237,18 @@ def test_domain_error_kind_is_verbatim():
     assert result.error_kind == "DegreeMismatch"
 
 
-def test_flags_override_config(tmp_path):
-    cfg = tmp_path / "shape.cfg"
-    cfg.write_text("p=3\nq=3\neEF=2\nfEF=1\nm=1\nd=4\n# comment line\n")
-    payload = ok_payload(["tower", "--config", str(cfg)])
+def test_flags_override_shape():
+    payload = ok_payload(["tower", "--shape", "3,3,2,1,1,4"])
     assert payload["d"] == 4
-    override = ok_payload(["tower", "--config", str(cfg), "--d", "2", "--eEF", "1"])
+    override = ok_payload(["tower", "--shape", "3,3,2,1,1,4", "--d", "2", "--eEF", "1"])
     assert override["d"] == 2
     assert override["nprime"] == 2
 
 
-def test_config_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("zzz=1\n")
-    result = run(["tower", "--config", str(cfg)])
+def test_config_is_not_an_option():
+    result = run(["tower", "--shape", "3,3,2,1,1,4", "--config", "x"])
     assert result.exit_code == 1
+    assert result.error_kind == "UsageError"
 
 
 def one_document(capsys) -> dict:
@@ -522,9 +527,14 @@ def test_chain_refuses_a_bare_modulus_with_level_flags(level_flags, capsys):
     assert "chain needs either --M alone or both --Q and --nprime" in doc["message"]
 
 
-def test_selftest_report_is_version_2_with_every_criterion(capsys):
-    from tametransfer.selftest import CRITERIA
+def test_selftest_report_is_version_2_with_every_criterion(monkeypatch, capsys):
+    # stubs under the real names and budgets: the real criteria run in
+    # test_acceptance.py and in test_only_selftest_imports_selftest
+    import tametransfer.selftest as selftest_module
+    from tametransfer.selftest import CRITERIA, Criterion
 
+    stubs = tuple(Criterion(c.name, c.budget_seconds, lambda: "ok") for c in CRITERIA)
+    monkeypatch.setattr(selftest_module, "CRITERIA", stubs)
     assert main(["selftest"]) == 0
     payload = one_document(capsys)["payload"]
     assert set(payload) == {"version", "criteria", "all_passed"}

@@ -13,6 +13,7 @@ from tametransfer import (
     semisimple_endoclass,
     verify_link_chain,
 )
+import tametransfer.linking as linking_module
 from tametransfer.errors import DegreeMismatch, EnumerationTooLarge, FactorizationBudgetExceeded, LevelMismatch
 
 L52 = field_level(5, 2)  # M = 24
@@ -58,6 +59,42 @@ def test_chain_empty_when_equal():
     chain = build_link_chain(char(L52, 7), char(L52, 7))
     assert chain.steps == ()
     assert verify_link_chain(chain)
+
+
+def running_exponents(level, a, b):
+    """The exponents a chain from a to b passes through, one per prime of M in
+    ascending order whose part of b - a is nonzero; CRT computed here by hand."""
+    M, xi = level.M, (b - a) % level.M
+    path = [a]
+    for ell, k in sorted(numth.factorize(M).items()):
+        cofactor = M // ell**k
+        part = xi * cofactor * pow(cofactor, -1, ell**k) % M
+        if part:
+            path.append((path[-1] + part) % M)
+    return path
+
+
+@pytest.mark.parametrize("Q, nprime", [(5, 2), (3, 4), (2, 6), (7, 2), (2, 5)])
+def test_chain_walks_each_orbit_once(Q, nprime, monkeypatch):
+    level = field_level(Q, nprime)
+    walks = []
+
+    def counted(alpha):
+        walks.append(alpha.a)
+        return orbit_of(alpha)
+
+    monkeypatch.setattr(linking_module, "orbit_of", counted)
+    for a, b in [(1, 5), (0, level.M - 1), (2, 2), (3, 7 % level.M), (level.M - 1, 1)]:
+        walks.clear()
+        chain = build_link_chain(char(level, a), char(level, b))
+        path = running_exponents(level, a, b)
+        assert len(chain.steps) == len(path) - 1
+        # k >= 1 steps walk k + 1 orbits; a chain of no steps walks none
+        assert len(walks) == (len(chain.steps) + 1 if chain.steps else 0)
+        for step, before, after in zip(chain.steps, path, path[1:]):
+            assert step.before == orbit_of(char(level, before))
+            assert step.after == orbit_of(char(level, after))
+        assert verify_link_chain(chain)
 
 
 def test_chain_level_check():
