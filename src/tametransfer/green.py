@@ -31,14 +31,6 @@ class CyclotomicSum:
             start=0j,
         )
 
-    def __neg__(self) -> "CyclotomicSum":
-        return CyclotomicSum(self.modulus, tuple((e, -c) for e, c in self.coeffs))
-
-    def __add__(self, other: "CyclotomicSum") -> "CyclotomicSum":
-        if self.modulus != other.modulus:
-            raise LevelMismatch("formal sums over different moduli")
-        return cyclotomic_sum(self.modulus, list(self.coeffs) + list(other.coeffs))
-
 
 def cyclotomic_sum(modulus: int, terms: list[tuple[int, int]]) -> CyclotomicSum:
     """Canonical formal sum: exponents reduced mod modulus, zero coefficients dropped."""

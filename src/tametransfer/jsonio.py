@@ -2,33 +2,21 @@
 
 Every integer that can exceed a machine word (group orders, exponents,
 primes and residues modulo them) is rendered as a decimal string; structural
-integers (degrees, sizes, multiplicities) stay numeric.  Parsing a rendered
-document reproduces the original value exactly.
+integers (degrees, sizes, multiplicities) stay numeric.  Only the certificate
+is read back: parsing its document reproduces the certificate exactly, so
+``verify_certificate`` can recheck it.
 """
 
 from __future__ import annotations
 
-from .characters import CharExp, GaloisOrbit, orbit_of
+from .characters import CharExp, GaloisOrbit
 from .errors import OutOfRange
 from .green import CyclotomicSum
-from .numth import _integer_root
 from .regularize import RegularizationLift, ZsigmondyCertificate
-from .tower import FieldLevel, field_level
 
 
 def char_to_json(chi: CharExp) -> dict:
     return {"level_deg": chi.level.deg, "M": str(chi.level.M), "a": str(chi.a)}
-
-
-def char_from_json(doc: dict) -> CharExp:
-    deg = int(doc["level_deg"])
-    M = int(doc["M"])
-    if deg < 1 or M < 0 or (root := _integer_root(M + 1, deg)) ** deg != M + 1:
-        raise OutOfRange(f"{M + 1} is not a perfect {deg}-th power")
-    level = field_level(root, deg)
-    if level.M != M:
-        raise OutOfRange(f"inconsistent level document: M={M}, deg={deg}")
-    return CharExp(level, int(doc["a"]))
 
 
 def orbit_to_json(orbit: GaloisOrbit) -> dict:
@@ -37,13 +25,6 @@ def orbit_to_json(orbit: GaloisOrbit) -> dict:
         "size": orbit.size,
         "members": [str(x) for x in orbit.members],
     }
-
-
-def orbit_from_json(doc: dict, level: FieldLevel) -> GaloisOrbit:
-    orbit = orbit_of(CharExp(level, int(doc["rep"])))
-    if orbit.size != int(doc["size"]) or orbit.members != tuple(int(x) for x in doc["members"]):
-        raise OutOfRange("orbit document does not match its own representative")
-    return orbit
 
 
 def certificate_to_json(cert: ZsigmondyCertificate) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .characters import CharExp, GaloisOrbit, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
 from .numth import _ell_split, factorize, prime_factors
-from .tower import FieldLevel
+from .tower import FieldLevel, field_level
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ def admissible_primes(q: int, n: int) -> tuple[int, ...]:
     """Primes dividing (q**n - 1)(q**(n-1) - 1)...(q - 1), ascending."""
     if q < 2 or n < 1:
         raise DegreeMismatch(f"need q >= 2 and n >= 1, got q={q}, n={n}")
+    # q**n - 1, the largest value factored, is the M of the level of degree n
+    field_level(q, n)
     primes: set[int] = set()
     for i in range(1, n + 1):
         primes.update(prime_factors(q**i - 1))
@@ -94,18 +96,16 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
 
 
 def verify_link_chain(chain: LinkChain) -> bool:
-    """Replay every step of a chain through ell_linked and the endpoint laws."""
-    if chain.steps and chain.steps[0].before != orbit_of(chain.source):
-        return False
-    if not chain.steps:
-        return orbit_of(chain.source).level == orbit_of(chain.target).level
-    for prev, nxt in zip(chain.steps, chain.steps[1:]):
-        if prev.after != nxt.before:
-            return False
-    if chain.steps[-1].after != orbit_of(chain.target):
-        return False
+    """Replay every step of a chain through ell_linked and the endpoint laws:
+    the steps walk from the source's orbit to the target's, each starting on
+    the orbit the previous one ended on."""
     M = chain.source.level.M
-    return all(M % s.ell == 0 and ell_linked(s.before, s.after, s.ell) for s in chain.steps)
+    current = orbit_of(chain.source)
+    for s in chain.steps:
+        if s.before != current or M % s.ell or not ell_linked(s.before, s.after, s.ell):
+            return False
+        current = s.after
+    return current == orbit_of(chain.target)
 
 
 def linked_partition(level: FieldLevel) -> tuple[tuple[int, ...], ...]:

@@ -40,6 +40,8 @@ BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
 
 def cyclotomic_value(r: int, b: int) -> int:
     """The r-th cyclotomic polynomial evaluated at b, by Moebius inversion."""
+    if r < 1 or b < 2:
+        raise OutOfRange(f"need r >= 1 and b >= 2, got r={r}, b={b}")
     num = den = 1
     for d in divisors(r):
         mu = mobius(r // d)

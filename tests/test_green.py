@@ -75,11 +75,7 @@ def test_formal_sum_matches_direct_complex_summation():
 def test_cyclotomic_sum_merges_and_drops_zeros():
     s = cyclotomic_sum(6, [(1, 2), (7, -2), (2, 3)])
     assert s.coeffs == ((2, 3),)
-    total = s + (-s)
-    assert total.coeffs == ()
-    assert total.evaluate() == 0
-
-
-def test_cyclotomic_sum_modulus_mismatch():
-    with pytest.raises(LevelMismatch):
-        cyclotomic_sum(6, [(1, 1)]) + cyclotomic_sum(5, [(1, 1)])
+    # 7 is 1 mod 6, so the two terms cancel
+    empty = cyclotomic_sum(6, [(1, 1), (7, -1)])
+    assert empty.coeffs == ()
+    assert empty.evaluate() == 0

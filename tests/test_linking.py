@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from tametransfer import (
+    LinkChain,
     admissible_primes,
     build_link_chain,
     char,
@@ -14,7 +17,13 @@ from tametransfer import (
     verify_link_chain,
 )
 import tametransfer.linking as linking_module
-from tametransfer.errors import DegreeMismatch, EnumerationTooLarge, FactorizationBudgetExceeded, LevelMismatch
+from tametransfer.errors import (
+    DegreeMismatch,
+    EnumerationTooLarge,
+    FactorizationBudgetExceeded,
+    LevelGuardExceeded,
+    LevelMismatch,
+)
 
 L52 = field_level(5, 2)  # M = 24
 
@@ -24,6 +33,19 @@ def test_admissible_primes():
     assert admissible_primes(3, 2) == (2,)
     assert admissible_primes(2, 1) == ()
     assert admissible_primes(2, 4) == (3, 5, 7)
+
+
+def test_admissible_primes_guard(monkeypatch):
+    # q**n - 1 is the largest value factored, so a level over the guard factors nothing
+    def refuse(n):
+        raise AssertionError(f"factored {n.bit_length()} bits")
+
+    monkeypatch.setattr(linking_module, "prime_factors", refuse)
+    for q, n in [(2, 1501), (3, 947), (2, 1600)]:
+        with pytest.raises(LevelGuardExceeded):
+            admissible_primes(q, n)
+    with pytest.raises(AssertionError, match="factored 1 bits"):
+        admissible_primes(2, 1500)
 
 
 def test_ell_linked_worked_values():
@@ -95,6 +117,28 @@ def test_chain_walks_each_orbit_once(Q, nprime, monkeypatch):
             assert step.before == orbit_of(char(level, before))
             assert step.after == orbit_of(char(level, after))
         assert verify_link_chain(chain)
+
+
+def test_chain_with_no_steps_needs_one_orbit():
+    L23 = field_level(2, 3)
+    assert not verify_link_chain(LinkChain(char(L23, 1), char(L23, 3), ()))   # {1,2,4} vs {3,5,6}
+    assert verify_link_chain(LinkChain(char(L23, 1), char(L23, 2), ()))
+
+
+def test_chain_verification_rejects_each_broken_step():
+    # the chain of `chain --M 24 --from 1 --to 5`: through 13 by ell = 2, then 3
+    L25 = field_level(25, 1)
+    chain = build_link_chain(char(L25, 1), char(L25, 5))
+    assert verify_link_chain(chain)
+    first, second = chain.steps
+    broken = [
+        LinkChain(chain.source, chain.target, (replace(first, ell=3), replace(second, ell=2))),
+        LinkChain(chain.source, chain.target, (first, replace(second, ell=5))),
+        LinkChain(chain.source, char(L25, 7), chain.steps),
+        LinkChain(chain.source, chain.target, (second,)),
+    ]
+    for bad in broken:
+        assert not verify_link_chain(bad)
 
 
 def test_chain_level_check():

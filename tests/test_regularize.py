@@ -32,6 +32,9 @@ def test_cyclotomic_values():
     assert cyclotomic_value(2, 7) == 8
     assert cyclotomic_value(6, 2) == 3
     assert cyclotomic_value(12, 2) == 13
+    for r, b in [(5, 1), (0, 2), (-1, 3), (3, 0)]:
+        with pytest.raises(OutOfRange):
+            cyclotomic_value(r, b)
     # multiplying the pieces back together recovers b**r - 1
     for b, r in [(2, 12), (3, 10), (10, 6)]:
         prod = 1
