@@ -60,12 +60,19 @@ def char(level: FieldLevel, a: int) -> CharExp:
 
 @dataclass(frozen=True)
 class GaloisOrbit:
-    """A Frobenius orbit of characters with its canonical representative."""
+    """A Frobenius orbit of characters, held as its sorted members."""
 
     level: FieldLevel
-    rep: int
-    size: int
     members: tuple[int, ...]
+
+    @property
+    def rep(self) -> int:
+        """The canonical representative: the smallest member."""
+        return self.members[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
     def rep_char(self) -> CharExp:
         return CharExp(self.level, self.rep)
@@ -84,8 +91,7 @@ def orbit_of(alpha: CharExp) -> GaloisOrbit:
         members.append(x)
         x = x * Q % M
     assert alpha.level.deg % len(members) == 0
-    members.sort()
-    return GaloisOrbit(alpha.level, members[0], len(members), tuple(members))
+    return GaloisOrbit(alpha.level, tuple(sorted(members)))
 
 
 def char_order(alpha: CharExp) -> int:
@@ -185,16 +191,13 @@ def s_invariant(alpha: CharExp, d_prime: int) -> int:
     return d_prime // math.gcd(_orbit_size_over(alpha, d_prime), d_prime)
 
 
-def _walk_orbits(
-    level: FieldLevel, with_members: bool = False
-) -> tuple[list[int], list[tuple[int, ...]] | None]:
+def _walk_orbits(level: FieldLevel, with_members: bool = False) -> list[int] | list[tuple[int, ...]]:
     """Walk every Frobenius orbit of the level once.
 
-    Returns ``(reps, members)``: ``reps`` lists the canonical representatives
-    ascending, and ``members`` (only when asked for) holds each orbit's
-    sorted members in the same order.  Visited exponents are marked one byte
-    each, M bytes, so a level with M above the fixed ``MAX_ENUMERATION``
-    raises before anything is allocated.
+    Returns the canonical representatives ascending or, when asked for, each
+    orbit's sorted members in the same order.  Visited exponents are marked
+    one byte each, M bytes, so a level with M above the fixed
+    ``MAX_ENUMERATION`` raises before anything is allocated.
     """
     Q, M = level.Q, level.M
     if M > MAX_ENUMERATION:
@@ -202,14 +205,13 @@ def _walk_orbits(
     # {0} is an orbit of its own; scanning upwards from 1, the first unvisited
     # exponent of an orbit is its smallest one.
     seen = bytearray(M)
-    reps = [0]
-    members: list[tuple[int, ...]] | None = [(0,)] if with_members else None
+    found: list = [(0,)] if with_members else [0]
     for a in range(1, M):
         if seen[a]:
             continue
-        reps.append(a)
         x = a
-        if members is None:
+        if not with_members:
+            found.append(a)
             while True:
                 seen[x] = 1
                 x = x * Q % M
@@ -224,12 +226,11 @@ def _walk_orbits(
                 if x == a:
                     break
             orbit.sort()
-            members.append(tuple(orbit))
-    return reps, members
+            found.append(tuple(orbit))
+    return found
 
 
 def enumerate_orbits(level: FieldLevel) -> list[GaloisOrbit]:
     """All Frobenius orbits at the level, ordered by canonical representative."""
-    reps, members = _walk_orbits(level, with_members=True)
     # Built positionally: keyword arguments make each frozen orbit slower to build.
-    return [GaloisOrbit(level, rep, len(orbit), orbit) for rep, orbit in zip(reps, members)]
+    return [GaloisOrbit(level, orbit) for orbit in _walk_orbits(level, with_members=True)]

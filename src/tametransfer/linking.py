@@ -123,8 +123,7 @@ def linked_partition(level: FieldLevel) -> tuple[tuple[int, ...], ...]:
     ``EnumerationTooLarge`` first when M exceeds the fixed
     ``characters.MAX_ENUMERATION``.
     """
-    reps, _ = _walk_orbits(level)
-    return (tuple(reps),)
+    return (tuple(_walk_orbits(level)),)
 
 
 def semisimple_endoclass(components: list[tuple[str, int, int, int]]) -> SemiSimpleEndoClass:

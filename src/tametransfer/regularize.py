@@ -69,6 +69,15 @@ class ZsigmondyCertificate:
     order_checks: tuple[tuple[int, int], ...]
 
 
+def _order_checks(b: int, r: int, ell: int) -> tuple[tuple[int, int], ...] | None:
+    """(p, b**(r/p) mod ell) for each prime p | r ascending, or None unless b has
+    order exactly r modulo ell; r is factored only once b**r = 1 (mod ell)."""
+    if pow(b, r, ell) != 1:
+        return None
+    checks = tuple((p, pow(b, r // p, ell)) for p in prime_factors(r))
+    return None if any(res == 1 for _, res in checks) else checks
+
+
 @lru_cache(maxsize=1024)
 def _smallest_primitive_prime(b: int, r: int) -> int | None:
     ell0 = prime_factors(r)[-1]
@@ -104,8 +113,8 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     ell = _smallest_primitive_prime(b, r)
     if ell is None:
         return None
-    order_checks = tuple((p, pow(b, r // p, ell)) for p in prime_factors(r))
-    if pow(b, r, ell) != 1 or any(res == 1 for _, res in order_checks):
+    order_checks = _order_checks(b, r, ell)
+    if order_checks is None:
         raise OrderViolation(f"prime {ell} is not primitive for ({b},{r})")
     return ell, ZsigmondyCertificate(b=b, r=r, ell=ell, order_checks=order_checks)
 
@@ -121,11 +130,7 @@ def verify_certificate(cert: ZsigmondyCertificate) -> bool:
     """Recheck a certificate from its own fields: ell is prime and b has
     order exactly r modulo ell."""
     b, r, ell = cert.b, cert.r, cert.ell
-    if b < 2 or r < 2 or not is_prime(ell) or pow(b, r, ell) != 1:
-        return False
-    if [p for p, _ in cert.order_checks] != prime_factors(r):
-        return False
-    return all(res == pow(b, r // p, ell) and res != 1 for p, res in cert.order_checks)
+    return b >= 2 and r >= 2 and is_prime(ell) and _order_checks(b, r, ell) == cert.order_checks
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,9 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
     The blow-up factor is a = BLOW_UP_FACTOR.  The primitive prime is
     searched for b = Q**f and r = a*n'/f, where the parametric degree f
     divides n', so r >= a = 7; the exception families have r = 2 or r = 6,
-    so the search always succeeds.  The blow-up level is built before the
-    search, so the level guard fires before any factoring.
+    so the search always succeeds; Q**f has order r >= 7 modulo ell, so ell
+    does not divide Q**f - 1 and is neither p nor 2.  The blow-up level is
+    built first: the guard fires before any factoring.
     """
     base = level(params, params.n_prime)
     if alpha.level != base:
@@ -172,8 +178,6 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
         raise OrderViolation("lifted character is not fully regular")
     if ell_regular_part(beta, ell).a not in orbit_of(alpha_star).members:
         raise OrderViolation("lifted character is not congruent to the inflated input")
-    if (params.Q**f - 1) % ell == 0 or ell == params.p or ell == 2:
-        raise OrderViolation(f"prime {ell} violates the primitivity constraints")
     return RegularizationLift(a=a, ell=ell, beta=beta, alpha_star=alpha_star, certificate=cert)
 
 

@@ -103,8 +103,7 @@ def _translate(orbit: GaloisOrbit, t: int) -> GaloisOrbit:
     M = orbit.level.M
     members = orbit.members
     cut = bisect_left(members, M - t)
-    moved = tuple([x + t - M for x in members[cut:]] + [x + t for x in members[:cut]])
-    return GaloisOrbit(orbit.level, moved[0], orbit.size, moved)
+    return GaloisOrbit(orbit.level, tuple([x + t - M for x in members[cut:]] + [x + t for x in members[:cut]]))
 
 
 def apply_transfer(orbit: GaloisOrbit, spec: RectifierSpec) -> GaloisOrbit:
@@ -226,18 +225,14 @@ def orbit_to_pair(orbit: GaloisOrbit, params: TowerParams) -> TamePairClass:
     """Recover the pair class of an orbit from its canonical representative.
 
     Every representative of parametric degree f is norm-inflated from the
-    degree-f subfield level, so the exponent division below is always exact.
+    degree-f subfield level, so the inversion below always succeeds.
     """
-    top = level(params, params.n_prime)
-    if orbit.level != top:
+    if orbit.level != level(params, params.n_prime):
         raise LevelMismatch("orbit does not live at the shape's full level")
-    sub = field_level(params.Q, orbit.size)
-    ratio = top.M // sub.M
-    if orbit.rep % ratio:
-        raise NotInNormImage(
-            f"representative {orbit.rep} of degree {orbit.size} is not norm-inflated"
-        )
-    pair = TamePairClass(beta=CharExp(sub, orbit.rep // ratio))
+    nu = is_norm_inflated(orbit.rep_char(), field_level(params.Q, orbit.size))
+    if nu is None:
+        raise NotInNormImage(f"representative {orbit.rep} of degree {orbit.size} is not norm-inflated")
+    pair = TamePairClass(beta=nu)
     if pair_to_orbit(pair, params) != orbit:
         raise OrderViolation("pair recovery does not invert inflation")
     return pair

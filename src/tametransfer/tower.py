@@ -83,10 +83,10 @@ def derive_tower(p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> TowerP
     """Validate the six shape integers and compute every derived invariant."""
     if min(p, q, e_ef, f_ef, m, d) < 1:
         raise OutOfRange("all tower parameters must be positive")
-    # every level over Q = q**f_ef has M >= Q - 1, so no level is admitted when
-    # Q - 1 is over the guard; the bits of q decide a large f_ef before the power
-    if (q.bit_length() - 1) * f_ef > MAX_LEVEL_BITS or ((Q := q**f_ef) - 1).bit_length() > MAX_LEVEL_BITS:
-        raise LevelGuardExceeded(f"shape q={q}, f_ef={f_ef}: Q - 1 = q**f_ef - 1 has more than {MAX_LEVEL_BITS} bits")
+    # every level over Q = q**f_ef has M >= Q - 1: none is admitted if this one is not
+    Q = field_level(q, f_ef).M + 1
+    if p > q:  # q is a power of p, so a larger p is refused before its primality test
+        raise NotPrimePower(f"q={q} is not a power of p={p}")
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if is_prime_power(q) != p:

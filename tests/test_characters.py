@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from tametransfer import (
     s_invariant,
     sigma_orbit_size,
 )
-from tametransfer.characters import CharExp
+from tametransfer.characters import CharExp, GaloisOrbit
 from tametransfer.errors import LevelMismatch, NotPrime, OutOfRange
 
 L23 = field_level(2, 3)   # M = 7
@@ -29,6 +30,8 @@ def test_orbit_enumeration():
     assert orb.members == (1, 2, 4)
     assert orb.rep == 1
     assert orb.size == 3
+    # an orbit is its members: the representative and the size are derived
+    assert [f.name for f in dataclasses.fields(GaloisOrbit)] == ["level", "members"]
 
 
 def test_trivial_character_is_fixed():

@@ -233,6 +233,10 @@ def test_domain_error_kind_is_verbatim():
     assert result.exit_code == 2
     assert result.error_kind == "NotPrime"
 
+    # q = 1 admits no level; a composite p above q is no prime power's base
+    assert run(["tower", "--shape", "2,1,1,1,1,1"]).error_kind == "OutOfRange"
+    assert run(["tower", "--shape", "4,3,1,1,1,1"]).error_kind == "NotPrimePower"
+
     result = run(["tower", "--shape", "2,2,3,1,1,2"])
     assert result.error_kind == "DegreeMismatch"
 
@@ -328,7 +332,7 @@ def test_shape_with_q_to_the_f_ef_over_the_guard_ends_at_once(capsys, command, f
     assert time.perf_counter() - start < 1.0
     doc = one_document(capsys)
     assert doc["error_kind"] == "LevelGuardExceeded"
-    assert doc["message"] == f"shape q=2, f_ef={f_ef}: Q - 1 = q**f_ef - 1 has more than 1500 bits"
+    assert doc["message"] == f"level Q=2, deg={f_ef}: M = Q**deg - 1 has more than 1500 bits"
 
 
 def test_shape_guard_is_the_bits_of_q_to_the_f_ef_minus_one():
@@ -337,6 +341,17 @@ def test_shape_guard_is_the_bits_of_q_to_the_f_ef_minus_one():
     assert ok_payload(["tower", "--shape", "3,3,1,946,946,1"])["Q"] == str(3**946)
     result = run(["tower", "--shape", "3,3,1,947,947,1"])
     assert (result.exit_code, result.error_kind) == (2, "LevelGuardExceeded")
+    assert result.message == "level Q=3, deg=947: M = Q**deg - 1 has more than 1500 bits"
+
+
+@pytest.mark.parametrize("command", ["tower", "rectifier"])
+@pytest.mark.parametrize("k", [11213, 4423])
+def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k):
+    # q must be a power of p, so p = 2**k - 1 > q is refused without testing p
+    start = time.perf_counter()
+    assert main([command, "--shape", f"{2**k - 1},2,1,1,1,1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert one_document(capsys)["error_kind"] == "NotPrimePower"
 
 
 def test_regularize_takes_no_a_override(capsys):
@@ -500,6 +515,8 @@ import json, sys
 from tametransfer.cli import main
 main(["orbit", "--Q", "2", "--nprime", "3", "--a", "1"])
 after_orbit = sorted(m for m in sys.modules if m.startswith("tametransfer."))
+import tametransfer.selftest as selftest
+selftest.CRITERIA = tuple(selftest.Criterion(c.name, c.budget_seconds, lambda: "ok") for c in selftest.CRITERIA)
 main(["selftest"])
 print(json.dumps({"after_orbit": after_orbit, "selftest_loaded": "tametransfer.selftest" in sys.modules}))
 """
@@ -529,7 +546,7 @@ def test_chain_refuses_a_bare_modulus_with_level_flags(level_flags, capsys):
 
 def test_selftest_report_is_version_2_with_every_criterion(monkeypatch, capsys):
     # stubs under the real names and budgets: the real criteria run in
-    # test_acceptance.py and in test_only_selftest_imports_selftest
+    # test_acceptance.py
     import tametransfer.selftest as selftest_module
     from tametransfer.selftest import CRITERIA, Criterion
 

@@ -23,6 +23,7 @@ from tametransfer.errors import (
     OutOfRange,
 )
 from tametransfer.cli import run
+from tametransfer import numth
 from tametransfer.numth import factorize
 from tametransfer.regularize import ZsigmondyCertificate
 
@@ -147,6 +148,19 @@ def test_certificate_verification_rejects_tampering():
     assert not verify_certificate(honest(2, 14, 43, (2, 3, 7)))
     # every residue must be the true one
     assert not verify_certificate(ZsigmondyCertificate(2, 14, 43, ((2, 42), (7, 5))))
+    # 5 is prime but 2**14 = 4 (mod 5)
+    assert pow(2, 14, 5) != 1
+    assert not verify_certificate(honest(2, 14, 5, (2, 7)))
+
+
+def test_certificate_verification_tests_b_to_the_r_before_factoring_r(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(numth, "factorize", no_factoring)
+    # 2 has order 3 modulo 7 and 3 does not divide 10**40
+    assert pow(2, 10**40, 7) != 1
+    assert not verify_certificate(ZsigmondyCertificate(2, 10**40, 7, ((2, 1), (5, 1))))
 
 
 Q2N2 = derive_tower(2, 2, 1, 1, 2, 1)   # Q = 2, n' = 2
