@@ -19,26 +19,33 @@ called the parametric degree of the character.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange
 from .numth import _ell_split, is_prime
-from .tower import MAX_LEVEL_BITS, FieldLevel, field_level
+from .tower import MAX_LEVEL_BITS, FieldLevel, _Record, field_level
 
 # Largest group order M whose orbits are enumerated: the walk marks M exponents, a byte each.
 MAX_ENUMERATION = 10**6
 
 
-@dataclass(frozen=True)
-class CharExp:
+class CharExp(_Record):
     """A character of the level's multiplicative group, as an exponent mod M."""
 
-    level: FieldLevel
-    a: int
+    __slots__ = ("level", "a")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.a < self.level.M:
-            raise OutOfRange(f"exponent {self.a} outside [0, {self.level.M})")
+    def __init__(self, level: FieldLevel, a: int) -> None:
+        if not 0 <= a < level.M:
+            raise OutOfRange(f"exponent {a} outside [0, {level.M})")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "a", a)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CharExp:
+            return NotImplemented
+        return self is other or self.a == other.a and self.level == other.level
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.a))
 
     def __mul__(self, other: "CharExp") -> "CharExp":
         if self.level != other.level:
@@ -58,12 +65,22 @@ def char(level: FieldLevel, a: int) -> CharExp:
     return CharExp(level, a % level.M)
 
 
-@dataclass(frozen=True)
-class GaloisOrbit:
+class GaloisOrbit(_Record):
     """A Frobenius orbit of characters, held as its sorted members."""
 
-    level: FieldLevel
-    members: tuple[int, ...]
+    __slots__ = ("level", "members")
+
+    def __init__(self, level: FieldLevel, members: tuple[int, ...]) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaloisOrbit:
+            return NotImplemented
+        return self is other or self.members == other.members and self.level == other.level
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.members))
 
     @property
     def rep(self) -> int:

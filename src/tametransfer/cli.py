@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of, orbit_size
 from .errors import DomainError, NotPrimePower, OutOfRange, ZsigmondyException
@@ -39,16 +38,19 @@ from .tame import (
     tame_pair,
     transfer_pair,
 )
-from .tower import TowerParams, derive_tower, field_level, level
+from .tower import TowerParams, _Record, derive_tower, field_level, level
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: str
-    payload: dict | None = None
-    error_kind: str | None = None
-    message: str | None = None
-    exit_code: int = 0
+class CommandResult(_Record):
+    __slots__ = ("status", "payload", "error_kind", "message", "exit_code")
+
+    def __init__(self, status: str, payload: dict | None = None, error_kind: str | None = None,
+                 message: str | None = None, exit_code: int = 0) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "error_kind", error_kind)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "exit_code", exit_code)
 
     def document(self) -> dict:
         if self.status == "ok":

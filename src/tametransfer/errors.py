@@ -2,9 +2,16 @@
 
 Every error carries a ``kind`` string equal to the class name; the CLI
 reports it verbatim and maps any :class:`DomainError` to exit code 2.
+``short_int`` writes an integer into a message in bounded size.
 """
 
 from __future__ import annotations
+
+
+def short_int(n: int) -> str:
+    """``n`` in decimal; past 60 digits, its leading 20 digits and its digit count."""
+    digits = str(n)
+    return digits if len(digits) <= 60 else f"{digits[:20]}...({len(digits.lstrip('-'))} digits)"
 
 
 class DomainError(Exception):

@@ -9,17 +9,18 @@ separate lossy numeric view covers identities like 1 + z + z^2 = 0.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .characters import CharExp, orbit_size
 from .errors import LevelMismatch, NotRegularCharacter, NotRegularElement
-from .tower import FieldLevel
+from .tower import FieldLevel, _Record
 
 
-@dataclass(frozen=True)
-class CyclotomicSum:
-    modulus: int
-    coeffs: tuple[tuple[int, int], ...]
+class CyclotomicSum(_Record):
+    __slots__ = ("modulus", "coeffs")
+
+    def __init__(self, modulus: int, coeffs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self) -> complex:
         # 2*pi*e must stay a finite float: beyond 2**1021, e and the modulus

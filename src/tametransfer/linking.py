@@ -9,37 +9,41 @@ quotient character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import CharExp, GaloisOrbit, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
 from .numth import _ell_split, factorize, prime_factors
-from .tower import FieldLevel, field_level
+from .tower import FieldLevel, _Record, field_level
 
 
-@dataclass(frozen=True)
-class LinkStep:
-    ell: int
-    before: GaloisOrbit
-    after: GaloisOrbit
+class LinkStep(_Record):
+    __slots__ = ("ell", "before", "after")
+
+    def __init__(self, ell: int, before: GaloisOrbit, after: GaloisOrbit) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
 
-@dataclass(frozen=True)
-class LinkChain:
-    source: CharExp
-    target: CharExp
-    steps: tuple[LinkStep, ...]
+class LinkChain(_Record):
+    __slots__ = ("source", "target", "steps")
+
+    def __init__(self, source: CharExp, target: CharExp, steps: tuple[LinkStep, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(s.ell for s in self.steps)
 
 
-@dataclass(frozen=True)
-class SemiSimpleEndoClass:
+class SemiSimpleEndoClass(_Record):
     """Formal sum of endo-class labels with positive integer multiplicities."""
 
-    terms: tuple[tuple[str, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[str, int], ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
 
 def admissible_primes(q: int, n: int) -> tuple[int, ...]:

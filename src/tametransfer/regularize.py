@@ -10,7 +10,6 @@ character whose Frobenius orbit is as large as possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .characters import (
@@ -33,7 +32,7 @@ from .errors import (
     ZsigmondyException,
 )
 from .numth import _ell_split, _least_prime_factor, divisors, is_prime, mobius, prime_factors
-from .tower import TowerParams, field_level, level
+from .tower import TowerParams, _Record, field_level, level
 
 BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
 
@@ -53,8 +52,7 @@ def cyclotomic_value(r: int, b: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class ZsigmondyCertificate:
+class ZsigmondyCertificate(_Record):
     """Self-contained evidence that ell is a primitive prime divisor of b**r - 1.
 
     ``order_checks`` holds (p, b**(r/p) mod ell) for each prime p | r in
@@ -63,10 +61,13 @@ class ZsigmondyCertificate:
     b**r - 1 and no earlier b**i - 1.
     """
 
-    b: int
-    r: int
-    ell: int
-    order_checks: tuple[tuple[int, int], ...]
+    __slots__ = ("b", "r", "ell", "order_checks")
+
+    def __init__(self, b: int, r: int, ell: int, order_checks: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "order_checks", order_checks)
 
 
 def _order_checks(b: int, r: int, ell: int) -> tuple[tuple[int, int], ...] | None:
@@ -133,19 +134,22 @@ def verify_certificate(cert: ZsigmondyCertificate) -> bool:
     return b >= 2 and r >= 2 and is_prime(ell) and _order_checks(b, r, ell) == cert.order_checks
 
 
-@dataclass(frozen=True)
-class RegularizationLift:
+class RegularizationLift(_Record):
     """Result of regularizing a character via an odd blow-up.
 
     ``beta`` lives at the blown-up level, is fully regular there, and its
     ell-regular part has the same orbit as the inflated input character.
     """
 
-    a: int
-    ell: int
-    beta: CharExp
-    alpha_star: CharExp
-    certificate: ZsigmondyCertificate
+    __slots__ = ("a", "ell", "beta", "alpha_star", "certificate")
+
+    def __init__(self, a: int, ell: int, beta: CharExp, alpha_star: CharExp,
+                 certificate: ZsigmondyCertificate) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha_star", alpha_star)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:

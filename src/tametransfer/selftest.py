@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .characters import CharExp, char, ell_regular_part, enumerate_orbits, orbit_of
@@ -31,7 +30,7 @@ from .tame import (
     transfer_pair,
     transfer_via_descent,
 )
-from .tower import TowerParams, derive_tower, field_level, level
+from .tower import TowerParams, _Record, derive_tower, field_level, level
 
 
 class CheckFailure(AssertionError):
@@ -438,11 +437,13 @@ def check_green_traces() -> str:
 # ----------------------------------------------------------------------
 # registry and driver
 
-@dataclass(frozen=True)
-class Criterion:
-    name: str
-    budget_seconds: float
-    run: Callable[[], str]
+class Criterion(_Record):
+    __slots__ = ("name", "budget_seconds", "run")
+
+    def __init__(self, name: str, budget_seconds: float, run: Callable[[], str]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "budget_seconds", budget_seconds)
+        object.__setattr__(self, "run", run)
 
 
 CRITERIA: tuple[Criterion, ...] = (

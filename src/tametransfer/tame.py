@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .characters import (
     CharExp,
@@ -42,28 +41,26 @@ from .errors import (
     ShapeError,
 )
 from .regularize import RegularizationLift, descend_transfer, regularize
-from .tower import TowerParams, blow_up, field_level, level
+from .tower import TowerParams, _Record, blow_up, field_level, level
 
 
-@dataclass(frozen=True)
-class RectifierSpec:
+class RectifierSpec(_Record):
     """The transfer twist of a shape: the parity data and the twisting character."""
 
-    params: TowerParams
-    w: int
-    v: int
-    u: int
-    y: int
-    mu: CharExp
+    __slots__ = ("params", "w", "v", "u", "y", "mu")
 
-    def __post_init__(self) -> None:
+    def __init__(self, params: TowerParams, w: int, v: int, u: int, y: int, mu: CharExp) -> None:
         # The transfer twists orbits by mu, which is well defined only when
         # mu is Frobenius-fixed: Q * mu = mu (mod M).
-        lvl = self.mu.level
-        if self.mu.a * lvl.Q % lvl.M != self.mu.a:
-            raise OrderViolation(
-                f"rectifier exponent {self.mu.a} is not Frobenius-fixed at M={lvl.M}"
-            )
+        lvl = mu.level
+        if mu.a * lvl.Q % lvl.M != mu.a:
+            raise OrderViolation(f"rectifier exponent {mu.a} is not Frobenius-fixed at M={lvl.M}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def nontrivial(self) -> bool:
@@ -176,8 +173,7 @@ def _transfer_with_lift(alpha: CharExp, params: TowerParams) -> tuple[GaloisOrbi
     return descended, lift
 
 
-@dataclass(frozen=True)
-class TamePairClass:
+class TamePairClass(_Record):
     """Residual model of an inertial pair class: a fully regular character
     of the subfield level of degree f over e.
 
@@ -185,16 +181,13 @@ class TamePairClass:
     stored exponent is normalized to the canonical orbit representative.
     """
 
-    beta: CharExp
+    __slots__ = ("beta",)
 
-    def __post_init__(self) -> None:
-        orbit = orbit_of(self.beta)
-        if orbit.size != self.beta.level.deg:
-            raise NotAdmissiblePair(
-                f"exponent {self.beta.a} is not fully regular at degree {self.beta.level.deg}"
-            )
-        if orbit.rep != self.beta.a:
-            object.__setattr__(self, "beta", CharExp(self.beta.level, orbit.rep))
+    def __init__(self, beta: CharExp) -> None:
+        orbit = orbit_of(beta)
+        if orbit.size != beta.level.deg:
+            raise NotAdmissiblePair(f"exponent {beta.a} is not fully regular at degree {beta.level.deg}")
+        object.__setattr__(self, "beta", beta if orbit.rep == beta.a else CharExp(beta.level, orbit.rep))
 
     @property
     def f(self) -> int:
@@ -238,12 +231,14 @@ def orbit_to_pair(orbit: GaloisOrbit, params: TowerParams) -> TamePairClass:
     return pair
 
 
-@dataclass(frozen=True)
-class PairTransfer:
+class PairTransfer(_Record):
     """A transferred pair class together with the correction character."""
 
-    pair: TamePairClass
-    mu_l: CharExp
+    __slots__ = ("pair", "mu_l")
+
+    def __init__(self, pair: TamePairClass, mu_l: CharExp) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "mu_l", mu_l)
 
 
 def transfer_pair(pair: TamePairClass, params: TowerParams) -> PairTransfer:
@@ -266,14 +261,16 @@ def transfer_pair(pair: TamePairClass, params: TowerParams) -> PairTransfer:
     return PairTransfer(pair=out, mu_l=mu_l)
 
 
-@dataclass(frozen=True)
-class DiscreteSeriesShape:
+class DiscreteSeriesShape(_Record):
     """Numeric shape (f, t, s, r) of the class attached to an orbit: n = r*s*t."""
 
-    f: int
-    t: int
-    s: int
-    r: int
+    __slots__ = ("f", "t", "s", "r")
+
+    def __init__(self, f: int, t: int, s: int, r: int) -> None:
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
 
 
 def discrete_series_shape(orbit: GaloisOrbit, params: TowerParams) -> DiscreteSeriesShape:

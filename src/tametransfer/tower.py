@@ -25,55 +25,94 @@ b**r - 1 is the group order of the level of degree r over b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DegreeMismatch, LevelGuardExceeded, NotPrime, NotPrimePower, OutOfRange
+from .errors import DegreeMismatch, LevelGuardExceeded, NotPrime, NotPrimePower, OutOfRange, short_int
 from .numth import is_prime, is_prime_power
 
 # Largest number of bits of a level's group order M = Q**deg - 1.
 MAX_LEVEL_BITS = 1500
 
 
-@dataclass(frozen=True)
-class FieldLevel:
+class _Record:
+    """Base of the immutable value records, whose fields are the ``__slots__`` in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}: records are immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:  # a copy or an unpickled record is rebuilt through __init__
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
+class FieldLevel(_Record):
     """One layer of the residue-field lattice: Q**deg elements, M = Q**deg - 1."""
 
-    Q: int
-    deg: int
-    M: int
+    __slots__ = ("Q", "deg", "M")
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __init__(self, Q: int, deg: int, M: int) -> None:
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "M", M)
+
+    def __eq__(self, other: object) -> bool:  # hot in every level check
+        if type(other) is not FieldLevel:
+            return NotImplemented
+        return self is other or self.Q == other.Q and self.deg == other.deg and self.M == other.M
+
+    def __hash__(self) -> int:
+        return hash((self.Q, self.deg, self.M))
+
+    def __repr__(self) -> str:
         return f"FieldLevel(Q={self.Q}, deg={self.deg})"
 
 
 def field_level(Q: int, deg: int) -> FieldLevel:
     """Build the level of degree ``deg`` over a field with Q elements."""
     if Q < 2:
-        raise OutOfRange(f"base cardinality must be at least 2, got {Q}")
+        raise OutOfRange(f"base cardinality must be at least 2, got {short_int(Q)}")
     if deg < 1:
-        raise OutOfRange(f"deg_over_e must be at least 1, got {deg}")
+        raise OutOfRange(f"deg_over_e must be at least 1, got {short_int(deg)}")
     # M has at least (Q.bit_length() - 1) * deg bits: a level that is over the
     # bound by that count alone is refused before Q**deg is computed
     if (Q.bit_length() - 1) * deg > MAX_LEVEL_BITS or (M := Q**deg - 1).bit_length() > MAX_LEVEL_BITS:
-        raise LevelGuardExceeded(f"level Q={Q}, deg={deg}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits")
+        raise LevelGuardExceeded(
+            f"level Q={short_int(Q)}, deg={short_int(deg)}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits"
+        )
     return FieldLevel(Q=Q, deg=deg, M=M)
 
 
-@dataclass(frozen=True)
-class TowerParams:
-    p: int
-    q: int
-    e_ef: int
-    f_ef: int
-    m: int
-    d: int
-    # derived
-    g: int
-    n: int
-    Q: int
-    d_prime: int
-    m_prime: int
-    n_prime: int
+class TowerParams(_Record):
+    __slots__ = ("p", "q", "e_ef", "f_ef", "m", "d", "g", "n", "Q", "d_prime", "m_prime", "n_prime")
+
+    def __init__(self, p: int, q: int, e_ef: int, f_ef: int, m: int, d: int,  # then the derived invariants
+                 g: int, n: int, Q: int, d_prime: int, m_prime: int, n_prime: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "e_ef", e_ef)
+        object.__setattr__(self, "f_ef", f_ef)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "d_prime", d_prime)
+        object.__setattr__(self, "m_prime", m_prime)
+        object.__setattr__(self, "n_prime", n_prime)
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.p, self.q, self.e_ef, self.f_ef, self.m, self.d)
@@ -86,11 +125,11 @@ def derive_tower(p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> TowerP
     # every level over Q = q**f_ef has M >= Q - 1: none is admitted if this one is not
     Q = field_level(q, f_ef).M + 1
     if p > q:  # q is a power of p, so a larger p is refused before its primality test
-        raise NotPrimePower(f"q={q} is not a power of p={p}")
+        raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
     if not is_prime(p):
-        raise NotPrime(f"p={p} is not prime")
+        raise NotPrime(f"p={short_int(p)} is not prime")
     if is_prime_power(q) != p:
-        raise NotPrimePower(f"q={q} is not a power of p={p}")
+        raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
     g = e_ef * f_ef
     n = m * d
     if n % g:

@@ -354,6 +354,25 @@ def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k)
     assert one_document(capsys)["error_kind"] == "NotPrimePower"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tower", "--shape", f"{2**11213 - 1},2,1,1,1,1"],
+         "q=2 is not a power of p=28141120136973731333...(3376 digits)"),
+        (["green", "--d", str(2**4423 - 1), "--u", "1", "--alpha0", "1", "--g", "1"],
+         "level Q=28554254222827961390...(1332 digits), deg=1: M = Q**deg - 1 has more than 1500 bits"),
+        (["chain", "--M", str(2**3001 + 1905), "--from", "0", "--to", "1"],
+         "level Q=24604638443222343538...(904 digits), deg=1: M = Q**deg - 1 has more than 1500 bits"),
+    ],
+    ids=["tower", "green", "chain"],
+)
+def test_error_documents_cap_large_integers(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert len(out.encode()) < 512 and len(err.encode()) < 512
+    assert json.loads(out)["message"] == message
+
+
 def test_regularize_takes_no_a_override(capsys):
     assert main(["regularize", "--shape", "2,2,1,1,2,1", "--alpha", "0", "--a-override", "9"]) == 1
     assert one_document(capsys)["error_kind"] == "UsageError"
@@ -515,17 +534,21 @@ import json, sys
 from tametransfer.cli import main
 main(["orbit", "--Q", "2", "--nprime", "3", "--a", "1"])
 after_orbit = sorted(m for m in sys.modules if m.startswith("tametransfer."))
+slow_after_orbit = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
 import tametransfer.selftest as selftest
 selftest.CRITERIA = tuple(selftest.Criterion(c.name, c.budget_seconds, lambda: "ok") for c in selftest.CRITERIA)
 main(["selftest"])
-print(json.dumps({"after_orbit": after_orbit, "selftest_loaded": "tametransfer.selftest" in sys.modules}))
+print(json.dumps({"after_orbit": after_orbit, "slow_after_orbit": slow_after_orbit,
+                  "selftest_loaded": "tametransfer.selftest" in sys.modules,
+                  "dataclasses_after_selftest": "dataclasses" in sys.modules}))
 """
 
 
 def test_only_selftest_imports_selftest():
     src = os.path.dirname(os.path.dirname(tametransfer.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     orbit_doc, selftest_doc, probe = (json.loads(line) for line in done.stdout.splitlines())
     assert orbit_doc["payload"]["members"] == ["1", "2", "4"]
@@ -534,6 +557,9 @@ def test_only_selftest_imports_selftest():
     layers = ("tower", "numth", "characters", "linking", "regularize", "tame", "green", "jsonio")
     assert "tametransfer.selftest" not in probe["after_orbit"]
     assert {f"tametransfer.{layer}" for layer in layers} <= set(probe["after_orbit"])
+    # the records need neither module, and the interpreter was started without site
+    assert probe["slow_after_orbit"] == []
+    assert probe["dataclasses_after_selftest"] is False
 
 
 @pytest.mark.parametrize("level_flags", [["--Q", "2", "--nprime", "3"], ["--Q", "2"], ["--nprime", "3"]])

@@ -1,12 +1,13 @@
 """The one-split descent against the per-member route it replaced."""
 
-import dataclasses
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tametransfer import (
+    RectifierSpec,
+    RegularizationLift,
     char,
     derive_tower,
     descend_transfer,
@@ -145,7 +146,7 @@ def quaternary_lift():
 
 def test_composite_ell_raises_not_prime():
     alpha, lift = quaternary_lift()
-    forged = dataclasses.replace(lift, ell=15)
+    forged = RegularizationLift(lift.a, 15, lift.beta, lift.alpha_star, lift.certificate)
     image = orbit_of(lift.beta)
     for descend in (descend_transfer, per_member_descent):
         with pytest.raises(NotPrime):
@@ -164,7 +165,7 @@ def test_lift_not_over_alphas_level_raises_level_mismatch():
 
 def test_checks_run_in_order():
     alpha, lift = quaternary_lift()
-    forged = dataclasses.replace(lift, ell=15)
+    forged = RegularizationLift(lift.a, 15, lift.beta, lift.alpha_star, lift.certificate)
     stranger = char(field_level(3, 3), 1)
     for descend in (descend_transfer, per_member_descent):
         # the image level first, then the prime, then the base level
@@ -178,7 +179,7 @@ def test_rectifier_spec_rejects_unfixed_mu():
     spec = rectifier(QUATERNARY)
     lvl = spec.mu.level
     with pytest.raises(OrderViolation):
-        dataclasses.replace(spec, mu=char(lvl, 1))  # 3 * 1 = 3 mod 8
+        RectifierSpec(spec.params, spec.w, spec.v, spec.u, spec.y, char(lvl, 1))  # 3 * 1 = 3 mod 8
     # the order-two shift stays Frobenius-fixed and is admitted
-    shifted = dataclasses.replace(spec, mu=char(lvl, spec.mu.a + lvl.M // 2))
+    shifted = RectifierSpec(spec.params, spec.w, spec.v, spec.u, spec.y, char(lvl, spec.mu.a + lvl.M // 2))
     assert shifted.mu.a == 0

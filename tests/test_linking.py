@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from tametransfer import (
@@ -17,6 +15,7 @@ from tametransfer import (
     verify_link_chain,
 )
 import tametransfer.linking as linking_module
+from tametransfer.linking import LinkStep
 from tametransfer.errors import (
     DegreeMismatch,
     EnumerationTooLarge,
@@ -132,8 +131,9 @@ def test_chain_verification_rejects_each_broken_step():
     assert verify_link_chain(chain)
     first, second = chain.steps
     broken = [
-        LinkChain(chain.source, chain.target, (replace(first, ell=3), replace(second, ell=2))),
-        LinkChain(chain.source, chain.target, (first, replace(second, ell=5))),
+        LinkChain(chain.source, chain.target, (LinkStep(3, first.before, first.after),
+                                               LinkStep(2, second.before, second.after))),
+        LinkChain(chain.source, chain.target, (first, LinkStep(5, second.before, second.after))),
         LinkChain(chain.source, char(L25, 7), chain.steps),
         LinkChain(chain.source, chain.target, (second,)),
     ]

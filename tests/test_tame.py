@@ -1,9 +1,8 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tametransfer import (
+    RectifierSpec,
     apply_transfer,
     blow_up,
     blowup_parity_check,
@@ -92,7 +91,12 @@ def odd_spec(draw):
     params = derive_tower(is_prime_power(Q), Q, 1, 1, deg, 1)
     lvl = level(params, deg)
     mu = char(lvl, draw(st.sampled_from([0, lvl.M // 2])))
-    return dataclasses.replace(rectifier(params), mu=mu)
+    return with_mu(rectifier(params), mu)
+
+
+def with_mu(spec, mu):
+    """The spec with another mu, built by its constructor, whose check runs."""
+    return RectifierSpec(spec.params, spec.w, spec.v, spec.u, spec.y, mu)
 
 
 @given(odd_spec(), st.integers(min_value=0, max_value=10**6))
@@ -109,7 +113,7 @@ def test_translation_is_the_walked_twist(spec, chi_seed):
 def test_transfer_table_walks_no_orbit(monkeypatch):
     params = derive_tower(3, 3, 1, 1, 6, 1)
     lvl = level(params, 6)
-    specs = [rectifier(params), dataclasses.replace(rectifier(params), mu=char(lvl, lvl.M // 2))]
+    specs = [rectifier(params), with_mu(rectifier(params), char(lvl, lvl.M // 2))]
     chi = char(field_level(3, 1), 1)
     orbits = enumerate_orbits(lvl)
 
@@ -134,7 +138,7 @@ def test_apply_transfer_is_an_involution():
 def test_apply_transfer_level_check():
     spec = rectifier(QUATERNARY)
     other = orbit_of(char(level(SPLIT, 2), 1))
-    # same numeric level, equal dataclasses: construct a genuinely different one
+    # same numeric level, equal records: construct a genuinely different one
     wrong = orbit_of(char(level(derive_tower(2, 2, 1, 1, 2, 1), 2), 1))
     assert other.level == spec.mu.level  # Q=3, deg=2 in both shapes
     with pytest.raises(LevelMismatch):

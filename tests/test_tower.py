@@ -9,6 +9,7 @@ from tametransfer.errors import (
     NotPrime,
     NotPrimePower,
     OutOfRange,
+    short_int,
 )
 from tametransfer.tower import MAX_LEVEL_BITS
 
@@ -100,3 +101,12 @@ def test_level_bound_is_the_bits_of_M():
     with pytest.raises(LevelGuardExceeded):
         field_level(2**3001 + 1906, 1)
     assert time.perf_counter() - start < 0.1
+
+
+def test_short_int_caps_an_integer_past_60_digits():
+    assert short_int(10**59) == "1" + "0" * 59   # 60 digits: written out
+    assert short_int(10**60) == "10000000000000000000...(61 digits)"
+    assert short_int(-(10**60)) == "-1000000000000000000...(61 digits)"
+    with pytest.raises(OutOfRange) as refused:
+        field_level(2, -(10**60))
+    assert str(refused.value) == "deg_over_e must be at least 1, got -1000000000000000000...(61 digits)"
