@@ -19,13 +19,15 @@ called the parametric degree of the character.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange
-from .numth import _ell_split, is_prime
+from .numth import _ell_split, is_prime, prime_factors
 from .tower import MAX_LEVEL_BITS, FieldLevel, _Record, field_level
 
 # Largest group order M whose orbits are enumerated: the walk marks M exponents, a byte each.
 MAX_ENUMERATION = 10**6
+_degree_primes = cache(prime_factors)  # for orbit_size; a level degree is at most MAX_LEVEL_BITS
 
 
 class CharExp(_Record):
@@ -101,10 +103,10 @@ def orbit_of(alpha: CharExp) -> GaloisOrbit:
     The orbit closes after f steps where f divides the level degree, because
     Q**deg = 1 mod M.
     """
-    Q, M = alpha.level.Q, alpha.level.M
-    members = [alpha.a]
-    x = alpha.a * Q % M
-    while x != alpha.a:
+    Q, M, a = alpha.level.Q, alpha.level.M, alpha.a
+    members = [a]
+    x = a * Q % M
+    while x != a:
         members.append(x)
         x = x * Q % M
     assert alpha.level.deg % len(members) == 0
@@ -146,16 +148,20 @@ def norm_inflate(alpha: CharExp, a: int) -> CharExp:
     if a == 1:
         return alpha
     top = field_level(alpha.level.Q, a * alpha.level.deg)
-    return CharExp(top, alpha.a * (top.M // alpha.level.M) % top.M)
+    return CharExp(top, alpha.a * _norm_image(top, alpha.level)[0])
 
 
-def _check_blow_up(top: FieldLevel, base: FieldLevel) -> None:
-    """Raise ``LevelMismatch`` unless ``top`` lies over ``base`` in the tower."""
+def _norm_image(top: FieldLevel, base: FieldLevel, exponents: tuple | list = ()) -> tuple[int, list[int]]:
+    """The order ratio M_top / M_base of ``top`` over its sub-level ``base``, and the exponent at
+    ``base`` of each given exponent at ``top`` that the ratio divides: those are the norm image."""
     if top.Q != base.Q or top.deg % base.deg:
-        raise LevelMismatch(
-            f"level {top.deg} over Q={top.Q} is not a blow-up of "
-            f"level {base.deg} over Q={base.Q}"
-        )
+        raise LevelMismatch(f"level {top.deg} over Q={top.Q} is not a blow-up of level {base.deg} over Q={base.Q}")
+    ratio = top.M // base.M
+    inflated_from = []
+    for x in exponents:  # a loop: a comprehension would be a call of its own, and this is hot
+        if x % ratio == 0:
+            inflated_from.append(x // ratio)
+    return ratio, inflated_from
 
 
 def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
@@ -164,26 +170,23 @@ def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
     Returns the character nu with norm_inflate(nu, a) == chi, which exists
     exactly when the order ratio divides chi's exponent; None otherwise.
     """
-    _check_blow_up(chi.level, base)
-    ratio = chi.level.M // base.M
-    if chi.a % ratio:
-        return None
-    return CharExp(base, chi.a // ratio)
+    nu = _norm_image(chi.level, base, (chi.a,))[1]
+    return CharExp(base, nu[0]) if nu else None
 
 
 def orbit_size(alpha: CharExp) -> int:
     """Size of the Frobenius orbit of ``alpha``, without walking it.
 
     The f-th Frobenius power fixes the character exactly when it is norm
-    inflated from the level of degree f, that is when M / (Q**f - 1)
-    divides the exponent; the orbit size is the least such divisor f of the
-    level degree.  Equivalently, f is the order of Q modulo char_order(alpha).
+    inflated from the level of degree f | deg; such f are the multiples of
+    the orbit size, so each prime of deg is divided out of f = deg while the
+    character stays inflated.  Equivalently, f is the order of Q modulo char_order(alpha).
     """
-    lvl = alpha.level
-    for f in range(1, lvl.deg):
-        if lvl.deg % f == 0 and alpha.a % (lvl.M // (lvl.Q**f - 1)) == 0:
-            return f
-    return lvl.deg
+    lvl, f = alpha.level, alpha.level.deg
+    for p in _degree_primes(f):
+        while f % p == 0 and _norm_image(lvl, field_level(lvl.Q, f // p), (alpha.a,))[1]:
+            f //= p
+    return f
 
 
 def _orbit_size_over(alpha: CharExp, d_prime: int) -> int:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from .characters import (
     CharExp,
     GaloisOrbit,
-    _check_blow_up,
+    _norm_image,
     ell_regular_part,
     norm_inflate,
     orbit_of,
@@ -206,22 +206,15 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
     ell = lift.ell
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
-    base = alpha.level
-    _check_blow_up(top, base)
-    M_top, M_base = top.M, base.M
+    base, M_top, b = alpha.level, top.M, lift.beta.a
     _, e = _ell_split(M_top, ell)
-    ratio = M_top // M_base
-    b, a = lift.beta.a, alpha.a
-    candidates = []
-    for member in beta_image.members:
-        x = e * (member - b) % M_top
-        if x % ratio == 0:
-            candidates.append((a + x // ratio) % M_base)
+    twists = _norm_image(top, base, [e * (member - b) % M_top for member in beta_image.members])[1]
+    candidates = [(alpha.a + x) % base.M for x in twists]
     if not candidates:
         raise NotNormInflated(
             "no conjugate of the image divides to a norm-inflated regular twist"
         )
     result = orbit_of(CharExp(base, candidates[0]))
-    if any(c not in result.members for c in candidates[1:]):
+    if not set(result.members).issuperset(candidates):
         raise AmbiguousTwist("conjugates of the image descend to different orbits")
     return result

@@ -130,10 +130,7 @@ def kappa_twist(orbit: GaloisOrbit, chi_base: CharExp) -> GaloisOrbit:
         raise LevelMismatch("normalization twists come from the degree-one base level")
     if chi_base.level.Q != orbit.level.Q:
         raise LevelMismatch("twist lives over a different base field")
-    twist = norm_inflate(chi_base, orbit.level.deg)
-    if twist.level != orbit.level:
-        raise LevelMismatch("cannot compose characters at different levels")
-    return _translate(orbit, twist.a)
+    return _translate(orbit, norm_inflate(chi_base, orbit.level.deg).a)
 
 
 def blowup_parity_check(params: TowerParams, a: int) -> bool:
@@ -225,7 +222,8 @@ def orbit_to_pair(orbit: GaloisOrbit, params: TowerParams) -> TamePairClass:
     nu = is_norm_inflated(orbit.rep_char(), field_level(params.Q, orbit.size))
     if nu is None:
         raise NotInNormImage(f"representative {orbit.rep} of degree {orbit.size} is not norm-inflated")
-    pair = TamePairClass(beta=nu)
+    pair = object.__new__(TamePairClass)  # no walk: inflation keeps order and Frobenius, so nu is its orbit's rep
+    object.__setattr__(pair, "beta", nu)
     if pair_to_orbit(pair, params) != orbit:
         raise OrderViolation("pair recovery does not invert inflation")
     return pair

@@ -25,6 +25,7 @@ b**r - 1 is the group order of the level of degree r over b.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import DegreeMismatch, LevelGuardExceeded, NotPrime, NotPrimePower, OutOfRange, short_int
 from .numth import is_prime, is_prime_power
@@ -59,12 +60,29 @@ class _Record:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
 
 
+def _group_order(Q: int, deg: int) -> int:
+    """M = Q**deg - 1 of the level of degree ``deg`` over Q, after its range checks and guard."""
+    if Q < 2:
+        raise OutOfRange(f"base cardinality must be at least 2, got {short_int(Q)}")
+    if deg < 1:
+        raise OutOfRange(f"deg_over_e must be at least 1, got {short_int(deg)}")
+    # M has at least (Q.bit_length() - 1) * deg bits: a level that is over the
+    # bound by that count alone is refused before Q**deg is computed
+    if (Q.bit_length() - 1) * deg > MAX_LEVEL_BITS or (M := Q**deg - 1).bit_length() > MAX_LEVEL_BITS:
+        raise LevelGuardExceeded(
+            f"level Q={short_int(Q)}, deg={short_int(deg)}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits"
+        )
+    return M
+
+
 class FieldLevel(_Record):
     """One layer of the residue-field lattice: Q**deg elements, M = Q**deg - 1."""
 
     __slots__ = ("Q", "deg", "M")
 
     def __init__(self, Q: int, deg: int, M: int) -> None:
+        if M != _group_order(Q, deg):
+            raise OutOfRange(f"level Q={short_int(Q)}, deg={short_int(deg)}: M={short_int(M)} is not Q**deg - 1")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "M", M)
@@ -81,19 +99,10 @@ class FieldLevel(_Record):
         return f"FieldLevel(Q={self.Q}, deg={self.deg})"
 
 
+@lru_cache(maxsize=1024, typed=True)  # typed: field_level(3.0, 2) is never answered from (3, 2)
 def field_level(Q: int, deg: int) -> FieldLevel:
-    """Build the level of degree ``deg`` over a field with Q elements."""
-    if Q < 2:
-        raise OutOfRange(f"base cardinality must be at least 2, got {short_int(Q)}")
-    if deg < 1:
-        raise OutOfRange(f"deg_over_e must be at least 1, got {short_int(deg)}")
-    # M has at least (Q.bit_length() - 1) * deg bits: a level that is over the
-    # bound by that count alone is refused before Q**deg is computed
-    if (Q.bit_length() - 1) * deg > MAX_LEVEL_BITS or (M := Q**deg - 1).bit_length() > MAX_LEVEL_BITS:
-        raise LevelGuardExceeded(
-            f"level Q={short_int(Q)}, deg={short_int(deg)}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits"
-        )
-    return FieldLevel(Q=Q, deg=deg, M=M)
+    """The level of degree ``deg`` over a field with Q elements: one shared object per (Q, deg)."""
+    return FieldLevel(Q, deg, _group_order(Q, deg))
 
 
 class TowerParams(_Record):
@@ -133,9 +142,7 @@ def derive_tower(p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> TowerP
     g = e_ef * f_ef
     n = m * d
     if n % g:
-        raise DegreeMismatch(f"degree g={g} does not divide n={n}")
-    if (m * math.gcd(d, g)) % g:
-        raise DegreeMismatch(f"m*gcd(d,g)={m * math.gcd(d, g)} not divisible by g={g}")
+        raise DegreeMismatch(f"degree g={short_int(g)} does not divide n={short_int(n)}")
     d_prime = d // math.gcd(d, g)
     m_prime = m * math.gcd(d, g) // g
     n_prime = n // g

@@ -363,8 +363,10 @@ def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k)
          "level Q=28554254222827961390...(1332 digits), deg=1: M = Q**deg - 1 has more than 1500 bits"),
         (["chain", "--M", str(2**3001 + 1905), "--from", "0", "--to", "1"],
          "level Q=24604638443222343538...(904 digits), deg=1: M = Q**deg - 1 has more than 1500 bits"),
+        (["tower", "--shape", f"3,3,{10**3000},1,1,1"],
+         "degree g=10000000000000000000...(3001 digits) does not divide n=1"),
     ],
-    ids=["tower", "green", "chain"],
+    ids=["tower", "green", "chain", "degree"],
 )
 def test_error_documents_cap_large_integers(capsys, argv, message):
     assert main(argv) == 2

@@ -110,10 +110,12 @@ def test_record_is_a_value_of_its_own_class(cls):
 
 
 def test_hand_written_equalities_compare_every_field():
-    # FieldLevel, CharExp and GaloisOrbit compare without the generic base
-    for other in (FieldLevel(2, 2, 8), FieldLevel(3, 1, 8), FieldLevel(3, 2, 9)):
+    # FieldLevel, CharExp and GaloisOrbit compare without the generic base.
+    # Any two fields of a level fix the third, so each level below shares one
+    # field with LEVEL = (3, 2, 8) and differs in the other two.
+    for other in (field_level(9, 1), field_level(3, 1), field_level(2, 2)):
         assert LEVEL != other and other != LEVEL
-    assert FieldLevel(3, 2, 8) == LEVEL
+    assert FieldLevel(3, 2, 8) == LEVEL and FieldLevel(3, 2, 8) is not LEVEL
     same_M = field_level(9, 1)   # M = 8 as well
     assert CharExp(FieldLevel(3, 2, 8), 3) == char(LEVEL, 3) != char(LEVEL, 5)
     assert CharExp(same_M, 3) != char(LEVEL, 3)

@@ -1,10 +1,14 @@
+import copy
+import math
+import pickle
 import time
 
 import pytest
 
-from tametransfer import blow_up, derive_tower, field_level, level
+from tametransfer import FieldLevel, blow_up, derive_tower, field_level, level
 from tametransfer.errors import (
     DegreeMismatch,
+    DomainError,
     LevelGuardExceeded,
     NotPrime,
     NotPrimePower,
@@ -50,6 +54,19 @@ def test_derived_product_identity():
 def test_derive_rejects_bad_shapes(raw, err):
     with pytest.raises(err):
         derive_tower(*raw)
+
+
+def test_a_divisible_degree_leaves_m_prime_whole():
+    # g | m*d implies g | m*gcd(d, g) prime by prime, so DegreeMismatch has one test
+    for e_ef, f_ef, m, d in ((e, f, m, d) for e in range(1, 9) for f in range(1, 4)
+                             for m in range(1, 13) for d in range(1, 13)):
+        g = e_ef * f_ef
+        if (m * d) % g:
+            with pytest.raises(DegreeMismatch):
+                derive_tower(2, 2, e_ef, f_ef, m, d)
+        else:
+            t = derive_tower(2, 2, e_ef, f_ef, m, d)
+            assert t.m_prime * g == m * math.gcd(d, g)
 
 
 def test_level_orders():
@@ -110,3 +127,42 @@ def test_short_int_caps_an_integer_past_60_digits():
     with pytest.raises(OutOfRange) as refused:
         field_level(2, -(10**60))
     assert str(refused.value) == "deg_over_e must be at least 1, got -1000000000000000000...(61 digits)"
+
+
+def test_field_level_shares_one_level_per_Q_and_deg():
+    assert field_level(3, 2) is field_level(3, 2)
+    params = derive_tower(3, 3, 2, 1, 1, 4)
+    assert level(params, 2) is field_level(3, 2)
+    assert copy.copy(field_level(3, 2)) == field_level(3, 2)
+    assert copy.deepcopy(field_level(5, 7)) == field_level(5, 7)
+    assert pickle.loads(pickle.dumps(field_level(2, 1500))) == field_level(2, 1500)
+
+
+def test_a_refused_level_is_not_cached():
+    field_level.cache_clear()  # so that currsize is below maxsize and would grow
+    field_level(3, 946)
+    size = field_level.cache_info().currsize
+    for Q, deg in ((3, 947), (2, 10**12), (1, 5), (2, 0)):
+        with pytest.raises(DomainError):
+            field_level(Q, deg)
+    assert field_level.cache_info().currsize == size
+    # a warm cache does not delay the guard: the degree alone refuses it
+    start = time.perf_counter()
+    with pytest.raises(LevelGuardExceeded, match="deg=1000000000000"):
+        field_level(2, 10**12)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_level_built_directly_is_checked():
+    assert FieldLevel(3, 2, 8) == field_level(3, 2)
+    start = time.perf_counter()
+    # M = 9 is not 3**2 - 1: orbit_of on such a level would never return
+    with pytest.raises(OutOfRange, match="M=9 is not Q\\*\\*deg - 1"):
+        FieldLevel(3, 2, 9)
+    # the guard comes first: Q**deg is never computed for this one
+    with pytest.raises(LevelGuardExceeded):
+        FieldLevel(2, 10**12, 0)
+    for Q, deg, M in ((1, 1, 0), (2, 0, 0), (2, 3, 8), (9, 1, 7)):
+        with pytest.raises(OutOfRange):
+            FieldLevel(Q, deg, M)
+    assert time.perf_counter() - start < 1.0
