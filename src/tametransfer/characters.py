@@ -41,14 +41,6 @@ class CharExp(_Record):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "a", a)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CharExp:
-            return NotImplemented
-        return self is other or self.a == other.a and self.level == other.level
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.a))
-
     def __mul__(self, other: "CharExp") -> "CharExp":
         if self.level != other.level:
             raise LevelMismatch("cannot compose characters at different levels")
@@ -71,18 +63,6 @@ class GaloisOrbit(_Record):
     """A Frobenius orbit of characters, held as its sorted members."""
 
     __slots__ = ("level", "members")
-
-    def __init__(self, level: FieldLevel, members: tuple[int, ...]) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "members", members)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GaloisOrbit:
-            return NotImplemented
-        return self is other or self.members == other.members and self.level == other.level
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.members))
 
     @property
     def rep(self) -> int:

@@ -44,14 +44,6 @@ from .tower import TowerParams, _Record, derive_tower, field_level, level
 class CommandResult(_Record):
     __slots__ = ("status", "payload", "error_kind", "message", "exit_code")
 
-    def __init__(self, status: str, payload: dict | None = None, error_kind: str | None = None,
-                 message: str | None = None, exit_code: int = 0) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "error_kind", error_kind)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "exit_code", exit_code)
-
     def document(self) -> dict:
         if self.status == "ok":
             return {"status": "ok", "payload": self.payload}
@@ -348,21 +340,22 @@ def run(argv: list[str]) -> CommandResult:
     try:
         args = build_parser(argv).parse_args(argv)
         payload = args.handler(args)
-        return CommandResult(status="ok", payload=payload, exit_code=0)
+        return CommandResult(status="ok", payload=payload, error_kind=None, message=None, exit_code=0)
     except _UsageError as exc:
         return CommandResult(
-            status="error", error_kind="UsageError", message=str(exc), exit_code=1
+            status="error", payload=None, error_kind="UsageError", message=str(exc), exit_code=1
         )
     except DomainError as exc:
         return CommandResult(
-            status="error", error_kind=exc.kind, message=str(exc), exit_code=2
+            status="error", payload=None, error_kind=exc.kind, message=str(exc), exit_code=2
         )
     except Exception as exc:  # noqa: BLE001 - the last resort keeps the one-document contract
         import traceback
 
         traceback.print_exc()  # to stderr, so the internal fault stays traceable
         return CommandResult(
-            status="error", error_kind="InternalError", message=f"{type(exc).__name__}: {exc}", exit_code=3
+            status="error", payload=None, error_kind="InternalError",
+            message=f"{type(exc).__name__}: {exc}", exit_code=3,
         )
 
 

@@ -18,10 +18,6 @@ from .tower import FieldLevel, _Record
 class CyclotomicSum(_Record):
     __slots__ = ("modulus", "coeffs")
 
-    def __init__(self, modulus: int, coeffs: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", coeffs)
-
     def evaluate(self) -> complex:
         # 2*pi*e must stay a finite float: beyond 2**1021, e and the modulus
         # drop the same low bits, which moves each angle by less than 2*pi/2**1020

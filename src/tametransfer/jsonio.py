@@ -38,14 +38,18 @@ def certificate_to_json(cert: ZsigmondyCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> ZsigmondyCertificate:
-    if doc.get("version") != 2:
-        raise OutOfRange(f"certificate document version {doc.get('version')!r} is not 2")
-    return ZsigmondyCertificate(
-        b=int(doc["b"]),
-        r=int(doc["r"]),
-        ell=int(doc["ell"]),
-        order_checks=tuple((int(p), int(res)) for p, res in doc["order_checks"]),
-    )
+    """Read a certificate document; a malformed one raises ``OutOfRange``."""
+    try:
+        if doc.get("version") != 2:
+            raise OutOfRange(f"certificate document version {doc.get('version')!r} is not 2")
+        return ZsigmondyCertificate(
+            b=int(doc["b"]),
+            r=int(doc["r"]),
+            ell=int(doc["ell"]),
+            order_checks=tuple((int(p), int(res)) for p, res in doc["order_checks"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a missing field, a bad value or shape
+        raise OutOfRange(f"malformed certificate document: {type(exc).__name__}: {str(exc)[:100]}") from None
 
 
 def lift_to_json(lift: RegularizationLift) -> dict:

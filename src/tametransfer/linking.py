@@ -18,19 +18,9 @@ from .tower import FieldLevel, _Record, field_level
 class LinkStep(_Record):
     __slots__ = ("ell", "before", "after")
 
-    def __init__(self, ell: int, before: GaloisOrbit, after: GaloisOrbit) -> None:
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
-
 
 class LinkChain(_Record):
     __slots__ = ("source", "target", "steps")
-
-    def __init__(self, source: CharExp, target: CharExp, steps: tuple[LinkStep, ...]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "steps", steps)
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -41,9 +31,6 @@ class SemiSimpleEndoClass(_Record):
     """Formal sum of endo-class labels with positive integer multiplicities."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[str, int], ...]) -> None:
-        object.__setattr__(self, "terms", terms)
 
 
 def admissible_primes(q: int, n: int) -> tuple[int, ...]:

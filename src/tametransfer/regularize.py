@@ -63,12 +63,6 @@ class ZsigmondyCertificate(_Record):
 
     __slots__ = ("b", "r", "ell", "order_checks")
 
-    def __init__(self, b: int, r: int, ell: int, order_checks: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "order_checks", order_checks)
-
 
 def _order_checks(b: int, r: int, ell: int) -> tuple[tuple[int, int], ...] | None:
     """(p, b**(r/p) mod ell) for each prime p | r ascending, or None unless b has
@@ -79,8 +73,8 @@ def _order_checks(b: int, r: int, ell: int) -> tuple[tuple[int, int], ...] | Non
     return None if any(res == 1 for _, res in checks) else checks
 
 
-@lru_cache(maxsize=1024)
-def _smallest_primitive_prime(b: int, r: int) -> int | None:
+@lru_cache(maxsize=1024)  # the certified answer; a raised OrderViolation or budget error is not cached
+def _smallest_primitive_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     ell0 = prime_factors(r)[-1]
     # Strip every copy of the intrinsic prime; for r = 2 it can occur to a
     # power higher than one.
@@ -91,9 +85,13 @@ def _smallest_primitive_prime(b: int, r: int) -> int | None:
         return None
     # every prime left is primitive, so 1 mod r, and odd: 1 mod 2r for odd r
     try:
-        return _least_prime_factor(primitive_part, r if r % 2 == 0 else 2 * r)
+        ell = _least_prime_factor(primitive_part, r if r % 2 == 0 else 2 * r)
     except FactorizationBudgetExceeded as exc:
         raise FactorizationBudgetExceeded(f"primitive prime for b={b}, r={r}: {exc}") from None
+    order_checks = _order_checks(b, r, ell)
+    if order_checks is None:
+        raise OrderViolation(f"prime {ell} is not primitive for ({b},{r})")
+    return ell, ZsigmondyCertificate(b=b, r=r, ell=ell, order_checks=order_checks)
 
 
 def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
@@ -111,13 +109,7 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     if b < 2 or r < 2:
         raise OutOfRange(f"need b, r >= 2, got b={b}, r={r}")
     field_level(b, r)
-    ell = _smallest_primitive_prime(b, r)
-    if ell is None:
-        return None
-    order_checks = _order_checks(b, r, ell)
-    if order_checks is None:
-        raise OrderViolation(f"prime {ell} is not primitive for ({b},{r})")
-    return ell, ZsigmondyCertificate(b=b, r=r, ell=ell, order_checks=order_checks)
+    return _smallest_primitive_prime(b, r)
 
 
 def zsigmondy_exception(b: int, r: int) -> bool:
@@ -142,14 +134,6 @@ class RegularizationLift(_Record):
     """
 
     __slots__ = ("a", "ell", "beta", "alpha_star", "certificate")
-
-    def __init__(self, a: int, ell: int, beta: CharExp, alpha_star: CharExp,
-                 certificate: ZsigmondyCertificate) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha_star", alpha_star)
-        object.__setattr__(self, "certificate", certificate)
 
 
 def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:

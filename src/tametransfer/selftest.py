@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from typing import Callable
 
 from .characters import CharExp, char, ell_regular_part, enumerate_orbits, orbit_of
 from .errors import DomainError
@@ -439,11 +438,6 @@ def check_green_traces() -> str:
 
 class Criterion(_Record):
     __slots__ = ("name", "budget_seconds", "run")
-
-    def __init__(self, name: str, budget_seconds: float, run: Callable[[], str]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "budget_seconds", budget_seconds)
-        object.__setattr__(self, "run", run)
 
 
 CRITERIA: tuple[Criterion, ...] = (

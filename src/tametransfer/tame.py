@@ -234,10 +234,6 @@ class PairTransfer(_Record):
 
     __slots__ = ("pair", "mu_l")
 
-    def __init__(self, pair: TamePairClass, mu_l: CharExp) -> None:
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "mu_l", mu_l)
-
 
 def transfer_pair(pair: TamePairClass, params: TowerParams) -> PairTransfer:
     """Transfer a pair class and expose the order-two correction character.
@@ -263,12 +259,6 @@ class DiscreteSeriesShape(_Record):
     """Numeric shape (f, t, s, r) of the class attached to an orbit: n = r*s*t."""
 
     __slots__ = ("f", "t", "s", "r")
-
-    def __init__(self, f: int, t: int, s: int, r: int) -> None:
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
 
 
 def discrete_series_shape(orbit: GaloisOrbit, params: TowerParams) -> DiscreteSeriesShape:

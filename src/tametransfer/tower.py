@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import DegreeMismatch, LevelGuardExceeded, NotPrime, NotPrimePower, OutOfRange, short_int
 from .numth import is_prime, is_prime_power
@@ -35,26 +36,47 @@ MAX_LEVEL_BITS = 1500
 
 
 class _Record:
-    """Base of the immutable value records, whose fields are the ``__slots__`` in order."""
+    """Base of the immutable value records, whose fields are the ``__slots__`` in order.
+
+    Each subclass gets ``__eq__`` and ``__hash__`` over the tuple of its fields
+    and, unless it writes its own, an ``__init__`` taking the fields in slot
+    order, compiled from source once per class, as ``namedtuple`` does.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__slots__
+        get = attrgetter(*names)
+        fields = get if len(names) > 1 else lambda record: (get(record),)
+
+        def __eq__(self, other: object) -> bool:
+            if self is other:
+                return True
+            if type(other) is not cls:
+                return NotImplemented
+            return fields(self) == fields(other)
+
+        def __hash__(self) -> int:
+            return hash(fields(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        if "__init__" not in cls.__dict__:  # the slot descriptors set the fields past __setattr__
+            source = f"def __init__(self, {', '.join(names)}):\n"
+            source += "".join(f"    _set_{n}(self, {n})\n" for n in names)
+            namespace = {"__name__": cls.__module__, **{f"_set_{n}": cls.__dict__[n].__set__ for n in names}}
+            exec(compile(source, f"<{cls.__qualname__} record>", "exec"), namespace)
+            cls.__init__ = namespace["__init__"]
+        for function in (__eq__, __hash__, cls.__init__):
+            function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}: records are immutable")
 
     __delattr__ = __setattr__
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __reduce__(self) -> tuple:  # a copy or an unpickled record is rebuilt through __init__
-        return type(self), self._fields()
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
@@ -87,14 +109,6 @@ class FieldLevel(_Record):
         object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "M", M)
 
-    def __eq__(self, other: object) -> bool:  # hot in every level check
-        if type(other) is not FieldLevel:
-            return NotImplemented
-        return self is other or self.Q == other.Q and self.deg == other.deg and self.M == other.M
-
-    def __hash__(self) -> int:
-        return hash((self.Q, self.deg, self.M))
-
     def __repr__(self) -> str:
         return f"FieldLevel(Q={self.Q}, deg={self.deg})"
 
@@ -107,21 +121,6 @@ def field_level(Q: int, deg: int) -> FieldLevel:
 
 class TowerParams(_Record):
     __slots__ = ("p", "q", "e_ef", "f_ef", "m", "d", "g", "n", "Q", "d_prime", "m_prime", "n_prime")
-
-    def __init__(self, p: int, q: int, e_ef: int, f_ef: int, m: int, d: int,  # then the derived invariants
-                 g: int, n: int, Q: int, d_prime: int, m_prime: int, n_prime: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "e_ef", e_ef)
-        object.__setattr__(self, "f_ef", f_ef)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "d_prime", d_prime)
-        object.__setattr__(self, "m_prime", m_prime)
-        object.__setattr__(self, "n_prime", n_prime)
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.p, self.q, self.e_ef, self.f_ef, self.m, self.d)

@@ -54,6 +54,22 @@ def test_certificate_document_version_is_checked():
         certificate_from_json(doc)
 
 
+CERT_DOC = {"version": 2, "b": "2", "r": 14, "ell": "43", "order_checks": [[2, "42"], [7, "4"]]}
+
+
+@pytest.mark.parametrize("doc, cause", [
+    ({key: value for key, value in CERT_DOC.items() if key != "ell"}, "KeyError: 'ell'"),
+    (dict(CERT_DOC, b="x"), "ValueError: invalid literal"),
+    (dict(CERT_DOC, order_checks=[[2, "42"], [7]]), "ValueError: not enough values to unpack"),
+    (dict(CERT_DOC, order_checks=None), "TypeError"),
+    (list(CERT_DOC.items()), "AttributeError"),
+], ids=["missing-field", "bad-integer", "short-pair", "null-checks", "list"])
+def test_malformed_certificate_document_is_a_domain_error(doc, cause):
+    assert certificate_from_json(CERT_DOC) == zsigmondy_prime(2, 14)[1]
+    with pytest.raises(OutOfRange, match=f"^malformed certificate document: {cause}"):
+        certificate_from_json(doc)
+
+
 def test_lift_document_shape():
     params = derive_tower(3, 3, 1, 1, 2, 1)
     lift = regularize(char(level(params, 2), 0), params)

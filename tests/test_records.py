@@ -109,21 +109,61 @@ def test_record_is_a_value_of_its_own_class(cls):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_hand_written_equalities_compare_every_field():
-    # FieldLevel, CharExp and GaloisOrbit compare without the generic base.
-    # Any two fields of a level fix the third, so each level below shares one
-    # field with LEVEL = (3, 2, 8) and differs in the other two.
+# records whose constructors check their fields, with another admitted value
+# for each field; any value is admitted by the others' generated constructors
+CHECKED_FIELDS = {
+    FieldLevel: {},   # any two fields of a level fix the third: see below
+    CharExp: {"level": field_level(9, 1), "a": 5},   # field_level(9, 1) has M = 8 as well
+    RectifierSpec: {"params": derive_tower(3, 3, 1, 1, 2, 1), "w": 7, "v": 7, "u": 7, "y": 7,
+                    "mu": char(LEVEL, 4 - rectifier(PARAMS).mu.a)},   # 0 and 4 are Frobenius-fixed mod 8
+    TamePairClass: {"beta": char(LEVEL, 1)},
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_field_takes_part_in_equality_and_hash(cls):
+    record = SAMPLES[cls]()
+    values = dict(zip(cls.__slots__, fields(record)))
+    assert hash(record) == hash(fields(record))
+    for name in () if cls is FieldLevel else cls.__slots__:
+        changed = cls(**dict(values, **{name: CHECKED_FIELDS.get(cls, {}).get(name, object())}))
+        assert getattr(changed, name) != values[name]
+        assert record != changed and changed != record
+        assert not record == changed
+    assert record.__eq__(object()) is NotImplemented
+    assert record.__eq__(fields(record)) is NotImplemented
+
+
+def test_level_equality_compares_every_field():
+    # each level below shares one field with LEVEL = (3, 2, 8) and differs in the other two
     for other in (field_level(9, 1), field_level(3, 1), field_level(2, 2)):
         assert LEVEL != other and other != LEVEL
     assert FieldLevel(3, 2, 8) == LEVEL and FieldLevel(3, 2, 8) is not LEVEL
-    same_M = field_level(9, 1)   # M = 8 as well
-    assert CharExp(FieldLevel(3, 2, 8), 3) == char(LEVEL, 3) != char(LEVEL, 5)
-    assert CharExp(same_M, 3) != char(LEVEL, 3)
-    orbit = orbit_of(char(LEVEL, 1))
-    assert GaloisOrbit(FieldLevel(3, 2, 8), orbit.members) == orbit != orbit_of(char(LEVEL, 5))
-    assert GaloisOrbit(same_M, orbit.members) != orbit
-    for record in (LEVEL, char(LEVEL, 3), orbit):
-        assert record.__eq__(None) is NotImplemented
+
+
+def test_only_the_checking_records_write_a_constructor():
+    # every record has an __init__ of its own; the generated ones are compiled from source
+    # that names the record, the hand-written ones come from the record's module
+    assert all("__init__" in cls.__dict__ for cls in RECORDS)
+    hand_written = {cls for cls in RECORDS if cls.__init__.__code__.co_filename == inspect.getfile(cls)}
+    assert hand_written == set(CHECKED_FIELDS)
+    for cls in set(RECORDS) - hand_written:
+        assert cls.__init__.__code__.co_filename == f"<{cls.__qualname__} record>"
+
+
+@pytest.mark.parametrize("cls", sorted(set(RECORDS) - set(CHECKED_FIELDS), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_generated_constructor_refuses_missing_and_unknown_arguments(cls):
+    values = fields(SAMPLES[cls]())
+    keywords = dict(zip(cls.__slots__, values))
+    with pytest.raises(TypeError, match="missing 1 required positional argument"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**keywords, extra=None)
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{cls.__slots__[0]}'"):
+        cls(**dict(list(keywords.items())[1:]))
 
 
 def test_reprs_name_the_fields():

@@ -20,6 +20,7 @@ from tametransfer.errors import (
     LevelGuardExceeded,
     LevelMismatch,
     NotNormInflated,
+    OrderViolation,
     OutOfRange,
 )
 from tametransfer.cli import run
@@ -297,3 +298,19 @@ def test_zsigmondy_guard_is_the_bits_of_b_to_the_r(monkeypatch):
     assert zsigmondy_prime(2, 1500) is None
     with pytest.raises(LevelGuardExceeded, match="Q=2, deg=1501"):
         zsigmondy_prime(2, 1501)
+
+
+def test_certified_answer_is_cached_and_a_failed_order_check_is_not(monkeypatch):
+    module = importlib.import_module("tametransfer.regularize")
+    module._smallest_primitive_prime.cache_clear()
+    real = module._order_checks
+    monkeypatch.setattr(module, "_order_checks", lambda b, r, ell: None)
+    with pytest.raises(OrderViolation, match=r"prime 547 is not primitive for \(3,14\)"):
+        zsigmondy_prime(3, 14)
+    assert module._smallest_primitive_prime.cache_info().currsize == 0
+    calls = []
+    monkeypatch.setattr(module, "_order_checks", lambda *args: calls.append(args) or real(*args))
+    hit = zsigmondy_prime(3, 14)
+    assert zsigmondy_prime(3, 14) is hit   # the warm call repeats no order check
+    assert calls == [(3, 14, 547)]
+    assert verify_certificate(hit[1]) and len(calls) == 2   # the recheck is independent
