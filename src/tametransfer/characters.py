@@ -25,7 +25,8 @@ from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotP
 from .numth import _ell_split, is_prime, prime_factors
 from .tower import MAX_LEVEL_BITS, FieldLevel, _Record, field_level
 
-# Largest group order M whose orbits are enumerated: the walk marks M exponents, a byte each.
+# Largest group order M whose orbits are listed.  It bounds the size of an enumeration, which holds
+# all M exponents as orbit members; a partition visits only the representatives.
 MAX_ENUMERATION = 10**6
 _degree_primes = cache(prime_factors)  # for orbit_size; a level degree is at most MAX_LEVEL_BITS
 
@@ -111,6 +112,11 @@ def ell_regular_part(alpha: CharExp, ell: int) -> CharExp:
         raise LevelGuardExceeded(f"ell has {ell.bit_length()} bits; no level's M has more than {MAX_LEVEL_BITS}")
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
+    return _ell_regular(alpha, ell)
+
+
+def _ell_regular(alpha: CharExp, ell: int) -> CharExp:
+    """``ell_regular_part`` for an ell already known to be prime."""
     t, e = _ell_split(alpha.level.M, ell)
     if t == 0:
         return alpha
@@ -195,39 +201,55 @@ def _walk_orbits(level: FieldLevel, with_members: bool = False) -> list[int] | l
     """Walk every Frobenius orbit of the level once.
 
     Returns the canonical representatives ascending or, when asked for, each
-    orbit's sorted members in the same order.  Visited exponents are marked
-    one byte each, M bytes, so a level with M above the fixed
-    ``MAX_ENUMERATION`` raises before anything is allocated.
+    orbit's sorted members in the same order.  As M = Q**deg - 1, multiplying
+    by Q rotates the deg base-Q digits of an exponent, so an orbit is a
+    necklace and its representative is the necklace's smallest rotation.
+    The Fredricksen-Kessler-Maiorana successor lists the prenecklaces in
+    ascending order, at constant amortized cost each, as integers: from x,
+    strip the factors Q from y = x + 1, which leaves a prefix of i digits;
+    the next prenecklace repeats that prefix, y * Q**deg // (Q**i - 1), and
+    is a representative exactly when i divides deg, of an orbit of i members.
+    A prefix of deg digits is aperiodic and stays so while its last digit
+    rises, so every exponent up to its next last digit Q - 1 is a
+    representative too.  A prefix of digits Q - 1 alone would repeat to M,
+    whose orbit {0} is listed first, and ends the walk.  Only the
+    representatives are visited; members are walked from each of them.  A
+    level with M above the fixed ``MAX_ENUMERATION`` raises before any work.
     """
-    Q, M = level.Q, level.M
+    Q, n, M = level.Q, level.deg, level.M
     if M > MAX_ENUMERATION:
         raise EnumerationTooLarge(f"M={M} exceeds enumeration bound {MAX_ENUMERATION}")
-    # {0} is an orbit of its own; scanning upwards from 1, the first unvisited
-    # exponent of an orbit is its smallest one.
-    seen = bytearray(M)
-    found: list = [(0,)] if with_members else [0]
-    for a in range(1, M):
-        if seen[a]:
-            continue
-        x = a
-        if not with_members:
-            found.append(a)
-            while True:
-                seen[x] = 1
-                x = x * Q % M
-                if x == a:
-                    break
+    reps = [0]
+    below = [Q**i - 1 for i in range(n + 1)]
+    x = 0
+    while True:
+        y, i = x + 1, n
+        while y % Q == 0:
+            y //= Q
+            i -= 1
+        if y == below[i]:
+            break
+        if i < n:
+            x = y * (M + 1) // below[i]
+            if n % i == 0:
+                reps.append(x)
         else:
-            orbit = []
-            while True:
-                seen[x] = 1
-                orbit.append(x)
-                x = x * Q % M
-                if x == a:
-                    break
-            orbit.sort()
-            found.append(tuple(orbit))
-    return found
+            x = y - y % Q + Q - 1
+            if x == M:  # only at degree one, where the run would reach M itself
+                x -= 1
+            reps += range(y, x + 1)
+    if not with_members:
+        return reps
+    orbits = []
+    for a in reps:
+        orbit = [a]
+        x = a * Q % M
+        while x != a:
+            orbit.append(x)
+            x = x * Q % M
+        orbit.sort()
+        orbits.append(tuple(orbit))
+    return orbits
 
 
 def enumerate_orbits(level: FieldLevel) -> list[GaloisOrbit]:

@@ -37,16 +37,42 @@ def certificate_to_json(cert: ZsigmondyCertificate) -> dict:
     }
 
 
+def _decimal(s: object) -> int:
+    """A non-negative integer written as ``certificate_to_json`` writes it: a decimal
+    string without sign, spaces, underscores or leading zeros."""
+    if type(s) is not str:
+        raise TypeError(f"expected a decimal string, got {type(s).__name__}")
+    value = int(s)
+    if value < 0 or str(value) != s:
+        raise ValueError(f"{s[:40]!r} is not a canonical decimal string")
+    return value
+
+
+def _count(x: object) -> int:
+    """A structural integer: a JSON integer, not a float, a boolean or a string."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {type(x).__name__}")
+    return x
+
+
+def _order_check(entry: object) -> tuple[int, int]:
+    if type(entry) is not list:
+        raise TypeError(f"expected an order check [p, residue], got {type(entry).__name__}")
+    p, res = entry
+    return _count(p), _decimal(res)
+
+
 def certificate_from_json(doc: dict) -> ZsigmondyCertificate:
-    """Read a certificate document; a malformed one raises ``OutOfRange``."""
+    """Read a certificate document; one that ``certificate_to_json`` could not have
+    written raises ``OutOfRange``."""
     try:
         if doc.get("version") != 2:
             raise OutOfRange(f"certificate document version {doc.get('version')!r} is not 2")
         return ZsigmondyCertificate(
-            b=int(doc["b"]),
-            r=int(doc["r"]),
-            ell=int(doc["ell"]),
-            order_checks=tuple((int(p), int(res)) for p, res in doc["order_checks"]),
+            b=_decimal(doc["b"]),
+            r=_count(doc["r"]),
+            ell=_decimal(doc["ell"]),
+            order_checks=tuple(_order_check(entry) for entry in doc["order_checks"]),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a missing field, a bad value or shape
         raise OutOfRange(f"malformed certificate document: {type(exc).__name__}: {str(exc)[:100]}") from None

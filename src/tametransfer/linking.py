@@ -110,9 +110,9 @@ def linked_partition(level: FieldLevel) -> tuple[tuple[int, ...], ...]:
     part unchanged, because the idempotents are orthogonal, so each such
     addition is one ell-linking step.  ``build_link_chain`` constructs
     exactly these chains.  The block is therefore the list of orbit
-    representatives from one walk of the level, which raises
-    ``EnumerationTooLarge`` first when M exceeds the fixed
-    ``characters.MAX_ENUMERATION``.
+    representatives, which the necklace walk of the level lists without
+    visiting any other exponent; it raises ``EnumerationTooLarge`` first
+    when M exceeds the fixed ``characters.MAX_ENUMERATION``.
     """
     return (tuple(_walk_orbits(level)),)
 

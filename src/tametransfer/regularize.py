@@ -15,8 +15,8 @@ from functools import lru_cache
 from .characters import (
     CharExp,
     GaloisOrbit,
+    _ell_regular,
     _norm_image,
-    ell_regular_part,
     norm_inflate,
     orbit_of,
     orbit_size,
@@ -164,7 +164,7 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
 
     if orbit_size(beta) != a * params.n_prime:
         raise OrderViolation("lifted character is not fully regular")
-    if ell_regular_part(beta, ell).a not in orbit_of(alpha_star).members:
+    if _ell_regular(beta, ell).a not in orbit_of(alpha_star).members:  # ell is certified prime
         raise OrderViolation("lifted character is not congruent to the inflated input")
     return RegularizationLift(a=a, ell=ell, beta=beta, alpha_star=alpha_star, certificate=cert)
 

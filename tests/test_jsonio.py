@@ -63,11 +63,41 @@ CERT_DOC = {"version": 2, "b": "2", "r": 14, "ell": "43", "order_checks": [[2, "
     (dict(CERT_DOC, order_checks=[[2, "42"], [7]]), "ValueError: not enough values to unpack"),
     (dict(CERT_DOC, order_checks=None), "TypeError"),
     (list(CERT_DOC.items()), "AttributeError"),
-], ids=["missing-field", "bad-integer", "short-pair", "null-checks", "list"])
+    (dict(CERT_DOC, r=14.9), "TypeError: expected an integer, got float"),
+    (dict(CERT_DOC, order_checks=[[2.5, "42"], [7, "4"]]), "TypeError: expected an integer, got float"),
+    (dict(CERT_DOC, b=True), "TypeError: expected a decimal string, got bool"),
+    (dict(CERT_DOC, r=True), "TypeError: expected an integer, got bool"),
+    (dict(CERT_DOC, r="14"), "TypeError: expected an integer, got str"),
+    (dict(CERT_DOC, ell=43), "TypeError: expected a decimal string, got int"),
+    (dict(CERT_DOC, ell=" 43"), "ValueError: ' 43' is not a canonical decimal string"),
+    (dict(CERT_DOC, ell="4_3"), "ValueError: '4_3' is not a canonical decimal string"),
+    (dict(CERT_DOC, ell="+43"), "ValueError: '\\+43' is not a canonical decimal string"),
+    (dict(CERT_DOC, ell="043"), "ValueError: '043' is not a canonical decimal string"),
+    (dict(CERT_DOC, ell="-43"), "ValueError: '-43' is not a canonical decimal string"),
+    (dict(CERT_DOC, order_checks=[[2, "042"], [7, "4"]]), "ValueError: '042' is not a canonical"),
+    (dict(CERT_DOC, order_checks=[[2, "42"], [7, "4", "1"]]), "ValueError: too many values to unpack"),
+    (dict(CERT_DOC, order_checks=[[2, "42"], "74"]), "TypeError: expected an order check"),
+], ids=["missing-field", "bad-integer", "short-pair", "null-checks", "list", "float-r", "float-p",
+        "bool-b", "bool-r", "string-r", "number-ell", "space", "underscore", "plus", "leading-zero",
+        "negative", "residue-leading-zero", "long-pair", "string-pair"])
 def test_malformed_certificate_document_is_a_domain_error(doc, cause):
     assert certificate_from_json(CERT_DOC) == zsigmondy_prime(2, 14)[1]
     with pytest.raises(OutOfRange, match=f"^malformed certificate document: {cause}"):
         certificate_from_json(doc)
+
+
+def test_certificates_of_the_box_round_trip_exactly():
+    read = 0
+    for b in (2, 3, 5, 10, 17, 40):
+        for r in (2, 3, 7, 12, 14, 30):
+            hit = zsigmondy_prime(b, r)
+            if hit is None:
+                continue
+            doc = json.loads(json.dumps(certificate_to_json(hit[1])))
+            assert certificate_from_json(doc) == hit[1]
+            assert certificate_to_json(certificate_from_json(doc)) == doc
+            read += 1
+    assert read == 35   # (3, 2) alone has no primitive prime
 
 
 def test_lift_document_shape():

@@ -1,9 +1,14 @@
-"""The one-walk level routes against independent per-orbit ones.
+"""The necklace walk of a level against independent per-exponent routes.
 
-``enumerate_orbits`` is checked against each exponent's own walk, and
-``linked_partition``, which returns the level's one block from the walk,
-against a union-find over the orbits of the ell-regular parts.
+``enumerate_orbits`` and ``linked_partition`` list the orbits from the
+representatives alone, found as necklaces by the Fredricksen-Kessler-Maiorana
+successor.  They are checked against each exponent's own walk, on every
+small level and on bare and composite-Q levels, and against Burnside's count
+of the orbits at the anchor sizes; the partition also against a union-find
+over the orbits of the ell-regular parts.
 """
+
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,14 +32,14 @@ SMALL_LEVELS = [
     if Q**deg - 1 <= 3000
 ]
 LARGE_LEVEL = field_level(7, 5)  # M = 16806 = 2 * 3 * 2801
-levels = st.sampled_from(SMALL_LEVELS)
-# The one-block argument needs neither a field nor a prime power: bare moduli
-# (the degree-one level over M + 1, as ``chain --M`` builds them) and levels
-# over non-prime-power Q are partitioned the same way.
+# Neither the necklace walk nor the one-block argument needs a field or a
+# prime power: bare moduli (the degree-one level over M + 1, as ``chain --M``
+# builds them) and levels over non-prime-power Q are walked the same way.
 BARE_LEVELS = [field_level(M + 1, 1) for M in (1, 2, 12, 60, 97, 210, 1001, 2310, 2999)]
 COMPOSITE_Q_LEVELS = [
     field_level(Q, deg) for Q in (6, 10, 12) for deg in range(1, 6) if Q**deg - 1 <= 3000
 ]
+levels = st.sampled_from(SMALL_LEVELS + BARE_LEVELS + COMPOSITE_Q_LEVELS)
 
 
 def per_orbit_partition(level):
@@ -72,7 +77,7 @@ def walked_orbits(level):
     return [(rep, len(m), m) for rep, m in sorted(out.items())]
 
 
-@given(st.sampled_from(SMALL_LEVELS + BARE_LEVELS + COMPOSITE_Q_LEVELS))
+@given(levels)
 @example(LARGE_LEVEL)
 @example(field_level(2311, 1))  # M = 2310 = 2 * 3 * 5 * 7 * 11
 @example(field_level(6, 4))  # M = 1295 = 5 * 7 * 37
@@ -97,11 +102,44 @@ def test_partition_factors_nothing(lvl, monkeypatch):
 
 @given(levels)
 @example(LARGE_LEVEL)
-@settings(max_examples=40, deadline=None)
+@example(field_level(2311, 1))
+@example(field_level(12, 3))
+@settings(max_examples=60, deadline=None)
 def test_enumeration_equals_an_independent_walk(lvl):
     orbits = enumerate_orbits(lvl)
     assert [(o.rep, o.size, o.members) for o in orbits] == walked_orbits(lvl)
     assert all(o.level == lvl for o in orbits)
+
+
+def test_every_small_level_walks_like_its_exponents():
+    # every Q <= 64, prime power or not, at every degree with M <= 20,000
+    swept = 0
+    for Q in range(2, 65):
+        for deg in range(1, 15):
+            if Q**deg - 1 > 20_000:
+                break
+            lvl = field_level(Q, deg)
+            want = walked_orbits(lvl)
+            assert [(o.rep, o.size, o.members) for o in enumerate_orbits(lvl)] == want, (Q, deg)
+            assert linked_partition(lvl) == (tuple(rep for rep, _, _ in want),), (Q, deg)
+            swept += 1
+    assert swept == 184
+
+
+@pytest.mark.parametrize("Q, deg", [(3, 12), (2, 19)])
+def test_orbit_count_is_burnsides(Q, deg):
+    # the k-th Frobenius power fixes the a with (Q**k - 1) * a = 0 mod M: gcd(Q**k - 1, M) of them
+    lvl = field_level(Q, deg)
+    count, rest = divmod(sum(math.gcd(Q**k - 1, lvl.M) for k in range(deg)), deg)
+    assert rest == 0
+    orbits = enumerate_orbits(lvl)
+    (block,) = linked_partition(lvl)
+    assert len(orbits) == len(block) == count
+    assert block == tuple(o.rep for o in orbits)
+    assert sum(o.size for o in orbits) == lvl.M
+    assert all(deg % o.size == 0 for o in orbits)
+    if (Q, deg) == (3, 12):
+        assert count == 44_367
 
 
 @pytest.mark.parametrize("M", [1, 2, 24, 48, 728, 531440, 2**61 - 2])

@@ -314,3 +314,16 @@ def test_certified_answer_is_cached_and_a_failed_order_check_is_not(monkeypatch)
     assert zsigmondy_prime(3, 14) is hit   # the warm call repeats no order check
     assert calls == [(3, 14, 547)]
     assert verify_certificate(hit[1]) and len(calls) == 2   # the recheck is independent
+
+
+def test_warm_regularize_tests_no_prime(monkeypatch):
+    # the certified ell of the lift is not tested for primality again
+    params = derive_tower(3, 3, 1, 1, 2, 1)
+    alpha = char(level(params, 2), 1)
+    want = regularize(alpha, params)
+    calls = []
+    for name in ("numth", "tower", "characters", "regularize"):
+        module = importlib.import_module(f"tametransfer.{name}")
+        monkeypatch.setattr(module, "is_prime", lambda n, real=module.is_prime: calls.append(n) or real(n))
+    assert regularize(alpha, params) == want
+    assert calls == []
