@@ -39,8 +39,7 @@ class CharExp(_Record):
     def __init__(self, level: FieldLevel, a: int) -> None:
         if not 0 <= a < level.M:
             raise OutOfRange(f"exponent {a} outside [0, {level.M})")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "a", a)
+        self._fill(level, a)
 
     def __mul__(self, other: "CharExp") -> "CharExp":
         if self.level != other.level:

@@ -17,7 +17,7 @@ import json
 import sys
 
 from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of, orbit_size
-from .errors import DomainError, NotPrimePower, OutOfRange, ZsigmondyException
+from .errors import DomainError, NotPrimePower, OutOfRange, ZsigmondyException, short_int, short_text
 from .green import green_trace
 from .jsonio import (
     certificate_to_json,
@@ -56,7 +56,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
-        raise _UsageError(f"{message}\n{self.format_usage()}")
+        raise _UsageError(f"{short_text(message)}\n{self.format_usage()}")  # argparse echoes arguments in full
 
 
 _SHAPE_KEYS = ("p", "q", "eEF", "fEF", "m", "d")
@@ -140,7 +140,7 @@ def _cmd_regular_part(args) -> dict:
 def _cmd_chain(args) -> dict:
     if args.M is not None and args.Q is None and args.nprime is None:
         if args.M < 1:
-            raise OutOfRange(f"--M must be at least 1, got {args.M}")
+            raise OutOfRange(f"--M must be at least 1, got {short_int(args.M)}")
         # Frobenius multiplication by M+1 is trivial mod M, so a bare modulus
         # is modeled as the degree-one level over a base of that cardinality.
         lvl = field_level(args.M + 1, 1)

@@ -2,16 +2,20 @@
 
 Every error carries a ``kind`` string equal to the class name; the CLI
 reports it verbatim and maps any :class:`DomainError` to exit code 2.
-``short_int`` writes an integer into a message in bounded size.
+``short_int`` and ``short_text`` write an integer or text into a message in bounded size.
 """
 
 from __future__ import annotations
 
 
+def short_text(text: str, limit: int = 300, unit: str = "characters") -> str:
+    """``text``; past ``limit`` characters, its first ``limit // 3`` and its length in ``unit``, less a leading "-"."""
+    return text if len(text) <= limit else f"{text[: limit // 3]}...({len(text) - text.startswith('-')} {unit})"
+
+
 def short_int(n: int) -> str:
     """``n`` in decimal; past 60 digits, its leading 20 digits and its digit count."""
-    digits = str(n)
-    return digits if len(digits) <= 60 else f"{digits[:20]}...({len(digits.lstrip('-'))} digits)"
+    return short_text(str(n), 60, "digits")
 
 
 class DomainError(Exception):

@@ -55,12 +55,7 @@ class RectifierSpec(_Record):
         lvl = mu.level
         if mu.a * lvl.Q % lvl.M != mu.a:
             raise OrderViolation(f"rectifier exponent {mu.a} is not Frobenius-fixed at M={lvl.M}")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "mu", mu)
+        self._fill(params, w, v, u, y, mu)
 
     @property
     def nontrivial(self) -> bool:
@@ -184,7 +179,7 @@ class TamePairClass(_Record):
         orbit = orbit_of(beta)
         if orbit.size != beta.level.deg:
             raise NotAdmissiblePair(f"exponent {beta.a} is not fully regular at degree {beta.level.deg}")
-        object.__setattr__(self, "beta", beta if orbit.rep == beta.a else CharExp(beta.level, orbit.rep))
+        self._fill(beta if orbit.rep == beta.a else CharExp(beta.level, orbit.rep))
 
     @property
     def f(self) -> int:
@@ -223,7 +218,7 @@ def orbit_to_pair(orbit: GaloisOrbit, params: TowerParams) -> TamePairClass:
     if nu is None:
         raise NotInNormImage(f"representative {orbit.rep} of degree {orbit.size} is not norm-inflated")
     pair = object.__new__(TamePairClass)  # no walk: inflation keeps order and Frobenius, so nu is its orbit's rep
-    object.__setattr__(pair, "beta", nu)
+    pair._fill(nu)
     if pair_to_orbit(pair, params) != orbit:
         raise OrderViolation("pair recovery does not invert inflation")
     return pair

@@ -39,8 +39,10 @@ class _Record:
     """Base of the immutable value records, whose fields are the ``__slots__`` in order.
 
     Each subclass gets ``__eq__`` and ``__hash__`` over the tuple of its fields
-    and, unless it writes its own, an ``__init__`` taking the fields in slot
-    order, compiled from source once per class, as ``namedtuple`` does.
+    and ``_fill``, setting the fields in slot order, compiled from source once
+    per class as ``namedtuple`` does.  ``_fill`` is the constructor unless the
+    record writes its own, which takes the leading fields, derives the rest and
+    calls ``_fill``; ``__repr__`` and ``__reduce__`` name the fields it takes.
     """
 
     __slots__ = ()
@@ -61,12 +63,14 @@ class _Record:
             return hash(fields(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
-        if "__init__" not in cls.__dict__:  # the slot descriptors set the fields past __setattr__
-            source = f"def __init__(self, {', '.join(names)}):\n"
-            source += "".join(f"    _set_{n}(self, {n})\n" for n in names)
-            namespace = {"__name__": cls.__module__, **{f"_set_{n}": cls.__dict__[n].__set__ for n in names}}
-            exec(compile(source, f"<{cls.__qualname__} record>", "exec"), namespace)
-            cls.__init__ = namespace["__init__"]
+        source = f"def __init__(self, {', '.join(names)}):\n"  # the slot descriptors set the fields past __setattr__
+        source += "".join(f"    _set_{n}(self, {n})\n" for n in names)
+        namespace = {"__name__": cls.__module__, **{f"_set_{n}": cls.__dict__[n].__set__ for n in names}}
+        exec(compile(source, f"<{cls.__qualname__} record>", "exec"), namespace)
+        cls._fill = namespace["__init__"]
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._fill
+        cls._init_fields = names[: cls.__init__.__code__.co_argcount - 1]
         for function in (__eq__, __hash__, cls.__init__):
             function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
 
@@ -76,25 +80,10 @@ class _Record:
     __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:  # a copy or an unpickled record is rebuilt through __init__
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._init_fields)
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
-
-
-def _group_order(Q: int, deg: int) -> int:
-    """M = Q**deg - 1 of the level of degree ``deg`` over Q, after its range checks and guard."""
-    if Q < 2:
-        raise OutOfRange(f"base cardinality must be at least 2, got {short_int(Q)}")
-    if deg < 1:
-        raise OutOfRange(f"deg_over_e must be at least 1, got {short_int(deg)}")
-    # M has at least (Q.bit_length() - 1) * deg bits: a level that is over the
-    # bound by that count alone is refused before Q**deg is computed
-    if (Q.bit_length() - 1) * deg > MAX_LEVEL_BITS or (M := Q**deg - 1).bit_length() > MAX_LEVEL_BITS:
-        raise LevelGuardExceeded(
-            f"level Q={short_int(Q)}, deg={short_int(deg)}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits"
-        )
-    return M
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._init_fields)})"
 
 
 class FieldLevel(_Record):
@@ -102,54 +91,57 @@ class FieldLevel(_Record):
 
     __slots__ = ("Q", "deg", "M")
 
-    def __init__(self, Q: int, deg: int, M: int) -> None:
-        if M != _group_order(Q, deg):
-            raise OutOfRange(f"level Q={short_int(Q)}, deg={short_int(deg)}: M={short_int(M)} is not Q**deg - 1")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "deg", deg)
-        object.__setattr__(self, "M", M)
-
-    def __repr__(self) -> str:
-        return f"FieldLevel(Q={self.Q}, deg={self.deg})"
+    def __init__(self, Q: int, deg: int) -> None:
+        if Q < 2:
+            raise OutOfRange(f"base cardinality must be at least 2, got {short_int(Q)}")
+        if deg < 1:
+            raise OutOfRange(f"deg_over_e must be at least 1, got {short_int(deg)}")
+        # M has at least (Q.bit_length() - 1) * deg bits: a level that is over the
+        # bound by that count alone is refused before Q**deg is computed
+        if (Q.bit_length() - 1) * deg > MAX_LEVEL_BITS or (M := Q**deg - 1).bit_length() > MAX_LEVEL_BITS:
+            raise LevelGuardExceeded(
+                f"level Q={short_int(Q)}, deg={short_int(deg)}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits"
+            )
+        self._fill(Q, deg, M)
 
 
 @lru_cache(maxsize=1024, typed=True)  # typed: field_level(3.0, 2) is never answered from (3, 2)
 def field_level(Q: int, deg: int) -> FieldLevel:
     """The level of degree ``deg`` over a field with Q elements: one shared object per (Q, deg)."""
-    return FieldLevel(Q, deg, _group_order(Q, deg))
+    return FieldLevel(Q, deg)
 
 
 class TowerParams(_Record):
+    """A tower shape (p, q, e_ef, f_ef, m, d), checked, and the invariants derived from it."""
+
     __slots__ = ("p", "q", "e_ef", "f_ef", "m", "d", "g", "n", "Q", "d_prime", "m_prime", "n_prime")
+
+    def __init__(self, p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> None:
+        if min(p, q, e_ef, f_ef, m, d) < 1:
+            raise OutOfRange("all tower parameters must be positive")
+        # every level over Q = q**f_ef has M >= Q - 1: none is admitted if this one is not
+        Q = field_level(q, f_ef).M + 1
+        if p > q:  # q is a power of p, so a larger p is refused before its primality test
+            raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
+        if not is_prime(p):
+            raise NotPrime(f"p={short_int(p)} is not prime")
+        if is_prime_power(q) != p:
+            raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
+        g = e_ef * f_ef
+        n = m * d
+        if n % g:
+            raise DegreeMismatch(f"degree g={short_int(g)} does not divide n={short_int(n)}")
+        d_prime = d // math.gcd(d, g)
+        m_prime = m * math.gcd(d, g) // g
+        n_prime = n // g
+        assert m_prime * d_prime == n_prime
+        self._fill(p, q, e_ef, f_ef, m, d, g, n, Q, d_prime, m_prime, n_prime)
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.p, self.q, self.e_ef, self.f_ef, self.m, self.d)
 
 
-def derive_tower(p: int, q: int, e_ef: int, f_ef: int, m: int, d: int) -> TowerParams:
-    """Validate the six shape integers and compute every derived invariant."""
-    if min(p, q, e_ef, f_ef, m, d) < 1:
-        raise OutOfRange("all tower parameters must be positive")
-    # every level over Q = q**f_ef has M >= Q - 1: none is admitted if this one is not
-    Q = field_level(q, f_ef).M + 1
-    if p > q:  # q is a power of p, so a larger p is refused before its primality test
-        raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
-    if not is_prime(p):
-        raise NotPrime(f"p={short_int(p)} is not prime")
-    if is_prime_power(q) != p:
-        raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
-    g = e_ef * f_ef
-    n = m * d
-    if n % g:
-        raise DegreeMismatch(f"degree g={short_int(g)} does not divide n={short_int(n)}")
-    d_prime = d // math.gcd(d, g)
-    m_prime = m * math.gcd(d, g) // g
-    n_prime = n // g
-    assert m_prime * d_prime == n_prime
-    return TowerParams(
-        p=p, q=q, e_ef=e_ef, f_ef=f_ef, m=m, d=d,
-        g=g, n=n, Q=Q, d_prime=d_prime, m_prime=m_prime, n_prime=n_prime,
-    )
+derive_tower = TowerParams  # validates the six shape integers and computes every derived invariant
 
 
 def level(params: TowerParams, deg_over_e: int) -> FieldLevel:

@@ -365,14 +365,53 @@ def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k)
          "level Q=24604638443222343538...(904 digits), deg=1: M = Q**deg - 1 has more than 1500 bits"),
         (["tower", "--shape", f"3,3,{10**3000},1,1,1"],
          "degree g=10000000000000000000...(3001 digits) does not divide n=1"),
+        (["chain", "--M", "-" + "9" * 4000, "--from", "0", "--to", "1"],
+         "--M must be at least 1, got -9999999999999999999...(4000 digits)"),
     ],
-    ids=["tower", "green", "chain", "degree"],
+    ids=["tower", "green", "chain", "degree", "chain-below-one"],
 )
 def test_error_documents_cap_large_integers(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert len(out.encode()) < 512 and len(err.encode()) < 512
     assert json.loads(out)["message"] == message
+
+
+@pytest.mark.parametrize(
+    "argv, echoed",
+    [
+        (["orbit", "--Q", "2", "--nprime", "3", "--a", "x" * 5000], "argument --a: invalid int value: 'xxx"),
+        (["chain", "--M", "9" * 5000, "--from", "0", "--to", "1"], "argument --M: invalid int value: '999"),
+        (["x" * 5000], "argument command: invalid choice: 'xxx"),
+        (["orbit", "--Q", "2", "--nprime", "3", "--a", "1", *["y" * 100] * 50], "unrecognized arguments: yyy"),
+    ],
+    ids=["bad-int", "huge-int", "unknown-command", "unrecognized"],
+)
+def test_usage_errors_cap_the_echoed_arguments(capsys, argv, echoed):
+    # argparse echoes a bad argument in full; the message keeps its first 100 characters and its length
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1
+    assert len(out.encode()) < 1024 and len(err.encode()) < 1024
+    message, usage = json.loads(out)["message"].split("\n", 1)
+    assert message.startswith(echoed) and len(message) < 130
+    assert message.endswith(" characters)") and usage.startswith("usage: tametransfer")
+
+
+def test_short_usage_errors_are_whole():
+    # argparse's part of this message, which lists every command, has about 240 characters
+    message = run(["x"]).message.split("\n", 1)[0]
+    assert message.startswith("argument command: invalid choice: 'x' (choose from ")
+    assert message.rstrip("')").endswith("selftest") and "...(" not in message
+
+
+@pytest.mark.parametrize("part", ["x", "1.5", "9" * 5000], ids=["word", "decimal", "5000-digits"])
+def test_shape_with_a_bad_integer_is_a_usage_error(capsys, part):
+    assert main(["tower", "--shape", f"3,3,2,1,1,{part}"]) == 1
+    doc = one_document(capsys)
+    assert doc["error_kind"] == "UsageError"
+    assert doc["message"].startswith("bad integer in --shape: ")
+    assert len(doc["message"]) < 300
 
 
 def test_regularize_takes_no_a_override(capsys):

@@ -71,6 +71,11 @@ def fields(record) -> tuple:
     return tuple(getattr(record, name) for name in type(record).__slots__)
 
 
+def taken(record) -> tuple:
+    """The values of the leading fields, the ones the constructor takes."""
+    return tuple(getattr(record, name) for name in type(record)._init_fields)
+
+
 def test_every_record_is_sampled():
     assert set(RECORDS) == set(_Record.__subclasses__())
     assert len(RECORDS) == 16
@@ -92,12 +97,13 @@ def test_record_is_immutable_and_slotted(cls):
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_record_is_a_value_of_its_own_class(cls):
     record = SAMPLES[cls]()
-    values = fields(record)
-    # the constructor takes the fields in slot order, by position or by name
-    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
-    positional, keyword = cls(*values), cls(**dict(zip(cls.__slots__, values)))
+    values = taken(record)
+    # the constructor takes the leading fields in slot order, by position or by name
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__[: len(values)])
+    positional, keyword = cls(*values), cls(**dict(zip(cls._init_fields, values)))
     assert positional is not record
     assert positional == record == keyword
+    assert fields(positional) == fields(record)
     assert not positional != keyword
     assert hash(positional) == hash(record) == hash(keyword)
     assert record != values
@@ -105,14 +111,29 @@ def test_record_is_a_value_of_its_own_class(cls):
         if other is not cls:
             assert record != SAMPLES[other]()
             assert not record == SAMPLES[other]()
-    assert copy.copy(record) == record
-    assert pickle.loads(pickle.dumps(record)) == record
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and fields(twin) == fields(record)
+
+
+def test_only_the_level_and_the_shape_derive_fields():
+    derived = {cls: cls.__slots__[len(cls._init_fields):] for cls in RECORDS if cls._init_fields != cls.__slots__}
+    assert derived == {FieldLevel: ("M",), TowerParams: ("g", "n", "Q", "d_prime", "m_prime", "n_prime")}
+    # a derived value is never an argument
+    with pytest.raises(TypeError):
+        FieldLevel(3, 2, 9)
+    with pytest.raises(TypeError):
+        TowerParams(3, 3, 2, 1, 1, 4, 2, 4, 3, 2, 1, 3)
+    with pytest.raises(TypeError):
+        derive_tower(3, 3, 2, 1, 1, 4, g=2)
+    assert derive_tower is TowerParams
 
 
 # records whose constructors check their fields, with another admitted value
-# for each field; any value is admitted by the others' generated constructors
+# for each field that the constructor takes; any value is admitted by the
+# others' generated constructors
 CHECKED_FIELDS = {
-    FieldLevel: {},   # any two fields of a level fix the third: see below
+    FieldLevel: {"Q": 2, "deg": 3},
+    TowerParams: {"q": 9, "e_ef": 4, "f_ef": 2, "m": 2, "d": 2},   # p is fixed by q: q = 3 is a power of 3 only
     CharExp: {"level": field_level(9, 1), "a": 5},   # field_level(9, 1) has M = 8 as well
     RectifierSpec: {"params": derive_tower(3, 3, 1, 1, 2, 1), "w": 7, "v": 7, "u": 7, "y": 7,
                     "mu": char(LEVEL, 4 - rectifier(PARAMS).mu.a)},   # 0 and 4 are Frobenius-fixed mod 8
@@ -123,9 +144,9 @@ CHECKED_FIELDS = {
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_every_field_takes_part_in_equality_and_hash(cls):
     record = SAMPLES[cls]()
-    values = dict(zip(cls.__slots__, fields(record)))
+    values = dict(zip(cls._init_fields, taken(record)))
     assert hash(record) == hash(fields(record))
-    for name in () if cls is FieldLevel else cls.__slots__:
+    for name in CHECKED_FIELDS.get(cls, cls._init_fields):
         changed = cls(**dict(values, **{name: CHECKED_FIELDS.get(cls, {}).get(name, object())}))
         assert getattr(changed, name) != values[name]
         assert record != changed and changed != record
@@ -138,24 +159,28 @@ def test_level_equality_compares_every_field():
     # each level below shares one field with LEVEL = (3, 2, 8) and differs in the other two
     for other in (field_level(9, 1), field_level(3, 1), field_level(2, 2)):
         assert LEVEL != other and other != LEVEL
-    assert FieldLevel(3, 2, 8) == LEVEL and FieldLevel(3, 2, 8) is not LEVEL
+    assert FieldLevel(3, 2) == LEVEL and FieldLevel(3, 2) is not LEVEL
 
 
 def test_only_the_checking_records_write_a_constructor():
-    # every record has an __init__ of its own; the generated ones are compiled from source
-    # that names the record, the hand-written ones come from the record's module
+    # every record has an __init__ of its own and a _fill compiled from source that
+    # names the record; a hand-written __init__ comes from the record's module
     assert all("__init__" in cls.__dict__ for cls in RECORDS)
     hand_written = {cls for cls in RECORDS if cls.__init__.__code__.co_filename == inspect.getfile(cls)}
     assert hand_written == set(CHECKED_FIELDS)
-    for cls in set(RECORDS) - hand_written:
-        assert cls.__init__.__code__.co_filename == f"<{cls.__qualname__} record>"
+    for cls in RECORDS:
+        assert cls._fill.__code__.co_filename == f"<{cls.__qualname__} record>"
+        assert (cls.__init__ is cls._fill) == (cls not in hand_written)
 
 
-@pytest.mark.parametrize("cls", sorted(set(RECORDS) - set(CHECKED_FIELDS), key=lambda cls: cls.__name__),
-                         ids=lambda cls: cls.__name__)
+# the generated constructors, and the two written ones that take only leading fields
+BINDING = sorted(set(RECORDS) - set(CHECKED_FIELDS) | {FieldLevel, TowerParams}, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", BINDING, ids=lambda cls: cls.__name__)
 def test_generated_constructor_refuses_missing_and_unknown_arguments(cls):
-    values = fields(SAMPLES[cls]())
-    keywords = dict(zip(cls.__slots__, values))
+    values = taken(SAMPLES[cls]())
+    keywords = dict(zip(cls._init_fields, values))
     with pytest.raises(TypeError, match="missing 1 required positional argument"):
         cls(*values[:-1])
     with pytest.raises(TypeError, match="takes"):
@@ -168,6 +193,7 @@ def test_generated_constructor_refuses_missing_and_unknown_arguments(cls):
 
 def test_reprs_name_the_fields():
     assert repr(field_level(3, 2)) == "FieldLevel(Q=3, deg=2)"
+    assert repr(PARAMS) == "TowerParams(p=3, q=3, e_ef=2, f_ef=1, m=1, d=4)"
     assert repr(DiscreteSeriesShape(1, 2, 3, 4)) == "DiscreteSeriesShape(f=1, t=2, s=3, r=4)"
     assert repr(char(LEVEL, 3)) == "CharExp(level=FieldLevel(Q=3, deg=2), a=3)"
     assert repr(CyclotomicSum(3, ((1, -1),))) == "CyclotomicSum(modulus=3, coeffs=((1, -1),))"

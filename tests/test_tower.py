@@ -14,7 +14,9 @@ from tametransfer.errors import (
     NotPrimePower,
     OutOfRange,
     short_int,
+    short_text,
 )
+from tametransfer import tower
 from tametransfer.tower import MAX_LEVEL_BITS
 
 
@@ -129,6 +131,13 @@ def test_short_int_caps_an_integer_past_60_digits():
     assert str(refused.value) == "deg_over_e must be at least 1, got -1000000000000000000...(61 digits)"
 
 
+def test_short_text_caps_text_past_300_characters():
+    assert short_text("x" * 300) == "x" * 300
+    assert short_text("x" * 301) == "x" * 100 + "...(301 characters)"
+    assert short_text("-" * 301) == "-" * 100 + "...(300 characters)"   # a leading minus is a sign
+    assert short_text("7" * 61, 60, "digits") == short_int(int("7" * 61)) == "7" * 20 + "...(61 digits)"
+
+
 def test_field_level_shares_one_level_per_Q_and_deg():
     assert field_level(3, 2) is field_level(3, 2)
     params = derive_tower(3, 3, 2, 1, 1, 4)
@@ -153,16 +162,33 @@ def test_a_refused_level_is_not_cached():
     assert time.perf_counter() - start < 0.1
 
 
+class NoPower(int):
+    """An integer whose powers fail: a guard that computes Q**deg first is caught."""
+
+    def __pow__(self, other, modulo=None):
+        raise AssertionError(f"{int(self)}**{other} computed before the level guard")
+
+
 def test_a_level_built_directly_is_checked():
-    assert FieldLevel(3, 2, 8) == field_level(3, 2)
-    start = time.perf_counter()
-    # M = 9 is not 3**2 - 1: orbit_of on such a level would never return
-    with pytest.raises(OutOfRange, match="M=9 is not Q\\*\\*deg - 1"):
+    assert FieldLevel(3, 2) == field_level(3, 2) and FieldLevel(3, 2) is not field_level(3, 2)
+    assert FieldLevel(3, 2).M == 8 and not hasattr(tower, "_group_order")   # M is computed in one place
+    # M is derived, never given: a level with M = 9 at Q = 3, deg = 2 cannot be built
+    with pytest.raises(TypeError):
         FieldLevel(3, 2, 9)
-    # the guard comes first: Q**deg is never computed for this one
-    with pytest.raises(LevelGuardExceeded):
-        FieldLevel(2, 10**12, 0)
-    for Q, deg, M in ((1, 1, 0), (2, 0, 0), (2, 3, 8), (9, 1, 7)):
+    # the guard comes first: Q**deg is never computed for these
+    for deg in (10**12, 1501):
+        with pytest.raises(LevelGuardExceeded, match=f"level Q=2, deg={deg}"):
+            FieldLevel(NoPower(2), deg)
+    for Q, deg in ((1, 1), (2, 0), (0, 5), (2, -3)):
         with pytest.raises(OutOfRange):
-            FieldLevel(Q, deg, M)
-    assert time.perf_counter() - start < 1.0
+            FieldLevel(Q, deg)
+
+
+def test_a_shape_with_p_above_q_is_refused_before_the_primality_test(monkeypatch):
+    def no_test(n):
+        pytest.fail(f"is_prime({n}) ran on a p above q")
+
+    monkeypatch.setattr(tower, "is_prime", no_test)
+    for p in (5, 4, 2**127 - 1):
+        with pytest.raises(NotPrimePower, match=f"q=3 is not a power of p={p}"):
+            derive_tower(p, 3, 1, 1, 1, 1)
