@@ -7,10 +7,18 @@ reports it verbatim and maps any :class:`DomainError` to exit code 2.
 
 from __future__ import annotations
 
+import json
+
 
 def short_text(text: str, limit: int = 300, unit: str = "characters") -> str:
-    """``text``; past ``limit`` characters, its first ``limit // 3`` and its length in ``unit``, less a leading "-"."""
-    return text if len(text) <= limit else f"{text[: limit // 3]}...({len(text) - text.startswith('-')} {unit})"
+    """``text``; past ``limit`` characters as JSON escapes them (an emoji takes 12), its longest prefix
+    of at most ``limit // 3`` such characters and its length in ``unit``, less a leading "-"."""
+    if len(json.dumps(text)) - 2 <= limit:
+        return text
+    end = size = 0
+    while (size := size + len(json.dumps(text[end])) - 2) <= limit // 3:
+        end += 1
+    return f"{text[:end]}...({len(text) - text.startswith('-')} {unit})"
 
 
 def short_int(n: int) -> str:
@@ -75,10 +83,6 @@ class AmbiguousTwist(DomainError):
 
 
 class NotEssentiallyTame(DomainError):
-    pass
-
-
-class ShapeError(DomainError):
     pass
 
 

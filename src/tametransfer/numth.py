@@ -317,19 +317,11 @@ def prime_factors(n: int) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
+    """Sorted positive divisors of n; nothing in the package calls it, but perfbench's layer tracer wraps it by name."""
     ds = [1]
     for p, e in factorize(n).items():
         ds = [d * p**i for d in ds for i in range(e + 1)]
     return sorted(ds)
-
-
-def mobius(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
 
 
 def is_prime_power(n: int) -> int | None:

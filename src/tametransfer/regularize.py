@@ -10,6 +10,7 @@ character whose Frobenius orbit is as large as possible.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .characters import (
@@ -24,30 +25,31 @@ from .characters import (
 from .errors import (
     AmbiguousTwist,
     FactorizationBudgetExceeded,
+    LevelGuardExceeded,
     LevelMismatch,
     NotNormInflated,
     NotPrime,
     OrderViolation,
     OutOfRange,
-    ZsigmondyException,
+    short_int,
 )
-from .numth import _ell_split, _least_prime_factor, divisors, is_prime, mobius, prime_factors
+from .numth import _ell_split, _least_prime_factor, is_prime, prime_factors
 from .tower import TowerParams, _Record, field_level, level
 
 BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
 
 
 def cyclotomic_value(r: int, b: int) -> int:
-    """The r-th cyclotomic polynomial evaluated at b, by Moebius inversion."""
+    """The r-th cyclotomic polynomial at b: the product of b**(r/s) - 1 over the products s of the
+    even subsets of the primes of r, over that product for the odd subsets.  It divides b**r - 1,
+    the M of the level of degree r over b, so that level's guard refuses it before any power."""
     if r < 1 or b < 2:
-        raise OutOfRange(f"need r >= 1 and b >= 2, got r={r}, b={b}")
-    num = den = 1
-    for d in divisors(r):
-        mu = mobius(r // d)
-        if mu == 1:
-            num *= b**d - 1
-        elif mu == -1:
-            den *= b**d - 1
+        raise OutOfRange(f"need r >= 1 and b >= 2, got r={short_int(r)}, b={short_int(b)}")
+    field_level(b, r)
+    even, odd = [1], []
+    for p in prime_factors(r):
+        even, odd = even + [s * p for s in odd], odd + [s * p for s in even]
+    num, den = (math.prod(b ** (r // s) - 1 for s in subsets) for subsets in (even, odd))
     assert num % den == 0
     return num // den
 
@@ -107,7 +109,7 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     refuses the search before any work.
     """
     if b < 2 or r < 2:
-        raise OutOfRange(f"need b, r >= 2, got b={b}, r={r}")
+        raise OutOfRange(f"need b, r >= 2, got b={short_int(b)}, r={short_int(r)}")
     field_level(b, r)
     return _smallest_primitive_prime(b, r)
 
@@ -120,10 +122,17 @@ def zsigmondy_exception(b: int, r: int) -> bool:
 
 
 def verify_certificate(cert: ZsigmondyCertificate) -> bool:
-    """Recheck a certificate from its own fields: ell is prime and b has
-    order exactly r modulo ell."""
+    """Recheck a certificate from its own fields: ell is prime and b has order exactly r modulo ell.
+    Unless b**r - 1 is under the level guard and ell > 1 divides it, as in every certificate
+    ``zsigmondy_prime`` writes, the answer is False before r is factored or ell is tested."""
     b, r, ell = cert.b, cert.r, cert.ell
-    return b >= 2 and r >= 2 and is_prime(ell) and _order_checks(b, r, ell) == cert.order_checks
+    if b < 2 or r < 2 or ell < 2:
+        return False
+    try:
+        field_level(b, r)
+    except LevelGuardExceeded:
+        return False
+    return _order_checks(b, r, ell) == cert.order_checks and is_prime(ell)
 
 
 class RegularizationLift(_Record):
@@ -152,11 +161,7 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
     f, a = orbit_size(alpha), BLOW_UP_FACTOR
     top = level(params, a * params.n_prime)  # the level guard, before any factoring
 
-    b, r = params.Q**f, a * params.n_prime // f
-    hit = zsigmondy_prime(b, r)
-    if hit is None:
-        raise ZsigmondyException(f"no primitive prime for b={b}, r={r} at a={a}")
-    ell, cert = hit
+    ell, cert = zsigmondy_prime(params.Q**f, a * params.n_prime // f)
 
     alpha_star = norm_inflate(alpha, a)
     xi = CharExp(top, top.M // ell)

@@ -38,7 +38,6 @@ from .errors import (
     NotEssentiallyTame,
     NotInNormImage,
     OrderViolation,
-    ShapeError,
 )
 from .regularize import RegularizationLift, descend_transfer, regularize
 from .tower import TowerParams, _Record, blow_up, field_level, level
@@ -70,8 +69,7 @@ def rectifier(params: TowerParams) -> RectifierSpec:
         )
     w = params.n // params.e_ef
     v = params.d // math.gcd(params.d, w)
-    if (params.n // w) % v:
-        raise ShapeError(f"v={v} does not divide n/w={params.n // w}")
+    # v divides n/w = e(E/F): d | n gives v_l(v) = max(0, v_l(d) - v_l(n) + v_l(e(E/F))) <= v_l(e(E/F))
     u = (params.n // w) // v
     y = params.m * (params.d - 1) + params.m_prime * (params.d_prime - 1) + u * (v - 1)
     lvl = level(params, params.n_prime)

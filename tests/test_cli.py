@@ -367,8 +367,10 @@ def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k)
          "degree g=10000000000000000000...(3001 digits) does not divide n=1"),
         (["chain", "--M", "-" + "9" * 4000, "--from", "0", "--to", "1"],
          "--M must be at least 1, got -9999999999999999999...(4000 digits)"),
+        (["zsigmondy", "--b", "-" + "9" * 4000, "--r", "5"],
+         "need b, r >= 2, got b=-9999999999999999999...(4000 digits), r=5"),
     ],
-    ids=["tower", "green", "chain", "degree", "chain-below-one"],
+    ids=["tower", "green", "chain", "degree", "chain-below-one", "zsigmondy-below-two"],
 )
 def test_error_documents_cap_large_integers(capsys, argv, message):
     assert main(argv) == 2
@@ -384,11 +386,15 @@ def test_error_documents_cap_large_integers(capsys, argv, message):
         (["chain", "--M", "9" * 5000, "--from", "0", "--to", "1"], "argument --M: invalid int value: '999"),
         (["x" * 5000], "argument command: invalid choice: 'xxx"),
         (["orbit", "--Q", "2", "--nprime", "3", "--a", "1", *["y" * 100] * 50], "unrecognized arguments: yyy"),
+        (["\U0001F600" * 5000], "argument command: invalid choice: '\U0001F600"),
+        (["chain", "--M", "\U0001F600" * 5000, "--from", "0", "--to", "1"],
+         "argument --M: invalid int value: '\U0001F600"),
     ],
-    ids=["bad-int", "huge-int", "unknown-command", "unrecognized"],
+    ids=["bad-int", "huge-int", "unknown-command", "unrecognized", "emoji-command", "emoji-int"],
 )
 def test_usage_errors_cap_the_echoed_arguments(capsys, argv, echoed):
-    # argparse echoes a bad argument in full; the message keeps its first 100 characters and its length
+    # argparse echoes a bad argument in full; the message keeps a prefix of at most 100 characters
+    # as JSON escapes them (an emoji takes 12) and its length
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1

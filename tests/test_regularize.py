@@ -46,6 +46,28 @@ def test_cyclotomic_values():
         assert prod == b**r - 1
 
 
+def test_cyclotomic_values_match_sympy():
+    from sympy import Poly, Symbol, cyclotomic_poly
+
+    x = Symbol("x")
+    for r in range(1, 121):
+        coefficients = [int(c) for c in Poly(cyclotomic_poly(r, x), x).all_coeffs()]
+        for b in range(2, 31):
+            value = 0
+            for c in coefficients:
+                value = value * b + c
+            assert cyclotomic_value(r, b) == value, (r, b)
+
+
+def test_cyclotomic_value_is_guarded_before_r_is_factored(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"prime_factors({n}) called")
+
+    monkeypatch.setattr(importlib.import_module("tametransfer.regularize"), "prime_factors", no_factoring)
+    with pytest.raises(LevelGuardExceeded, match="Q=3, deg=1000000000000"):
+        cyclotomic_value(10**12, 3)
+
+
 def test_exception_families_return_empty():
     assert zsigmondy_prime(2, 6) is None
     assert zsigmondy_prime(3, 2) is None
@@ -155,13 +177,23 @@ def test_certificate_verification_rejects_tampering():
 
 
 def test_certificate_verification_tests_b_to_the_r_before_factoring_r(monkeypatch):
-    def no_factoring(n):
-        raise AssertionError(f"factorize({n}) called")
+    from sympy import nextprime
 
-    monkeypatch.setattr(numth, "factorize", no_factoring)
+    def refused(n):
+        raise AssertionError(f"called with {n}")
+
+    monkeypatch.setattr(numth, "factorize", refused)
     # 2 has order 3 modulo 7 and 3 does not divide 10**40
     assert pow(2, 10**40, 7) != 1
     assert not verify_certificate(ZsigmondyCertificate(2, 10**40, 7, ((2, 1), (5, 1))))
+    # 7 divides 2**r - 1 since 3 | r, but 2**r - 1 is over the level guard and r has two 101-bit primes
+    r = 3 * nextprime(2**100 + 12345) * nextprime(2**100 + 99999)
+    assert pow(2, r, 7) == 1
+    assert not verify_certificate(ZsigmondyCertificate(2, r, 7, ((3, 1),)))
+    # ell must be above 1 and divide b**r - 1 before it is tested for primality
+    monkeypatch.setattr(importlib.import_module("tametransfer.regularize"), "is_prime", refused)
+    assert not verify_certificate(ZsigmondyCertificate(2, 14, 1, ((2, 0), (7, 0))))
+    assert not verify_certificate(ZsigmondyCertificate(2, 14, 5, ((2, 4), (7, 3))))
 
 
 Q2N2 = derive_tower(2, 2, 1, 1, 2, 1)   # Q = 2, n' = 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,26 @@ def test_rectifier_trivial_for_p2_even_with_odd_y():
     spec = rectifier(derive_tower(2, 2, 1, 2, 1, 2))
     assert spec.y == 1
     assert not spec.nontrivial
+
+
+def test_rectifier_accepts_every_tame_shape_in_a_box():
+    # v = d / gcd(d, w) divides n/w = e(E/F): no shape can fail that check
+    shapes = 0
+    for p in (2, 3, 5):
+        for e in range(1, 25):
+            for f in range(1, 4):
+                for m in range(1, 13):
+                    for d in range(1, 13):
+                        n = m * d
+                        if 0 in (e % p, m % p, d % p) or n % (e * f):
+                            continue
+                        w = n // e
+                        v = d // math.gcd(d, w)
+                        assert (n // w) % v == 0, (p, e, f, m, d)
+                        spec = rectifier(derive_tower(p, p, e, f, m, d))
+                        assert (spec.w, spec.v, spec.u * v) == (w, v, n // w)
+                        shapes += 1
+    assert shapes == 1781
 
 
 def test_rectifier_requires_tame_ramification():

@@ -135,6 +135,9 @@ def test_short_text_caps_text_past_300_characters():
     assert short_text("x" * 300) == "x" * 300
     assert short_text("x" * 301) == "x" * 100 + "...(301 characters)"
     assert short_text("-" * 301) == "-" * 100 + "...(300 characters)"   # a leading minus is a sign
+    # the cap counts characters as JSON escapes them: an emoji is 12, so 26 of them are over 300
+    assert short_text("\U0001F600" * 25) == "\U0001F600" * 25
+    assert short_text("\U0001F600" * 26) == "\U0001F600" * 8 + "...(26 characters)"
     assert short_text("7" * 61, 60, "digits") == short_int(int("7" * 61)) == "7" * 20 + "...(61 digits)"
 
 
