@@ -42,7 +42,12 @@ from .tower import TowerParams, _Record, derive_tower, field_level, level
 
 
 class CommandResult(_Record):
-    __slots__ = ("status", "payload", "error_kind", "message", "exit_code")
+    """The outcome of one run; ``status`` is "ok" exactly for exit code 0."""
+
+    __slots__ = ("exit_code", "payload", "error_kind", "message", "status")
+
+    def __init__(self, exit_code: int, payload: dict | None, error_kind: str | None, message: str | None) -> None:
+        self._fill(exit_code, payload, error_kind, message, "error" if exit_code else "ok")
 
     def document(self) -> dict:
         if self.status == "ok":
@@ -339,24 +344,16 @@ def run(argv: list[str]) -> CommandResult:
     """Parse and execute; never raises, except for ``--help``'s SystemExit."""
     try:
         args = build_parser(argv).parse_args(argv)
-        payload = args.handler(args)
-        return CommandResult(status="ok", payload=payload, error_kind=None, message=None, exit_code=0)
+        return CommandResult(0, args.handler(args), None, None)
     except _UsageError as exc:
-        return CommandResult(
-            status="error", payload=None, error_kind="UsageError", message=str(exc), exit_code=1
-        )
+        return CommandResult(1, None, "UsageError", str(exc))
     except DomainError as exc:
-        return CommandResult(
-            status="error", payload=None, error_kind=exc.kind, message=str(exc), exit_code=2
-        )
+        return CommandResult(2, None, exc.kind, str(exc))
     except Exception as exc:  # noqa: BLE001 - the last resort keeps the one-document contract
         import traceback
 
         traceback.print_exc()  # to stderr, so the internal fault stays traceable
-        return CommandResult(
-            status="error", payload=None, error_kind="InternalError",
-            message=f"{type(exc).__name__}: {exc}", exit_code=3,
-        )
+        return CommandResult(3, None, "InternalError", f"{type(exc).__name__}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,7 +16,17 @@ from .tower import FieldLevel, _Record
 
 
 class CyclotomicSum(_Record):
+    """A formal sum in canonical form: exponents reduced mod the modulus, equal
+    exponents merged, zero coefficients dropped, terms sorted by exponent."""
+
     __slots__ = ("modulus", "coeffs")
+
+    def __init__(self, modulus: int, coeffs) -> None:
+        acc: dict[int, int] = {}
+        for e, c in coeffs:
+            e %= modulus
+            acc[e] = acc.get(e, 0) + c
+        self._fill(modulus, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     def evaluate(self) -> complex:
         # 2*pi*e must stay a finite float: beyond 2**1021, e and the modulus
@@ -29,13 +39,7 @@ class CyclotomicSum(_Record):
         )
 
 
-def cyclotomic_sum(modulus: int, terms: list[tuple[int, int]]) -> CyclotomicSum:
-    """Canonical formal sum: exponents reduced mod modulus, zero coefficients dropped."""
-    acc: dict[int, int] = {}
-    for e, c in terms:
-        e %= modulus
-        acc[e] = acc.get(e, 0) + c
-    return CyclotomicSum(modulus, tuple(sorted((e, c) for e, c in acc.items() if c)))
+cyclotomic_sum = CyclotomicSum  # the canonical formal sum of (exponent, coefficient) terms
 
 
 def element_degree(g_exp: int, level: FieldLevel) -> int:

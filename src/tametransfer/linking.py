@@ -9,9 +9,9 @@ quotient character.
 
 from __future__ import annotations
 
-from .characters import CharExp, GaloisOrbit, _walk_orbits, ell_regular_part, orbit_of
-from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
-from .numth import _ell_split, factorize, prime_factors
+from .characters import CharExp, GaloisOrbit, _ell_regular, _walk_orbits, ell_regular_part, orbit_of
+from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch, short_int
+from .numth import _ell_split, factorize, is_prime, prime_factors
 from .tower import FieldLevel, _Record, field_level
 
 
@@ -36,12 +36,15 @@ class SemiSimpleEndoClass(_Record):
 def admissible_primes(q: int, n: int) -> tuple[int, ...]:
     """Primes dividing (q**n - 1)(q**(n-1) - 1)...(q - 1), ascending."""
     if q < 2 or n < 1:
-        raise DegreeMismatch(f"need q >= 2 and n >= 1, got q={q}, n={n}")
+        raise DegreeMismatch(f"need q >= 2 and n >= 1, got q={short_int(q)}, n={short_int(n)}")
     # q**n - 1, the largest value factored, is the M of the level of degree n
     field_level(q, n)
     primes: set[int] = set()
     for i in range(1, n + 1):
-        primes.update(prime_factors(q**i - 1))
+        try:
+            primes.update(prime_factors(q**i - 1))
+        except FactorizationBudgetExceeded as exc:
+            raise FactorizationBudgetExceeded(f"q**i - 1 for q={short_int(q)}, i={i}: {exc}") from None
     return tuple(sorted(primes))
 
 
@@ -50,7 +53,7 @@ def ell_linked(o1: GaloisOrbit, o2: GaloisOrbit, ell: int) -> bool:
     if o1.level != o2.level:
         raise LevelMismatch("orbits live at different levels")
     r1 = orbit_of(ell_regular_part(o1.rep_char(), ell))
-    r2 = orbit_of(ell_regular_part(o2.rep_char(), ell))
+    r2 = orbit_of(_ell_regular(o2.rep_char(), ell))  # ell was tested prime just above
     return r1 == r2
 
 
@@ -87,13 +90,16 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
 
 
 def verify_link_chain(chain: LinkChain) -> bool:
-    """Replay every step of a chain through ell_linked and the endpoint laws:
-    the steps walk from the source's orbit to the target's, each starting on
-    the orbit the previous one ended on."""
+    """Replay every step of a chain through ell_linked and the endpoint laws: the steps walk
+    from the source's orbit to the target's at one level, each starting on the orbit the
+    previous one ended on, by a prime ell | M.  Any other step is False before ell_linked
+    runs, and before ell's primality test unless ell divides M, which the level guard bounds."""
     M = chain.source.level.M
     current = orbit_of(chain.source)
     for s in chain.steps:
-        if s.before != current or M % s.ell or not ell_linked(s.before, s.after, s.ell):
+        if s.before != current or s.after.level != current.level or s.ell < 2 or M % s.ell or not is_prime(s.ell):
+            return False
+        if not ell_linked(s.before, s.after, s.ell):
             return False
         current = s.after
     return current == orbit_of(chain.target)

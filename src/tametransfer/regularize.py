@@ -136,13 +136,16 @@ def verify_certificate(cert: ZsigmondyCertificate) -> bool:
 
 
 class RegularizationLift(_Record):
-    """Result of regularizing a character via an odd blow-up.
+    """Result of regularizing a character via an odd blow-up: ``ell`` is the certificate's prime and
+    ``beta`` = ``alpha_star`` * xi, where xi has exponent M/ell at the blown-up level of ``alpha_star``.
+    ``regularize`` checks that beta is fully regular there and that its ell-regular part has the
+    same orbit as the inflated input character."""
 
-    ``beta`` lives at the blown-up level, is fully regular there, and its
-    ell-regular part has the same orbit as the inflated input character.
-    """
+    __slots__ = ("a", "alpha_star", "certificate", "ell", "beta")
 
-    __slots__ = ("a", "ell", "beta", "alpha_star", "certificate")
+    def __init__(self, a: int, alpha_star: CharExp, certificate: ZsigmondyCertificate) -> None:
+        ell, top = certificate.ell, alpha_star.level
+        self._fill(a, alpha_star, certificate, ell, alpha_star * CharExp(top, top.M // ell))
 
 
 def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
@@ -159,19 +162,16 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
     if alpha.level != base:
         raise LevelMismatch(f"character level {alpha.level} is not {base}")
     f, a = orbit_size(alpha), BLOW_UP_FACTOR
-    top = level(params, a * params.n_prime)  # the level guard, before any factoring
+    level(params, a * params.n_prime)  # the level guard, before any factoring
 
-    ell, cert = zsigmondy_prime(params.Q**f, a * params.n_prime // f)
+    _, cert = zsigmondy_prime(params.Q**f, a * params.n_prime // f)
+    lift = RegularizationLift(a, norm_inflate(alpha, a), cert)
 
-    alpha_star = norm_inflate(alpha, a)
-    xi = CharExp(top, top.M // ell)
-    beta = xi * alpha_star
-
-    if orbit_size(beta) != a * params.n_prime:
+    if orbit_size(lift.beta) != a * params.n_prime:
         raise OrderViolation("lifted character is not fully regular")
-    if _ell_regular(beta, ell).a not in orbit_of(alpha_star).members:  # ell is certified prime
+    if _ell_regular(lift.beta, lift.ell).a not in orbit_of(lift.alpha_star).members:  # ell is certified prime
         raise OrderViolation("lifted character is not congruent to the inflated input")
-    return RegularizationLift(a=a, ell=ell, beta=beta, alpha_star=alpha_star, certificate=cert)
+    return lift
 
 
 def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: GaloisOrbit) -> GaloisOrbit:

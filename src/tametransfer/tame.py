@@ -44,40 +44,30 @@ from .tower import TowerParams, _Record, blow_up, field_level, level
 
 
 class RectifierSpec(_Record):
-    """The transfer twist of a shape: the parity data and the twisting character."""
+    """The rectifier of an essentially tame shape: the parity data w, v, u, y and the twist mu, which is M/2
+    when p and y are odd, else 0.  M/2 is taken only at odd Q, where Q * M/2 = M/2 + M * (Q-1)/2 = M/2 (mod M):
+    mu is Frobenius-fixed, so twisting by it is well defined on orbits."""
 
     __slots__ = ("params", "w", "v", "u", "y", "mu")
 
-    def __init__(self, params: TowerParams, w: int, v: int, u: int, y: int, mu: CharExp) -> None:
-        # The transfer twists orbits by mu, which is well defined only when
-        # mu is Frobenius-fixed: Q * mu = mu (mod M).
-        lvl = mu.level
-        if mu.a * lvl.Q % lvl.M != mu.a:
-            raise OrderViolation(f"rectifier exponent {mu.a} is not Frobenius-fixed at M={lvl.M}")
-        self._fill(params, w, v, u, y, mu)
+    def __init__(self, params: TowerParams) -> None:
+        if math.gcd(params.e_ef, params.p) != 1:
+            raise NotEssentiallyTame(f"ramification e(E/F)={params.e_ef} is divisible by p={params.p}")
+        w = params.n // params.e_ef
+        v = params.d // math.gcd(params.d, w)
+        # v divides n/w = e(E/F): d | n gives v_l(v) = max(0, v_l(d) - v_l(n) + v_l(e(E/F))) <= v_l(e(E/F))
+        u = (params.n // w) // v
+        y = params.m * (params.d - 1) + params.m_prime * (params.d_prime - 1) + u * (v - 1)
+        lvl = level(params, params.n_prime)
+        nontrivial = params.p != 2 and y % 2 == 1
+        self._fill(params, w, v, u, y, CharExp(lvl, lvl.M // 2 if nontrivial else 0))
 
     @property
     def nontrivial(self) -> bool:
         return not self.mu.is_trivial
 
 
-def rectifier(params: TowerParams) -> RectifierSpec:
-    """Compute the rectifying character of an essentially tame shape."""
-    if math.gcd(params.e_ef, params.p) != 1:
-        raise NotEssentiallyTame(
-            f"ramification e(E/F)={params.e_ef} is divisible by p={params.p}"
-        )
-    w = params.n // params.e_ef
-    v = params.d // math.gcd(params.d, w)
-    # v divides n/w = e(E/F): d | n gives v_l(v) = max(0, v_l(d) - v_l(n) + v_l(e(E/F))) <= v_l(e(E/F))
-    u = (params.n // w) // v
-    y = params.m * (params.d - 1) + params.m_prime * (params.d_prime - 1) + u * (v - 1)
-    lvl = level(params, params.n_prime)
-    # Parity first: the quadratic exponent M/2 only exists when Q is odd,
-    # which the p != 2 test guarantees.
-    nontrivial = params.p != 2 and y % 2 == 1
-    mu = CharExp(lvl, lvl.M // 2 if nontrivial else 0)
-    return RectifierSpec(params=params, w=w, v=v, u=u, y=y, mu=mu)
+rectifier = RectifierSpec  # the rectifier of a shape; callers in this module call it by this name
 
 
 def _translate(orbit: GaloisOrbit, t: int) -> GaloisOrbit:
@@ -99,8 +89,8 @@ def _translate(orbit: GaloisOrbit, t: int) -> GaloisOrbit:
 def apply_transfer(orbit: GaloisOrbit, spec: RectifierSpec) -> GaloisOrbit:
     """Twist an orbit by the rectifier.
 
-    ``RectifierSpec`` admits only a Frobenius-fixed mu, so the image is the
-    orbit translated by mu, computed from the members without walking; when
+    The rectifier's mu is Frobenius-fixed, so the image is the orbit
+    translated by mu, computed from the members without walking; when
     mu is trivial it is the given object itself.  ``orbit`` must be a true
     orbit, as built by ``orbit_of`` or ``enumerate_orbits``.
     """
@@ -257,6 +247,8 @@ class DiscreteSeriesShape(_Record):
 def discrete_series_shape(orbit: GaloisOrbit, params: TowerParams) -> DiscreteSeriesShape:
     """Degrees attached to an orbit: parametric degrees f and t = f*g, the
     step s = d'/gcd(f, d'), and the segment length r with n = r*s*t."""
+    if orbit.level != level(params, params.n_prime):
+        raise LevelMismatch("orbit does not live at the shape's full level")
     f = orbit.size
     t = f * params.g
     s = params.d_prime // math.gcd(f, params.d_prime)

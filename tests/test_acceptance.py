@@ -26,11 +26,11 @@ def test_injected_rectifier_bug_fails_the_descent_criterion(monkeypatch):
     true_rectifier = tame_module.rectifier
 
     def flipped(params):
+        # the constructor derives mu from the shape: the fault is filled into a bare instance
         spec = true_rectifier(params)
-        mu = char(spec.mu.level, spec.mu.a + spec.mu.level.M // 2)
-        return tame_module.RectifierSpec(
-            params=spec.params, w=spec.w, v=spec.v, u=spec.u, y=spec.y, mu=mu
-        )
+        bad = object.__new__(tame_module.RectifierSpec)
+        bad._fill(spec.params, spec.w, spec.v, spec.u, spec.y, char(spec.mu.level, spec.mu.a + spec.mu.level.M // 2))
+        return bad
 
     monkeypatch.setattr(tame_module, "rectifier", flipped)
     with pytest.raises(CheckFailure):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tametransfer import (
-    RectifierSpec,
     RegularizationLift,
+    ZsigmondyCertificate,
     char,
     derive_tower,
     descend_transfer,
@@ -25,7 +25,6 @@ from tametransfer.errors import (
     LevelMismatch,
     NotNormInflated,
     NotPrime,
-    OrderViolation,
 )
 
 
@@ -144,9 +143,15 @@ def quaternary_lift():
     return alpha, regularize(alpha, QUATERNARY)
 
 
+def with_ell(lift, ell):
+    """The lift rebuilt on a certificate whose ell is forged; its beta follows."""
+    cert = lift.certificate
+    return RegularizationLift(lift.a, lift.alpha_star, ZsigmondyCertificate(cert.b, cert.r, ell, cert.order_checks))
+
+
 def test_composite_ell_raises_not_prime():
     alpha, lift = quaternary_lift()
-    forged = RegularizationLift(lift.a, 15, lift.beta, lift.alpha_star, lift.certificate)
+    forged = with_ell(lift, 15)
     image = orbit_of(lift.beta)
     for descend in (descend_transfer, per_member_descent):
         with pytest.raises(NotPrime):
@@ -165,7 +170,7 @@ def test_lift_not_over_alphas_level_raises_level_mismatch():
 
 def test_checks_run_in_order():
     alpha, lift = quaternary_lift()
-    forged = RegularizationLift(lift.a, 15, lift.beta, lift.alpha_star, lift.certificate)
+    forged = with_ell(lift, 15)
     stranger = char(field_level(3, 3), 1)
     for descend in (descend_transfer, per_member_descent):
         # the image level first, then the prime, then the base level
@@ -174,12 +179,3 @@ def test_checks_run_in_order():
         with pytest.raises(NotPrime):
             descend(stranger, forged, orbit_of(lift.beta))
 
-
-def test_rectifier_spec_rejects_unfixed_mu():
-    spec = rectifier(QUATERNARY)
-    lvl = spec.mu.level
-    with pytest.raises(OrderViolation):
-        RectifierSpec(spec.params, spec.w, spec.v, spec.u, spec.y, char(lvl, 1))  # 3 * 1 = 3 mod 8
-    # the order-two shift stays Frobenius-fixed and is admitted
-    shifted = RectifierSpec(spec.params, spec.w, spec.v, spec.u, spec.y, char(lvl, spec.mu.a + lvl.M // 2))
-    assert shifted.mu.a == 0

@@ -5,7 +5,7 @@ import pytest
 
 from tametransfer import char, element_degree, field_level, green_trace
 from tametransfer.errors import LevelMismatch, NotRegularCharacter, NotRegularElement
-from tametransfer.green import cyclotomic_sum
+from tametransfer.green import CyclotomicSum, cyclotomic_sum
 
 F4 = field_level(2, 2)   # quadratic extension of the two-element field
 F9 = field_level(3, 2)
@@ -79,3 +79,9 @@ def test_cyclotomic_sum_merges_and_drops_zeros():
     empty = cyclotomic_sum(6, [(1, 1), (7, -1)])
     assert empty.coeffs == ()
     assert empty.evaluate() == 0
+
+
+def test_a_sum_is_canonical_however_it_is_built():
+    raw = CyclotomicSum(6, [(8, 2), (1, 1), (2, 1), (13, 0)])
+    assert raw.coeffs == ((1, 1), (2, 3))
+    assert raw == cyclotomic_sum(6, [(2, 3), (1, 1)]) == CyclotomicSum(6, raw.coeffs)

@@ -47,6 +47,25 @@ def test_admissible_primes_guard(monkeypatch):
         admissible_primes(2, 1500)
 
 
+def test_admissible_primes_budget_error_names_q_and_i(monkeypatch):
+    # the search for the primes of q**3 - 1 runs out of budget; q is written in short
+    for q, named in [(2, "q=2,"), (10**70 + 1, "q=10000000000000000000...(71 digits),")]:
+        calls = []
+
+        def out_at_three(n):
+            calls.append(n)
+            if len(calls) == 3:
+                raise FactorizationBudgetExceeded("120 ECM curves spent in the split stage with a 400-bit cofactor unsplit")
+            return ()
+
+        monkeypatch.setattr(linking_module, "prime_factors", out_at_three)
+        with pytest.raises(FactorizationBudgetExceeded) as caught:
+            admissible_primes(q, 5)
+        message = str(caught.value)
+        assert message.startswith(f"q**i - 1 for {named} i=3: 120 ECM curves spent")
+        assert len(message.encode()) < 1024
+
+
 def test_ell_linked_worked_values():
     o9 = orbit_of(char(L52, 9))
     o0 = orbit_of(char(L52, 0))
@@ -139,6 +158,23 @@ def test_chain_verification_rejects_each_broken_step():
     ]
     for bad in broken:
         assert not verify_link_chain(bad)
+
+
+def test_chain_verification_is_false_for_a_forged_step():
+    # M = 24: each forged ell is below 2, not a divisor of M, or a composite divisor of M
+    L25 = field_level(25, 1)
+    chain = build_link_chain(char(L25, 1), char(L25, 5))
+    first, second = chain.steps
+    for ell in (0, 1, -2, 4, 6, 24, 5, 10**400):
+        for steps in ((LinkStep(ell, first.before, first.after), second), (first, LinkStep(ell, second.before, second.after))):
+            assert verify_link_chain(LinkChain(chain.source, chain.target, steps)) is False
+    # a step that ends at another level with the same M = 24
+    foreign = LinkStep(first.ell, first.before, orbit_of(char(field_level(5, 2), 13)))
+    assert verify_link_chain(LinkChain(chain.source, chain.target, (foreign, second))) is False
+    assert verify_link_chain(chain) is True
+    for Q, deg in [(2, 6), (3, 4), (7, 2)]:
+        lvl = field_level(Q, deg)
+        assert verify_link_chain(build_link_chain(char(lvl, 1), char(lvl, lvl.M - 2))) is True
 
 
 def test_chain_level_check():

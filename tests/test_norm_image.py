@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tametransfer import (
     RegularizationLift,
+    ZsigmondyCertificate,
     char,
     descend_transfer,
     field_level,
@@ -134,7 +135,11 @@ def descent_case(draw):
         ratio = top.M // field_level(Q, f).M
         image = (beta + ratio * draw(st.integers(0, top.M)) + M0 * draw(st.integers(0, top.M))) % top.M
     alpha = char(base, draw(st.integers(0, base.M - 1)))
-    lift = RegularizationLift(top.deg // base.deg, ell, char(top, beta), char(top, 0), None)
+    # the lift's beta is alpha_star times the character of exponent M/ell: forge ell
+    # through the certificate and alpha_star so that beta is the drawn one
+    cert = ZsigmondyCertificate(Q, top.deg, ell, ())
+    lift = RegularizationLift(top.deg // base.deg, char(top, beta - top.M // ell), cert)
+    assert (lift.ell, lift.beta.a) == (ell, beta)
     return alpha, lift, orbit_of(char(top, image))
 
 

@@ -359,3 +359,20 @@ def test_warm_regularize_tests_no_prime(monkeypatch):
         monkeypatch.setattr(module, "is_prime", lambda n, real=module.is_prime: calls.append(n) or real(n))
     assert regularize(alpha, params) == want
     assert calls == []
+
+
+def test_regularize_refuses_a_lift_that_is_not_fully_regular(monkeypatch):
+    # an orbit size of the lift one below a*n' is the fault the first self-check catches
+    module = importlib.import_module("tametransfer.regularize")
+    real = module.orbit_size
+    monkeypatch.setattr(module, "orbit_size", lambda chi: real(chi) - (chi.level.deg > Q3N2.n_prime))
+    with pytest.raises(OrderViolation, match="not fully regular"):
+        regularize(char(level(Q3N2, 2), 1), Q3N2)
+
+
+def test_regularize_refuses_a_lift_that_is_not_congruent_to_its_input(monkeypatch):
+    # an ell-regular part that keeps the ell-power factor is the fault the second self-check catches
+    module = importlib.import_module("tametransfer.regularize")
+    monkeypatch.setattr(module, "_ell_regular", lambda chi, ell: chi)
+    with pytest.raises(OrderViolation, match="not congruent"):
+        regularize(char(level(Q3N2, 2), 1), Q3N2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tametransfer import (
+    GaloisOrbit,
     RectifierSpec,
     apply_transfer,
     blow_up,
@@ -28,8 +29,11 @@ from tametransfer import (
 from tametransfer.errors import (
     DegreeMismatch,
     LevelMismatch,
+    MismatchAgainstRectifier,
     NotAdmissiblePair,
     NotEssentiallyTame,
+    NotInNormImage,
+    OrderViolation,
 )
 from tametransfer.numth import is_prime_power
 import tametransfer.tame as tame_module
@@ -60,7 +64,8 @@ def test_rectifier_trivial_for_p2_even_with_odd_y():
 
 
 def test_rectifier_accepts_every_tame_shape_in_a_box():
-    # v = d / gcd(d, w) divides n/w = e(E/F): no shape can fail that check
+    # v = d / gcd(d, w) divides n/w = e(E/F): no shape can fail that check.  The
+    # derived mu is 0 or M/2, so it is Frobenius-fixed and of order dividing two
     shapes = 0
     for p in (2, 3, 5):
         for e in range(1, 25):
@@ -73,8 +78,15 @@ def test_rectifier_accepts_every_tame_shape_in_a_box():
                         w = n // e
                         v = d // math.gcd(d, w)
                         assert (n // w) % v == 0, (p, e, f, m, d)
+                        g = e * f
+                        y = m * (d - 1) + m * math.gcd(d, g) // g * (d // math.gcd(d, g) - 1) + n // w // v * (v - 1)
                         spec = rectifier(derive_tower(p, p, e, f, m, d))
-                        assert (spec.w, spec.v, spec.u * v) == (w, v, n // w)
+                        assert (spec.w, spec.v, spec.u * v, spec.y) == (w, v, n // w, y)
+                        lvl = spec.mu.level
+                        assert (lvl.Q, lvl.deg) == (p**f, n // g)
+                        assert lvl.Q * spec.mu.a % lvl.M == spec.mu.a
+                        assert 2 * spec.mu.a % lvl.M == 0
+                        assert (spec.mu.a != 0) == (p % 2 == 1 and y % 2 == 1), (p, e, f, m, d)
                         shapes += 1
     assert shapes == 1781
 
@@ -103,39 +115,41 @@ ODD_LEVELS = {deg: [Q for Q in ODD_Q if Q**deg - 1 <= 3000] for deg in range(1, 
 
 
 @st.composite
-def odd_spec(draw):
-    """A hand-built rectifier spec at an odd level, with mu = 0 or M/2.
+def odd_shift(draw):
+    """An odd level and a shift t = 0 or M/2.
 
     For odd Q, Q * M/2 = M/2 (mod M), so M/2 is Frobenius-fixed at every level.
     """
     deg = draw(st.sampled_from(sorted(ODD_LEVELS)))
-    Q = draw(st.sampled_from(ODD_LEVELS[deg]))
-    params = derive_tower(is_prime_power(Q), Q, 1, 1, deg, 1)
-    lvl = level(params, deg)
-    mu = char(lvl, draw(st.sampled_from([0, lvl.M // 2])))
-    return with_mu(rectifier(params), mu)
+    lvl = field_level(draw(st.sampled_from(ODD_LEVELS[deg])), deg)
+    return lvl, draw(st.sampled_from([0, lvl.M // 2]))
 
 
-def with_mu(spec, mu):
-    """The spec with another mu, built by its constructor, whose check runs."""
-    return RectifierSpec(spec.params, spec.w, spec.v, spec.u, spec.y, mu)
-
-
-@given(odd_spec(), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=60, deadline=None)
-def test_translation_is_the_walked_twist(spec, chi_seed):
+def flipped_spec(spec):
+    """The spec with mu shifted by M/2, filled into a bare instance as ``orbit_to_pair`` fills a pair:
+    the constructor derives mu from the shape, so it cannot build this fault."""
     lvl = spec.mu.level
+    bad = object.__new__(RectifierSpec)
+    bad._fill(spec.params, spec.w, spec.v, spec.u, spec.y, char(lvl, spec.mu.a + lvl.M // 2))
+    return bad
+
+
+@given(odd_shift(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_translation_is_the_walked_twist(shift, chi_seed):
+    lvl, t = shift
     chi = char(field_level(lvl.Q, 1), chi_seed)
-    shift = norm_inflate(chi, lvl.deg)
+    inflated = norm_inflate(chi, lvl.deg)
     for orbit in enumerate_orbits(lvl):
-        assert apply_transfer(orbit, spec) == orbit_of(char(lvl, orbit.rep + spec.mu.a))
-        assert kappa_twist(orbit, chi) == orbit_of(orbit.rep_char() * shift)
+        assert tame_module._translate(orbit, t) == orbit_of(char(lvl, orbit.rep + t))
+        assert kappa_twist(orbit, chi) == orbit_of(orbit.rep_char() * inflated)
 
 
 def test_transfer_table_walks_no_orbit(monkeypatch):
-    params = derive_tower(3, 3, 1, 1, 6, 1)
-    lvl = level(params, 6)
-    specs = [rectifier(params), with_mu(rectifier(params), char(lvl, lvl.M // 2))]
+    # two shapes at the level (3, 6), with a trivial and a nontrivial rectifier
+    specs = [rectifier(derive_tower(3, 3, 1, 1, 6, 1)), rectifier(derive_tower(3, 3, 2, 1, 3, 4))]
+    lvl = level(specs[0].params, 6)
+    assert [spec.mu for spec in specs] == [char(lvl, 0), char(lvl, lvl.M // 2)]
     chi = char(field_level(3, 1), 1)
     orbits = enumerate_orbits(lvl)
 
@@ -196,11 +210,7 @@ def test_injected_rectifier_bug_is_caught(monkeypatch):
     true_rectifier = tame_module.rectifier
 
     def flipped(params):
-        spec = true_rectifier(params)
-        flipped_mu = char(spec.mu.level, spec.mu.a + spec.mu.level.M // 2)
-        return tame_module.RectifierSpec(
-            params=spec.params, w=spec.w, v=spec.v, u=spec.u, y=spec.y, mu=flipped_mu
-        )
+        return flipped_spec(true_rectifier(params))
 
     lvl = level(QUATERNARY, 2)
     reference = apply_transfer(orbit_of(char(lvl, 1)), true_rectifier(QUATERNARY))
@@ -250,6 +260,25 @@ def test_orbit_to_pair_recovers_rep_for_regular_orbits():
     orbit = orbit_of(char(lvl, 5))
     assert orbit.size == 2
     assert orbit_to_pair(orbit, QUATERNARY).beta.a == orbit.rep
+
+
+def test_orbit_to_pair_refuses_a_hand_built_orbit():
+    # at (Q, deg) = (3, 2), M = 8, no tuple below is a Frobenius orbit
+    lvl = level(QUATERNARY, 2)
+    for members, kind, message in [
+        ((1,), NotInNormImage, "not norm-inflated"),   # 1 is not inflated from the level of degree 1
+        ((0, 4), OrderViolation, "changed the parametric degree"),   # the orbit of 0 has size 1
+        ((1, 5), OrderViolation, "does not invert inflation"),   # the orbit of 1 is (1, 3)
+    ]:
+        with pytest.raises(kind, match=message):
+            orbit_to_pair(GaloisOrbit(lvl, members), QUATERNARY)
+
+
+def test_transfer_via_descent_refuses_a_descent_off_the_twist(monkeypatch):
+    # a faulted descent that returns its input orbit; the direct twist is computed apart from it
+    monkeypatch.setattr(tame_module, "descend_transfer", lambda alpha, lift, image: orbit_of(alpha))
+    with pytest.raises(MismatchAgainstRectifier, match="descent gave 1, rectifier twist gave 5"):
+        transfer_via_descent(char(level(QUATERNARY, 2), 1), QUATERNARY)
 
 
 def test_transfer_pair_quadratic_shift():
@@ -303,3 +332,14 @@ def test_discrete_series_shape():
     shape = discrete_series_shape(orbit, wide)
     assert (shape.f, shape.t, shape.s, shape.r) == (2, 2, 2, 2)
     assert shape.r * shape.s * shape.t == wide.n
+
+
+def test_discrete_series_shape_checks_the_level_first():
+    # Q = 3, n' = 2: an orbit at (2, 2) or (3, 4) is not at the shape's full level
+    shape = derive_tower(3, 3, 1, 1, 2, 1)
+    for lvl in (field_level(2, 2), field_level(3, 4)):
+        with pytest.raises(LevelMismatch, match="full level"):
+            discrete_series_shape(orbit_of(char(lvl, 1)), shape)
+    # a hand-built orbit at the right level with too many members still meets the divisibility check
+    with pytest.raises(OrderViolation, match="does not divide"):
+        discrete_series_shape(GaloisOrbit(level(shape, 2), (1, 2, 3)), shape)
