@@ -22,7 +22,7 @@ import math
 from functools import cache
 
 from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange
-from .numth import _ell_split, is_prime, prime_factors
+from .numth import _ell_idempotent, is_prime, prime_factors
 from .tower import MAX_LEVEL_BITS, FieldLevel, _Record, field_level
 
 # Largest group order M whose orbits are listed.  It bounds the size of an enumeration, which holds
@@ -116,10 +116,7 @@ def ell_regular_part(alpha: CharExp, ell: int) -> CharExp:
 
 def _ell_regular(alpha: CharExp, ell: int) -> CharExp:
     """``ell_regular_part`` for an ell already known to be prime."""
-    t, e = _ell_split(alpha.level.M, ell)
-    if t == 0:
-        return alpha
-    return CharExp(alpha.level, e * alpha.a % alpha.level.M)
+    return CharExp(alpha.level, _ell_idempotent(alpha.level.M, ell) * alpha.a % alpha.level.M)
 
 
 def norm_inflate(alpha: CharExp, a: int) -> CharExp:
@@ -196,14 +193,13 @@ def s_invariant(alpha: CharExp, d_prime: int) -> int:
     return d_prime // math.gcd(_orbit_size_over(alpha, d_prime), d_prime)
 
 
-def _walk_orbits(level: FieldLevel, with_members: bool = False) -> list[int] | list[tuple[int, ...]]:
-    """Walk every Frobenius orbit of the level once.
+def _walk_orbits(level: FieldLevel) -> list[int]:
+    """The canonical representative of every Frobenius orbit of the level, ascending.
 
-    Returns the canonical representatives ascending or, when asked for, each
-    orbit's sorted members in the same order.  As M = Q**deg - 1, multiplying
-    by Q rotates the deg base-Q digits of an exponent, so an orbit is a
-    necklace and its representative is the necklace's smallest rotation.
-    The Fredricksen-Kessler-Maiorana successor lists the prenecklaces in
+    As M = Q**deg - 1, multiplying by Q rotates the deg base-Q digits of an
+    exponent, so an orbit is a necklace and its representative is the
+    necklace's smallest rotation.  The Fredricksen-Kessler-Maiorana successor
+    lists the prenecklaces in
     ascending order, at constant amortized cost each, as integers: from x,
     strip the factors Q from y = x + 1, which leaves a prefix of i digits;
     the next prenecklace repeats that prefix, y * Q**deg // (Q**i - 1), and
@@ -212,8 +208,8 @@ def _walk_orbits(level: FieldLevel, with_members: bool = False) -> list[int] | l
     rises, so every exponent up to its next last digit Q - 1 is a
     representative too.  A prefix of digits Q - 1 alone would repeat to M,
     whose orbit {0} is listed first, and ends the walk.  Only the
-    representatives are visited; members are walked from each of them.  A
-    level with M above the fixed ``MAX_ENUMERATION`` raises before any work.
+    representatives are visited.  A level with M above the fixed
+    ``MAX_ENUMERATION`` raises before any work.
     """
     Q, n, M = level.Q, level.deg, level.M
     if M > MAX_ENUMERATION:
@@ -237,21 +233,24 @@ def _walk_orbits(level: FieldLevel, with_members: bool = False) -> list[int] | l
             if x == M:  # only at degree one, where the run would reach M itself
                 x -= 1
             reps += range(y, x + 1)
-    if not with_members:
-        return reps
-    orbits = []
-    for a in reps:
-        orbit = [a]
-        x = a * Q % M
-        while x != a:
-            orbit.append(x)
-            x = x * Q % M
-        orbit.sort()
-        orbits.append(tuple(orbit))
-    return orbits
+    return reps
 
 
 def enumerate_orbits(level: FieldLevel) -> list[GaloisOrbit]:
-    """All Frobenius orbits at the level, ordered by canonical representative."""
-    # Built positionally: keyword arguments make each frozen orbit slower to build.
-    return [GaloisOrbit(level, orbit) for orbit in _walk_orbits(level, with_members=True)]
+    """All Frobenius orbits at the level, ordered by canonical representative.
+
+    The necklace walk lists the representatives first; then each orbit's
+    members are walked from its representative and sorted.
+    """
+    Q, M = level.Q, level.M
+    orbits = []
+    for a in _walk_orbits(level):
+        members = [a]
+        x = a * Q % M
+        while x != a:
+            members.append(x)
+            x = x * Q % M
+        members.sort()
+        # Built positionally: keyword arguments make each frozen orbit slower to build.
+        orbits.append(GaloisOrbit(level, tuple(members)))
+    return orbits

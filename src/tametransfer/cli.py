@@ -317,10 +317,10 @@ _COMMANDS: dict[str, tuple[str | None, bool, tuple]] = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> _Parser:
+def build_parser(argv: list[str]) -> _Parser:
     """The parser for ``argv``: when ``argv`` starts with a command name, only
     that command's subparser is built, under the same usage line as the full
-    parser; otherwise (and with no ``argv``) every command's."""
+    parser; otherwise, an empty ``argv`` included, every command's."""
     parser = _Parser(prog="tametransfer", description=__doc__)
     names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     # With one command built, the usage line still names every command.  The

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .characters import CharExp, GaloisOrbit, _ell_regular, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch, short_int
-from .numth import _ell_split, factorize, is_prime, prime_factors
+from .numth import _ell_idempotent, factorize, is_prime, prime_factors
 from .tower import FieldLevel, _Record, field_level
 
 
@@ -77,8 +77,7 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
     steps = []
     current = alpha
     for ell in primes:
-        _, e_reg = _ell_split(M, ell)
-        xi_ell = (1 - e_reg) * xi % M
+        xi_ell = (1 - _ell_idempotent(M, ell)) * xi % M
         if xi_ell == 0:
             continue
         # each step starts on the orbit the previous step ended on

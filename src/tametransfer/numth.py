@@ -98,10 +98,7 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     the root is then at least 2**13, so k <= bits / 13.  A power of a
     composite exponent is a power of a prime one.
     """
-    top = n.bit_length() // 13
-    for k in SMALL_PRIMES:
-        if k > top:
-            return None
+    for k in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, n.bit_length() // 13)]:
         root = _integer_root(n, k)
         if root**k == n:
             return root, k
@@ -111,7 +108,6 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
 _TRIAL_BLOCK = 200  # candidates per block; is_prime(n) runs after the first block
 _TRIAL_BLOCKS = 100
 _ECM_B1 = 2000
-_ECM_B2 = 100_000
 _ECM_D = 100  # stage 2 takes its baby steps [2d]Q for d = 1..D
 MAX_ECM_CURVES = 120  # per factorization or search, over all of its parts
 
@@ -171,7 +167,8 @@ def _affine_x(points: list[tuple[int, int]], n: int) -> list[int] | None:
 def _ecm_curve(n: int, sigma: int, k: int) -> int:
     """gcd of n with what one ECM curve finds: Suyama's curve for sigma,
     stage 1 by the multiplier k, stage 2 by Montgomery's standard
-    continuation over the primes in (B1, B2].  1 or n when it finds nothing.
+    continuation over the primes in (B1, B2], where B2 is the sieve bound:
+    stage 2 ends where SMALL_PRIMES ends.  1 or n when it finds nothing.
 
     Both stages start from a point scaled to Z = 1.  Stage 2 takes its D
     baby steps [2d]Q and its giant steps [r]Q to affine x by one batch
@@ -198,8 +195,8 @@ def _ecm_curve(n: int, sigma: int, k: int) -> int:
     for d in range(3, D + 1):
         steps.append(_xadd(*steps[d - 1], *steps[1], *steps[d - 2], n))
     r0 = _ECM_B1 - 1  # odd, as B1 is even; the giant step r covers the primes in (r, r + 2D]
-    i, end = bisect_right(SMALL_PRIMES, r0), bisect_right(SMALL_PRIMES, _ECM_B2)
-    giants = range(r0, SMALL_PRIMES[end - 1], 2 * D)
+    i = bisect_right(SMALL_PRIMES, r0)
+    giants = range(r0, SMALL_PRIMES[-1], 2 * D)
     T, R = _ladder(x, r0 - 2 * D, a24, n), _ladder(x, r0, a24, n)
     steps.append(R)
     for _ in giants[1:]:
@@ -207,7 +204,7 @@ def _ecm_curve(n: int, sigma: int, k: int) -> int:
         steps.append(R)
     xs, g = _affine_x(steps, n), 1
     for j, r in enumerate(giants, D + 1):
-        top = bisect_right(SMALL_PRIMES, r + 2 * D, i, end)
+        top = bisect_right(SMALL_PRIMES, r + 2 * D, i)
         if xs is None:
             XR, ZR = steps[j]
             for p in SMALL_PRIMES[i:top]:
@@ -346,23 +343,14 @@ def is_prime_power(n: int) -> int | None:
     return n if is_prime(n) else None
 
 
-def crt_idempotent(q: int, m_rest: int) -> int:
-    """The idempotent e with e = 0 (mod q) and e = 1 (mod m_rest), coprime parts.
+def _ell_idempotent(M: int, ell: int) -> int:
+    """The CRT idempotent e mod M with e = 0 (mod ell**t) and e = 1 (mod M0), where M = ell**t * M0
+    and ell does not divide M0: 1 when ell does not divide M, 0 when M is a power of ell.
 
-    For m_rest == 1 this is 0, matching pow(q, -1, 1) == 0.
-    """
-    return q * pow(q, -1, m_rest) % (q * m_rest) if m_rest > 1 else 0
-
-
-def _ell_split(M: int, ell: int) -> tuple[int, int]:
-    """Split M = ell**t * M0 with ell not dividing M0; return (t, e).
-
-    e is the CRT idempotent with e = 0 (mod ell**t) and e = 1 (mod M0):
-    multiplying an exponent mod M by e keeps its M0-part and kills its
+    Multiplying an exponent mod M by e keeps its M0-part and kills its
     ell-part, and the complementary idempotent 1 - e keeps the ell-part only.
     """
-    t, M0 = 0, M
-    while M0 % ell == 0:
-        M0 //= ell
-        t += 1
-    return t, crt_idempotent(ell**t, M0)
+    q = 1
+    while M % (q * ell) == 0:
+        q *= ell
+    return q * pow(q, -1, M // q) % M

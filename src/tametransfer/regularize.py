@@ -33,7 +33,7 @@ from .errors import (
     OutOfRange,
     short_int,
 )
-from .numth import _ell_split, _least_prime_factor, is_prime, prime_factors
+from .numth import _ell_idempotent, _least_prime_factor, is_prime, prime_factors
 from .tower import TowerParams, _Record, field_level, level
 
 BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
@@ -182,10 +182,10 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
     base level by norm inflation, and the descended twist is applied to the
     input.  Conjugates that descend must all agree on the final orbit.
 
-    The ell-split of the lift's group order (the CRT idempotent e) and the
-    order ratio to the base level are computed once per call, so a member m
-    costs one product: x = e * (m - beta) mod M, which descends exactly when
-    the ratio divides x, to the exponent alpha + x / ratio.  Only the orbit
+    The idempotent e that kills the ell-part of an exponent mod the lift's
+    M and the order ratio to the base level are computed once per call, so a
+    member m costs one product: x = e * (m - beta) mod M, which descends
+    exactly when the ratio divides x, to the exponent alpha + x / ratio.  Only the orbit
     of the first candidate is walked; orbits partition the level, so every
     other candidate must lie among its members.
     """
@@ -196,7 +196,7 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
     base, M_top, b = alpha.level, top.M, lift.beta.a
-    _, e = _ell_split(M_top, ell)
+    e = _ell_idempotent(M_top, ell)
     twists = _norm_image(top, base, [e * (member - b) % M_top for member in beta_image.members])[1]
     candidates = [(alpha.a + x) % base.M for x in twists]
     if not candidates:

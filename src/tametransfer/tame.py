@@ -221,18 +221,18 @@ class PairTransfer(_Record):
 def transfer_pair(pair: TamePairClass, params: TowerParams) -> PairTransfer:
     """Transfer a pair class and expose the order-two correction character.
 
-    The correction is the rectifier pushed down to the pair's subfield level;
-    it is recomputed against the transferred class at runtime rather than
-    trusted.
+    The correction is the rectifier pushed down to the pair's subfield level,
+    checked to have order dividing two before the transfer runs; the
+    transferred class is then checked against it rather than trusted.
     """
     spec = rectifier(params)
-    image = apply_transfer(pair_to_orbit(pair, params), spec)
-    out = orbit_to_pair(image, params)
+    orbit = pair_to_orbit(pair, params)
     mu_l = is_norm_inflated(spec.mu, pair.beta.level)
     if mu_l is None:
         raise OrderViolation("rectifier does not restrict to the pair level")
     if 2 * mu_l.a % mu_l.level.M:
         raise OrderViolation("restricted rectifier is not of order dividing two")
+    out = orbit_to_pair(apply_transfer(orbit, spec), params)
     if out.beta.level != pair.beta.level or out.beta.a not in orbit_of(pair.beta * mu_l).members:
         raise OrderViolation("transferred pair is not the quadratic shift of the input")
     return PairTransfer(pair=out, mu_l=mu_l)

@@ -563,7 +563,7 @@ def test_one_command_parser_answers_as_the_full_parser(monkeypatch, capsys):
     per_command = {}
     for argv in bad_argvs():
         per_command[tuple(argv)] = outcome(argv, capsys)
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser([]))
     for argv, (code, out) in per_command.items():
         assert code in (0, 1), argv
         assert outcome(list(argv), capsys) == (code, out), argv

@@ -22,7 +22,7 @@ from tametransfer import (
 )
 from tametransfer.characters import CharExp
 from tametransfer.errors import AmbiguousTwist, DomainError, LevelMismatch, NotNormInflated, NotPrime
-from tametransfer.numth import _ell_split, is_prime
+from tametransfer.numth import _ell_idempotent, is_prime
 
 
 def old_orbit_size(alpha):
@@ -58,7 +58,7 @@ def old_descend_transfer(alpha, lift, beta_image):
         raise NotPrime(f"ell={lift.ell} is not prime")
     base = alpha.level
     old_check_blow_up(top, base)
-    _, e = _ell_split(top.M, lift.ell)
+    e = _ell_idempotent(top.M, lift.ell)
     ratio = top.M // base.M
     candidates = []
     for member in beta_image.members:

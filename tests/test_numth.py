@@ -125,6 +125,16 @@ def test_perfect_power_of_a_huge_prime():
     assert factorize(mersenne**2) == {mersenne: 2}
 
 
+def test_perfect_power_tries_every_prime_up_to_a_thirteenth_of_the_bits():
+    # 8209 is the least prime above 2**13, so 8209**k has 13k to 13k + 12 bits and k is the last
+    # exponent tried; a number next to it that is no power ends in the final None
+    for k in (2, 3, 5, 7):
+        assert (8209**k).bit_length() // 13 == k
+        assert _perfect_power(8209**k) == (8209, k)
+        assert _perfect_power(8209**k + 2) is None
+    assert _perfect_power(8209) is None
+
+
 # criterion 1's box b**r - 1 for b <= 30, r <= 24: the numbers that keep two
 # or three primes above 10**5, then a seeded sample of the rest
 CRITERION_1_HARD = [(20, 19), (20, 22), (21, 19), (23, 22), (23, 23), (26, 23), (29, 23)]
@@ -273,7 +283,7 @@ def ref_ecm_curve(n, sigma, k):
     primes = numth.SMALL_PRIMES
     r = numth._ECM_B1 - 1
     T, R = ref_ladder(X, Z, r - 2 * D, a24, n), ref_ladder(X, Z, r, a24, n)
-    i, end = bisect_right(primes, r), bisect_right(primes, numth._ECM_B2)
+    i, end = bisect_right(primes, r), bisect_right(primes, 100_000)  # B2
     g = 1
     while i < end:
         XR, ZR = R
@@ -334,6 +344,12 @@ def test_every_curve_finds_the_gcd_of_the_projective_curve(monkeypatch):
     unaffine.clear()
     assert numth._ecm_curve(1073742053 * 17179870919, 8, k) == 1073742053 * 17179870919
     assert unaffine == [1073742053 * 17179870919]
+
+
+def test_a_curve_that_shares_a_prime_at_set_up_returns_it():
+    # sigma = 7 gives v = 4 * sigma = 28, which shares the 7 of n: the set-up gcd returns it, where
+    # the inversion that follows it would raise ValueError instead
+    assert numth._ecm_curve(7 * 1000003, 7, numth._ecm_multiplier()) == 7
 
 
 def test_ladder_from_the_normalized_base_is_the_projective_ladder_up_to_scale():

@@ -23,7 +23,7 @@ from tametransfer import (
     orbit_of,
 )
 from tametransfer.errors import EnumerationTooLarge
-from tametransfer.numth import _ell_split, crt_idempotent, factorize, prime_factors
+from tametransfer.numth import _ell_idempotent, prime_factors
 
 SMALL_LEVELS = [
     field_level(Q, deg)
@@ -96,7 +96,7 @@ def test_partition_factors_nothing(lvl, monkeypatch):
         raise AssertionError("linked_partition split M into primes")
 
     monkeypatch.setattr(linking, "prime_factors", refuse)
-    monkeypatch.setattr(linking, "_ell_split", refuse)
+    monkeypatch.setattr(linking, "_ell_idempotent", refuse)
     assert linked_partition(lvl) == want
 
 
@@ -142,16 +142,43 @@ def test_orbit_count_is_burnsides(Q, deg):
         assert count == 44_367
 
 
+def crt_idempotent_reference(M, ell):
+    """(e, q, M0) for M = q * M0 with q the largest power of ell dividing M: e is the x mod M
+    with x = 0 (mod q) and x = 1 (mod M0), by the extended Euclidean algorithm on q and M0."""
+    q = 1
+    while M % (q * ell) == 0:
+        q *= ell
+    M0 = M // q
+    r0, r1, s0, s1 = q, M0, 1, 0  # invariant: r_i = s_i * q (mod M0)
+    while r1:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    # r0 = gcd(q, M0) = 1, so s0 * q = 1 (mod M0), and x = 0 + (1 - 0) * s0 * q
+    return s0 * q % M, q, M0
+
+
+SPLIT_ELLS = (2, 3, 5, 7, 11, 13)
+
+
 @pytest.mark.parametrize("M", [1, 2, 24, 48, 728, 531440, 2**61 - 2])
 def test_ell_split_idempotents_are_complementary(M):
-    for ell, t in factorize(M).items():
-        got_t, e_reg = _ell_split(M, ell)
-        q = ell**t
-        assert got_t == t
-        assert e_reg % q == 0 and e_reg % (M // q) == 1 % (M // q)
-        assert (e_reg + crt_idempotent(M // q, q)) % M == 1 % M
-    t, e = _ell_split(M, 10007)  # a prime dividing none of these M
-    assert (t, e) == (0, 1 % M)
+    for ell in (*SPLIT_ELLS, 10007):  # 10007 divides none of these M
+        e, q, M0 = crt_idempotent_reference(M, ell)
+        assert e % q == 0 and e % M0 == 1 % M0
+        assert _ell_idempotent(M, ell) == e, ell
+        # 1 - e is the complementary idempotent: 1 mod q and 0 mod M0
+        assert (1 - e) % M % q == 1 % q and (1 - e) % M % M0 == 0
+    assert _ell_idempotent(M, 10007) == 1 % M
+
+
+def test_ell_idempotent_on_every_small_modulus():
+    for ell in SPLIT_ELLS:
+        for M in range(1, 3_000):
+            assert _ell_idempotent(M, ell) == crt_idempotent_reference(M, ell)[0], (M, ell)
+            if M % ell:
+                assert _ell_idempotent(M, ell) == 1 % M, (M, ell)
+        for k in range(40):  # M a power of ell, M = 1 among them: the ell-part is everything
+            assert _ell_idempotent(ell**k, ell) == 0, (ell, k)
 
 
 @pytest.mark.parametrize("Q, deg", [(2, 1), (2, 2), (5, 2), (3, 5)])

@@ -125,13 +125,17 @@ def odd_shift(draw):
     return lvl, draw(st.sampled_from([0, lvl.M // 2]))
 
 
-def flipped_spec(spec):
-    """The spec with mu shifted by M/2, filled into a bare instance as ``orbit_to_pair`` fills a pair:
-    the constructor derives mu from the shape, so it cannot build this fault."""
-    lvl = spec.mu.level
+def with_mu(spec, a):
+    """The spec with mu set to the exponent a, filled into a bare instance as ``orbit_to_pair`` fills a
+    pair: the constructor derives mu from the shape, so it cannot build this fault."""
     bad = object.__new__(RectifierSpec)
-    bad._fill(spec.params, spec.w, spec.v, spec.u, spec.y, char(lvl, spec.mu.a + lvl.M // 2))
+    bad._fill(spec.params, spec.w, spec.v, spec.u, spec.y, char(spec.mu.level, a))
     return bad
+
+
+def flipped_spec(spec):
+    """The spec with mu shifted by M/2."""
+    return with_mu(spec, spec.mu.a + spec.mu.level.M // 2)
 
 
 @given(odd_shift(), st.integers(min_value=0, max_value=10**6))
@@ -279,6 +283,26 @@ def test_transfer_via_descent_refuses_a_descent_off_the_twist(monkeypatch):
     monkeypatch.setattr(tame_module, "descend_transfer", lambda alpha, lift, image: orbit_of(alpha))
     with pytest.raises(MismatchAgainstRectifier, match="descent gave 1, rectifier twist gave 5"):
         transfer_via_descent(char(level(QUATERNARY, 2), 1), QUATERNARY)
+
+
+FIVE = derive_tower(5, 5, 1, 1, 2, 1)  # n' = 2 at Q = 5: M = 24, and M = 4 at the pair degree 1
+
+
+@pytest.mark.parametrize("mu_a, message", [
+    (1, "does not restrict to the pair level"),  # 1 is no multiple of the order ratio 24 / 4 = 6
+    (6, "not of order dividing two"),  # M/4 restricts to 1 mod 4, of order four
+])
+def test_transfer_pair_refuses_a_forged_rectifier(monkeypatch, mu_a, message):
+    # the checks run before the transfer, which would refuse the untranslatable mu = 1 otherwise
+    monkeypatch.setattr(tame_module, "rectifier", lambda params: with_mu(RectifierSpec(params), mu_a))
+    with pytest.raises(OrderViolation, match=message):
+        transfer_pair(tame_pair(FIVE, 1, 1), FIVE)
+
+
+def test_transfer_pair_refuses_an_image_off_the_quadratic_shift(monkeypatch):
+    monkeypatch.setattr(tame_module, "apply_transfer", lambda orbit, spec: orbit)
+    with pytest.raises(OrderViolation, match="not the quadratic shift of the input"):
+        transfer_pair(tame_pair(QUATERNARY, 1, 1), QUATERNARY)
 
 
 def test_transfer_pair_quadratic_shift():

@@ -38,11 +38,6 @@ ALLOWED = {
         "the module entry point, as above",
     ("cli.py", "<module>", "sys.exit(main())"):
         "the script entry point under `if __name__ == \"__main__\"`, run only as a subprocess",
-    ("numth.py", "_perfect_power", "return None"):
-        "its last return: reached only when n has more than 13 * 99,991 bits, past every guard",
-    ("numth.py", "_ecm_curve", "return g"):
-        "the set-up gcd: its primes divide 2, sigma or sigma**2 - 5, all below 15,625 for the 120 curves, "
-        "and both entry points remove every such prime first",
     ("numth.py", "divisors", "ds = [1]"):
         "no library code calls divisors; the benchmark's tracer still wraps it by name",
     ("numth.py", "divisors", "for p, e in factorize(n).items():"):
@@ -51,12 +46,6 @@ ALLOWED = {
         "as above",
     ("numth.py", "divisors", "return sorted(ds)"):
         "as above",
-    ("tame.py", "transfer_pair", 'raise OrderViolation("rectifier does not restrict to the pair level")'):
-        "a self-check: mu is 0 or M/2, and at odd Q, M/2 is inflated from every sub-level",
-    ("tame.py", "transfer_pair", 'raise OrderViolation("restricted rectifier is not of order dividing two")'):
-        "a self-check: a restriction of 0 or M/2 has order dividing two",
-    ("tame.py", "transfer_pair", 'raise OrderViolation("transferred pair is not the quadratic shift of the input")'):
-        "a self-check: the image is the orbit translated by mu, whose pair is the shift by mu_l",
 }
 
 
