@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange
+from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange, short_int
 from .numth import _ell_idempotent, is_prime, prime_factors
 from .tower import MAX_LEVEL_BITS, FieldLevel, _Record, field_level
 
@@ -110,7 +110,7 @@ def ell_regular_part(alpha: CharExp, ell: int) -> CharExp:
     if ell.bit_length() > MAX_LEVEL_BITS:
         raise LevelGuardExceeded(f"ell has {ell.bit_length()} bits; no level's M has more than {MAX_LEVEL_BITS}")
     if not is_prime(ell):
-        raise NotPrime(f"ell={ell} is not prime")
+        raise NotPrime(f"ell={short_int(ell)} is not prime")
     return _ell_regular(alpha, ell)
 
 
@@ -130,12 +130,12 @@ def norm_inflate(alpha: CharExp, a: int) -> CharExp:
     if a == 1:
         return alpha
     top = field_level(alpha.level.Q, a * alpha.level.deg)
-    return CharExp(top, alpha.a * _norm_image(top, alpha.level)[0])
+    return CharExp(top, alpha.a * (top.M // alpha.level.M))
 
 
-def _norm_image(top: FieldLevel, base: FieldLevel, exponents: tuple | list = ()) -> tuple[int, list[int]]:
-    """The order ratio M_top / M_base of ``top`` over its sub-level ``base``, and the exponent at
-    ``base`` of each given exponent at ``top`` that the ratio divides: those are the norm image."""
+def _norm_image(top: FieldLevel, base: FieldLevel, exponents: tuple | list) -> list[int]:
+    """The exponent at the sub-level ``base`` of each given exponent at ``top`` that the order
+    ratio M_top / M_base divides: those are the norm image."""
     if top.Q != base.Q or top.deg % base.deg:
         raise LevelMismatch(f"level {top.deg} over Q={top.Q} is not a blow-up of level {base.deg} over Q={base.Q}")
     ratio = top.M // base.M
@@ -143,7 +143,7 @@ def _norm_image(top: FieldLevel, base: FieldLevel, exponents: tuple | list = ())
     for x in exponents:  # a loop: a comprehension would be a call of its own, and this is hot
         if x % ratio == 0:
             inflated_from.append(x // ratio)
-    return ratio, inflated_from
+    return inflated_from
 
 
 def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
@@ -152,7 +152,7 @@ def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
     Returns the character nu with norm_inflate(nu, a) == chi, which exists
     exactly when the order ratio divides chi's exponent; None otherwise.
     """
-    nu = _norm_image(chi.level, base, (chi.a,))[1]
+    nu = _norm_image(chi.level, base, (chi.a,))
     return CharExp(base, nu[0]) if nu else None
 
 
@@ -166,7 +166,7 @@ def orbit_size(alpha: CharExp) -> int:
     """
     lvl, f = alpha.level, alpha.level.deg
     for p in _degree_primes(f):
-        while f % p == 0 and _norm_image(lvl, field_level(lvl.Q, f // p), (alpha.a,))[1]:
+        while f % p == 0 and _norm_image(lvl, field_level(lvl.Q, f // p), (alpha.a,)):
             f //= p
     return f
 
@@ -213,7 +213,7 @@ def _walk_orbits(level: FieldLevel) -> list[int]:
     """
     Q, n, M = level.Q, level.deg, level.M
     if M > MAX_ENUMERATION:
-        raise EnumerationTooLarge(f"M={M} exceeds enumeration bound {MAX_ENUMERATION}")
+        raise EnumerationTooLarge(f"M={short_int(M)} exceeds enumeration bound {MAX_ENUMERATION}")
     reps = [0]
     below = [Q**i - 1 for i in range(n + 1)]
     x = 0

@@ -30,13 +30,13 @@ from .linking import build_link_chain, linked_partition
 from .numth import is_prime_power
 from .regularize import regularize, zsigmondy_prime
 from .tame import (
-    _transfer_with_lift,
     apply_transfer,
     orbit_to_pair,
     pair_to_orbit,
     rectifier,
     tame_pair,
     transfer_pair,
+    transfer_via_descent,
 )
 from .tower import TowerParams, _Record, derive_tower, field_level, level
 
@@ -181,7 +181,7 @@ def _cmd_partition(args) -> dict:
 def _cmd_zsigmondy(args) -> dict:
     hit = zsigmondy_prime(args.b, args.r)
     if hit is None:
-        raise ZsigmondyException(f"no primitive prime divisor for b={args.b}, r={args.r}")
+        raise ZsigmondyException(f"no primitive prime divisor for b={short_int(args.b)}, r={args.r}")
     ell, cert = hit
     return {"b": str(args.b), "r": args.r, "ell": str(ell), "certificate": certificate_to_json(cert)}
 
@@ -224,11 +224,10 @@ def _cmd_transfer(args) -> dict:
 def _cmd_transfer_descent(args) -> dict:
     params = _resolve_shape(args)
     alpha = char(level(params, params.n_prime), args.alpha)
-    result, lift = _transfer_with_lift(alpha, params)
     return {
         "from": orbit_to_json(orbit_of(alpha)),
-        "to": orbit_to_json(result),
-        "lift": lift_to_json(lift),
+        "to": orbit_to_json(transfer_via_descent(alpha, params)),
+        "lift": lift_to_json(regularize(alpha, params)),
         "agrees_with_rectifier": True,
     }
 
@@ -262,7 +261,7 @@ def _cmd_pair_transfer(args) -> dict:
 def _cmd_green(args) -> dict:
     lvl = field_level(args.d, args.u)  # the level guard, before the prime-power test
     if is_prime_power(args.d) is None:
-        raise NotPrimePower(f"base cardinality d={args.d} is not a prime power")
+        raise NotPrimePower(f"base cardinality d={short_int(args.d)} is not a prime power")
     trace = green_trace(char(lvl, args.alpha0), args.g, args.u)
     return cyclotomic_to_json(trace)
 
@@ -362,7 +361,3 @@ def main(argv: list[str] | None = None) -> int:
     if result.status == "error":
         sys.stderr.write(f"{result.error_kind}: {result.message}\n")
     return result.exit_code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .characters import CharExp, GaloisOrbit, _ell_regular, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch, short_int
-from .numth import _ell_idempotent, factorize, is_prime, prime_factors
+from .numth import _ell_idempotent, is_prime, prime_factors
 from .tower import FieldLevel, _Record, field_level
 
 
@@ -70,9 +70,10 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
         raise LevelMismatch("characters live at different levels")
     M, level = alpha.level.M, alpha.level
     try:
-        primes = sorted(factorize(M))
+        primes = prime_factors(M)
     except FactorizationBudgetExceeded as exc:
-        raise FactorizationBudgetExceeded(f"order of the level Q={level.Q}, deg={level.deg}: {exc}") from None
+        raise FactorizationBudgetExceeded(
+            f"order of the level Q={short_int(level.Q)}, deg={level.deg}: {exc}") from None
     xi = (alpha_prime.a - alpha.a) % M
     steps = []
     current = alpha

@@ -89,7 +89,7 @@ def _smallest_primitive_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate
     try:
         ell = _least_prime_factor(primitive_part, r if r % 2 == 0 else 2 * r)
     except FactorizationBudgetExceeded as exc:
-        raise FactorizationBudgetExceeded(f"primitive prime for b={b}, r={r}: {exc}") from None
+        raise FactorizationBudgetExceeded(f"primitive prime for b={short_int(b)}, r={r}: {exc}") from None
     order_checks = _order_checks(b, r, ell)
     if order_checks is None:
         raise OrderViolation(f"prime {ell} is not primitive for ({b},{r})")
@@ -162,10 +162,10 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
     if alpha.level != base:
         raise LevelMismatch(f"character level {alpha.level} is not {base}")
     f, a = orbit_size(alpha), BLOW_UP_FACTOR
-    level(params, a * params.n_prime)  # the level guard, before any factoring
+    alpha_star = norm_inflate(alpha, a)  # builds the blow-up level: its guard fires before any factoring
 
     _, cert = zsigmondy_prime(params.Q**f, a * params.n_prime // f)
-    lift = RegularizationLift(a, norm_inflate(alpha, a), cert)
+    lift = RegularizationLift(a, alpha_star, cert)
 
     if orbit_size(lift.beta) != a * params.n_prime:
         raise OrderViolation("lifted character is not fully regular")
@@ -194,10 +194,10 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
         raise LevelMismatch("image orbit does not live at the lift's level")
     ell = lift.ell
     if not is_prime(ell):
-        raise NotPrime(f"ell={ell} is not prime")
+        raise NotPrime(f"ell={short_int(ell)} is not prime")
     base, M_top, b = alpha.level, top.M, lift.beta.a
     e = _ell_idempotent(M_top, ell)
-    twists = _norm_image(top, base, [e * (member - b) % M_top for member in beta_image.members])[1]
+    twists = _norm_image(top, base, [e * (member - b) % M_top for member in beta_image.members])
     candidates = [(alpha.a + x) % base.M for x in twists]
     if not candidates:
         raise NotNormInflated(

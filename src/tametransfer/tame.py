@@ -38,8 +38,9 @@ from .errors import (
     NotEssentiallyTame,
     NotInNormImage,
     OrderViolation,
+    short_int,
 )
-from .regularize import RegularizationLift, descend_transfer, regularize
+from .regularize import descend_transfer, regularize
 from .tower import TowerParams, _Record, blow_up, field_level, level
 
 
@@ -135,11 +136,6 @@ def transfer_via_descent(alpha: CharExp, params: TowerParams) -> GaloisOrbit:
     inflates to the blown-up rectifier).  Descending that image must land on
     the directly twisted orbit; disagreement is an internal error.
     """
-    return _transfer_with_lift(alpha, params)[0]
-
-
-def _transfer_with_lift(alpha: CharExp, params: TowerParams) -> tuple[GaloisOrbit, RegularizationLift]:
-    """``transfer_via_descent`` together with the lift it descended through."""
     spec = rectifier(params)
     lift = regularize(alpha, params)
     mu_star = norm_inflate(spec.mu, lift.a)
@@ -150,7 +146,7 @@ def _transfer_with_lift(alpha: CharExp, params: TowerParams) -> tuple[GaloisOrbi
         raise MismatchAgainstRectifier(
             f"descent gave {descended.rep}, rectifier twist gave {direct.rep}"
         )
-    return descended, lift
+    return descended
 
 
 class TamePairClass(_Record):
@@ -166,7 +162,7 @@ class TamePairClass(_Record):
     def __init__(self, beta: CharExp) -> None:
         orbit = orbit_of(beta)
         if orbit.size != beta.level.deg:
-            raise NotAdmissiblePair(f"exponent {beta.a} is not fully regular at degree {beta.level.deg}")
+            raise NotAdmissiblePair(f"exponent {short_int(beta.a)} is not fully regular at degree {beta.level.deg}")
         self._fill(beta if orbit.rep == beta.a else CharExp(beta.level, orbit.rep))
 
     @property
@@ -177,7 +173,7 @@ class TamePairClass(_Record):
 def tame_pair(params: TowerParams, f: int, beta_exp: int) -> TamePairClass:
     """Build a pair class from its degree and character exponent."""
     if f < 1 or params.n_prime % f:
-        raise DegreeMismatch(f"pair degree f={f} must divide n'={params.n_prime}")
+        raise DegreeMismatch(f"pair degree f={short_int(f)} must divide n'={short_int(params.n_prime)}")
     return TamePairClass(beta=char(field_level(params.Q, f), beta_exp))
 
 

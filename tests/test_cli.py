@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -8,9 +9,9 @@ import time
 import pytest
 
 import tametransfer
-from tametransfer import char, cli, field_level, numth, orbit_of
+from tametransfer import char, cli, derive_tower, field_level, level, numth, orbit_of, regularize
 from tametransfer.cli import main, run
-from tametransfer.jsonio import orbit_to_json
+from tametransfer.jsonio import lift_to_json, orbit_to_json
 from tametransfer.regularize import cyclotomic_value
 
 regularize_module = importlib.import_module("tametransfer.regularize")
@@ -131,6 +132,9 @@ def test_transfer_descent_at_nprime_10_to_20(shape, nprime, ell):
     assert payload["from"]["size"] == nprime
     assert payload["lift"]["beta"]["level_deg"] == 7 * nprime
     assert payload["lift"]["ell"] == ell
+    params = derive_tower(*map(int, shape.split(",")))
+    alpha = char(level(params, params.n_prime), 1)
+    assert payload["lift"] == lift_to_json(regularize(alpha, params))
 
 
 def test_pair_commands():
@@ -261,6 +265,15 @@ def one_document(capsys) -> dict:
     return json.loads(lines[0])
 
 
+def test_module_entry_point_prints_one_document(monkeypatch, capsys):
+    # `python -m tametransfer`, in this process
+    monkeypatch.setattr(sys, "argv", ["tametransfer", "orbit", "--Q", "2", "--nprime", "3", "--a", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("tametransfer", run_name="__main__")
+    assert exc.value.code == 0
+    assert one_document(capsys)["payload"]["members"] == ["1", "2", "4"]
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("boom")
@@ -369,8 +382,28 @@ def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k)
          "--M must be at least 1, got -9999999999999999999...(4000 digits)"),
         (["zsigmondy", "--b", "-" + "9" * 4000, "--r", "5"],
          "need b, r >= 2, got b=-9999999999999999999...(4000 digits), r=5"),
+        (["pair", "--shape", "3,3,2,1,1,4", "--f", "4" * 4000, "--beta", "1"],
+         "pair degree f=44444444444444444444...(4000 digits) must divide n'=2"),
+        (["pair-transfer", "--shape", "3,3,2,1,1,4", "--f", "4" * 4000, "--beta", "1"],
+         "pair degree f=44444444444444444444...(4000 digits) must divide n'=2"),
+        (["green", "--d", str(6 * 10**400), "--u", "1", "--alpha0", "1", "--g", "1"],
+         "base cardinality d=60000000000000000000...(401 digits) is not a prime power"),
+        (["regular-part", "--Q", "2", "--nprime", "3", "--a", "1", "--ell", str(6 * 10**400)],
+         "ell=60000000000000000000...(401 digits) is not prime"),
+        (["zsigmondy", "--b", str(2**749 - 1), "--r", "2"],
+         "no primitive prime divisor for b=29611932607664278700...(226 digits), r=2"),
+        (["partition", "--Q", "2", "--nprime", "1400"],
+         "M=27669029702758120146...(422 digits) exceeds enumeration bound 1000000"),
+        (["green", "--d", "2", "--u", "1400", "--alpha0", str((2**1400 - 1) // 3), "--g", "1"],
+         "exponent 92230099009193733821...(421 digits) has orbit size below 1400"),
+        (["green", "--d", "2", "--u", "1400", "--alpha0", "1", "--g", str((2**1400 - 1) // 3)],
+         "element exponent 92230099009193733821...(421 digits) has degree below 1400"),
+        (["pair", "--shape", "2,2,1,700,1400,1", "--f", "2", "--beta", str(2**700 + 1)],
+         "exponent 52601359015483735072...(211 digits) is not fully regular at degree 2"),
     ],
-    ids=["tower", "green", "chain", "degree", "chain-below-one", "zsigmondy-below-two"],
+    ids=["tower", "green", "chain", "degree", "chain-below-one", "zsigmondy-below-two", "pair", "pair-transfer",
+         "green-d", "regular-part-ell", "zsigmondy-exception", "partition", "green-alpha0", "green-g",
+         "pair-not-regular"],
 )
 def test_error_documents_cap_large_integers(capsys, argv, message):
     assert main(argv) == 2
@@ -632,6 +665,16 @@ def test_selftest_report_is_version_2_with_every_criterion(monkeypatch, capsys):
     assert payload["all_passed"] is True
     reported = [(c["name"], c["budget_seconds"]) for c in payload["criteria"]]
     assert reported == sorted((c.name, c.budget_seconds) for c in CRITERIA)
+
+
+def test_selftest_fails_a_criterion_that_passes_over_its_budget():
+    # a zero budget is always overrun, so the verdict does not hang on the speed of the machine
+    from tametransfer.selftest import Criterion, run_criterion
+
+    result = run_criterion(Criterion("stub", 0.0, lambda: "ok"))
+    assert result["passed"] is False
+    assert result["detail"].startswith("passed checks but took ")
+    assert result["detail"].endswith(", over the 0.0s budget")
 
 
 def test_selftest_takes_no_scale(capsys):

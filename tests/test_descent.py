@@ -158,6 +158,13 @@ def test_composite_ell_raises_not_prime():
             descend(alpha, forged, image)
 
 
+def test_a_large_composite_ell_is_capped_in_the_message():
+    alpha, lift = quaternary_lift()
+    forged = with_ell(lift, 15 * 10**100)
+    with pytest.raises(NotPrime, match=r"^ell=15000000000000000000\.\.\.\(102 digits\) is not prime$"):
+        descend_transfer(alpha, forged, orbit_of(forged.beta))
+
+
 def test_lift_not_over_alphas_level_raises_level_mismatch():
     _, lift = quaternary_lift()
     assert lift.beta.level.deg == 14

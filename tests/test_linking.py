@@ -194,6 +194,18 @@ def test_chain_budget_error_names_the_level(monkeypatch):
     )
 
 
+def test_chain_budget_error_caps_a_large_q(monkeypatch):
+    # M is the product of two Mersenne primes, which one curve does not split; Q = M + 1 has 340 digits
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 1)
+    level = field_level((2**607 - 1) * (2**521 - 1) + 1, 1)
+    with pytest.raises(FactorizationBudgetExceeded) as caught:
+        build_link_chain(char(level, 0), char(level, 1))
+    assert str(caught.value) == (
+        "order of the level Q=36461548502950113697...(340 digits), deg=1: 1 ECM curves spent"
+        " in the ecm stage with a 1128-bit cofactor unsplit"
+    )
+
+
 def test_partition_single_block_small_levels():
     lvl = field_level(2, 3)
     blocks = linked_partition(lvl)

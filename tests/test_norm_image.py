@@ -1,9 +1,9 @@
 """The one norm-image helper against the formulas its callers wrote out before.
 
-``orbit_size``, ``is_norm_inflated``, ``norm_inflate`` and ``descend_transfer``
-all take the order ratio of a level over a sub-level, and the test that an
-exponent is inflated from it, from ``characters._norm_image``.  The formulas
-below are those each caller computed on its own before, kept as references.
+``orbit_size``, ``is_norm_inflated`` and ``descend_transfer`` take the norm
+image of exponents at a level over a sub-level from ``characters._norm_image``;
+``norm_inflate`` multiplies by the order ratio itself.  The formulas below are
+those each caller computed on its own before, kept as references.
 """
 
 import pytest

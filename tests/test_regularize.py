@@ -17,6 +17,7 @@ from tametransfer import (
 )
 from tametransfer.errors import (
     AmbiguousTwist,
+    FactorizationBudgetExceeded,
     LevelGuardExceeded,
     LevelMismatch,
     NotNormInflated,
@@ -376,3 +377,14 @@ def test_regularize_refuses_a_lift_that_is_not_congruent_to_its_input(monkeypatc
     monkeypatch.setattr(module, "_ell_regular", lambda chi, ell: chi)
     with pytest.raises(OrderViolation, match="not congruent"):
         regularize(char(level(Q3N2, 2), 1), Q3N2)
+
+
+def test_search_budget_error_caps_a_large_b(monkeypatch):
+    # b + 1 is the product of two Mersenne primes, which one curve does not split
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 1)
+    with pytest.raises(FactorizationBudgetExceeded) as caught:
+        zsigmondy_prime((2**521 - 1) * (2**127 - 1) - 1, 2)
+    assert str(caught.value) == (
+        "primitive prime for b=11679847981112819759...(196 digits), r=2: 1 ECM curves spent"
+        " in the ecm stage with a 648-bit cofactor unsplit"
+    )

@@ -30,14 +30,6 @@ PACKAGE = ROOT / "src" / "tametransfer"
 
 # (file under src/tametransfer, enclosing function, stripped line text) -> why no test runs it
 ALLOWED = {
-    ("__main__.py", "<module>", "import sys"):
-        "the module entry point; the CLI tests run `python -m tametransfer` only as a subprocess, unseen here",
-    ("__main__.py", "<module>", "from .cli import main"):
-        "the module entry point, as above",
-    ("__main__.py", "<module>", "sys.exit(main())"):
-        "the module entry point, as above",
-    ("cli.py", "<module>", "sys.exit(main())"):
-        "the script entry point under `if __name__ == \"__main__\"`, run only as a subprocess",
     ("numth.py", "divisors", "ds = [1]"):
         "no library code calls divisors; the benchmark's tracer still wraps it by name",
     ("numth.py", "divisors", "for p, e in factorize(n).items():"):
