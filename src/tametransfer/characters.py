@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange, short_int
+from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange
 from .numth import _ell_idempotent, is_prime, prime_factors
 from .tower import MAX_LEVEL_BITS, FieldLevel, _Record, field_level
 
@@ -110,7 +110,7 @@ def ell_regular_part(alpha: CharExp, ell: int) -> CharExp:
     if ell.bit_length() > MAX_LEVEL_BITS:
         raise LevelGuardExceeded(f"ell has {ell.bit_length()} bits; no level's M has more than {MAX_LEVEL_BITS}")
     if not is_prime(ell):
-        raise NotPrime(f"ell={short_int(ell)} is not prime")
+        raise NotPrime(f"ell={ell} is not prime")
     return _ell_regular(alpha, ell)
 
 
@@ -213,7 +213,7 @@ def _walk_orbits(level: FieldLevel) -> list[int]:
     """
     Q, n, M = level.Q, level.deg, level.M
     if M > MAX_ENUMERATION:
-        raise EnumerationTooLarge(f"M={short_int(M)} exceeds enumeration bound {MAX_ENUMERATION}")
+        raise EnumerationTooLarge(f"M={M} exceeds enumeration bound {MAX_ENUMERATION}")
     reps = [0]
     below = [Q**i - 1 for i in range(n + 1)]
     x = 0

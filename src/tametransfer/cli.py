@@ -17,7 +17,7 @@ import json
 import sys
 
 from .characters import CharExp, char, char_order, ell_regular_part, enumerate_orbits, orbit_of, orbit_size
-from .errors import DomainError, NotPrimePower, OutOfRange, ZsigmondyException, short_int, short_text
+from .errors import DomainError, NotPrimePower, OutOfRange, ZsigmondyException, short_text
 from .green import green_trace
 from .jsonio import (
     certificate_to_json,
@@ -145,7 +145,7 @@ def _cmd_regular_part(args) -> dict:
 def _cmd_chain(args) -> dict:
     if args.M is not None and args.Q is None and args.nprime is None:
         if args.M < 1:
-            raise OutOfRange(f"--M must be at least 1, got {short_int(args.M)}")
+            raise OutOfRange(f"--M must be at least 1, got {args.M}")
         # Frobenius multiplication by M+1 is trivial mod M, so a bare modulus
         # is modeled as the degree-one level over a base of that cardinality.
         lvl = field_level(args.M + 1, 1)
@@ -181,7 +181,7 @@ def _cmd_partition(args) -> dict:
 def _cmd_zsigmondy(args) -> dict:
     hit = zsigmondy_prime(args.b, args.r)
     if hit is None:
-        raise ZsigmondyException(f"no primitive prime divisor for b={short_int(args.b)}, r={args.r}")
+        raise ZsigmondyException(f"no primitive prime divisor for b={args.b}, r={args.r}")
     ell, cert = hit
     return {"b": str(args.b), "r": args.r, "ell": str(ell), "certificate": certificate_to_json(cert)}
 
@@ -261,7 +261,7 @@ def _cmd_pair_transfer(args) -> dict:
 def _cmd_green(args) -> dict:
     lvl = field_level(args.d, args.u)  # the level guard, before the prime-power test
     if is_prime_power(args.d) is None:
-        raise NotPrimePower(f"base cardinality d={short_int(args.d)} is not a prime power")
+        raise NotPrimePower(f"base cardinality d={args.d} is not a prime power")
     trace = green_trace(char(lvl, args.alpha0), args.g, args.u)
     return cyclotomic_to_json(trace)
 

@@ -2,12 +2,14 @@
 
 Every error carries a ``kind`` string equal to the class name; the CLI
 reports it verbatim and maps any :class:`DomainError` to exit code 2.
-``short_int`` and ``short_text`` write an integer or text into a message in bounded size.
+A domain message stays small however large its inputs: ``DomainError`` writes
+each integer of more than 60 digits as its leading 20 digits and its digit count.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 
 def short_text(text: str, limit: int = 300, unit: str = "characters") -> str:
@@ -21,13 +23,11 @@ def short_text(text: str, limit: int = 300, unit: str = "characters") -> str:
     return f"{text[:end]}...({len(text) - text.startswith('-')} {unit})"
 
 
-def short_int(n: int) -> str:
-    """``n`` in decimal; past 60 digits, its leading 20 digits and its digit count."""
-    return short_text(str(n), 60, "digits")
-
-
 class DomainError(Exception):
     """Base class for all domain-level failures."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(re.sub(r"-?[0-9]{60,}", lambda m: short_text(m[0], 60, "digits"), message))
 
     @property
     def kind(self) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 
 from .characters import CharExp, orbit_size
-from .errors import LevelMismatch, NotRegularCharacter, NotRegularElement, short_int
+from .errors import LevelMismatch, NotRegularCharacter, NotRegularElement
 from .tower import FieldLevel, _Record
 
 
@@ -58,10 +58,10 @@ def green_trace(alpha0: CharExp, g_exp: int, u: int) -> CyclotomicSum:
     if lvl.deg != u:
         raise LevelMismatch(f"character level has degree {lvl.deg}, expected {u}")
     if orbit_size(alpha0) != u:
-        raise NotRegularCharacter(f"exponent {short_int(alpha0.a)} has orbit size below {u}")
+        raise NotRegularCharacter(f"exponent {alpha0.a} has orbit size below {u}")
     g_exp %= lvl.M
     if element_degree(g_exp, lvl) != u:
-        raise NotRegularElement(f"element exponent {short_int(g_exp)} has degree below {u}")
+        raise NotRegularElement(f"element exponent {g_exp} has degree below {u}")
     sign = 1 if u % 2 else -1
     terms = [(alpha0.a * pow(lvl.Q, i, lvl.M) * g_exp % lvl.M, sign) for i in range(u)]
     return cyclotomic_sum(lvl.M, terms)

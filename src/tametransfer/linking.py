@@ -10,7 +10,7 @@ quotient character.
 from __future__ import annotations
 
 from .characters import CharExp, GaloisOrbit, _ell_regular, _walk_orbits, ell_regular_part, orbit_of
-from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch, short_int
+from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
 from .numth import _ell_idempotent, is_prime, prime_factors
 from .tower import FieldLevel, _Record, field_level
 
@@ -36,7 +36,7 @@ class SemiSimpleEndoClass(_Record):
 def admissible_primes(q: int, n: int) -> tuple[int, ...]:
     """Primes dividing (q**n - 1)(q**(n-1) - 1)...(q - 1), ascending."""
     if q < 2 or n < 1:
-        raise DegreeMismatch(f"need q >= 2 and n >= 1, got q={short_int(q)}, n={short_int(n)}")
+        raise DegreeMismatch(f"need q >= 2 and n >= 1, got q={q}, n={n}")
     # q**n - 1, the largest value factored, is the M of the level of degree n
     field_level(q, n)
     primes: set[int] = set()
@@ -44,7 +44,7 @@ def admissible_primes(q: int, n: int) -> tuple[int, ...]:
         try:
             primes.update(prime_factors(q**i - 1))
         except FactorizationBudgetExceeded as exc:
-            raise FactorizationBudgetExceeded(f"q**i - 1 for q={short_int(q)}, i={i}: {exc}") from None
+            raise FactorizationBudgetExceeded(f"q**i - 1 for q={q}, i={i}: {exc}") from None
     return tuple(sorted(primes))
 
 
@@ -72,8 +72,7 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
     try:
         primes = prime_factors(M)
     except FactorizationBudgetExceeded as exc:
-        raise FactorizationBudgetExceeded(
-            f"order of the level Q={short_int(level.Q)}, deg={level.deg}: {exc}") from None
+        raise FactorizationBudgetExceeded(f"order of the level Q={level.Q}, deg={level.deg}: {exc}") from None
     xi = (alpha_prime.a - alpha.a) % M
     steps = []
     current = alpha

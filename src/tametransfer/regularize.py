@@ -31,7 +31,6 @@ from .errors import (
     NotPrime,
     OrderViolation,
     OutOfRange,
-    short_int,
 )
 from .numth import _ell_idempotent, _least_prime_factor, is_prime, prime_factors
 from .tower import TowerParams, _Record, field_level, level
@@ -44,7 +43,7 @@ def cyclotomic_value(r: int, b: int) -> int:
     even subsets of the primes of r, over that product for the odd subsets.  It divides b**r - 1,
     the M of the level of degree r over b, so that level's guard refuses it before any power."""
     if r < 1 or b < 2:
-        raise OutOfRange(f"need r >= 1 and b >= 2, got r={short_int(r)}, b={short_int(b)}")
+        raise OutOfRange(f"need r >= 1 and b >= 2, got r={r}, b={b}")
     field_level(b, r)
     even, odd = [1], []
     for p in prime_factors(r):
@@ -89,7 +88,7 @@ def _smallest_primitive_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate
     try:
         ell = _least_prime_factor(primitive_part, r if r % 2 == 0 else 2 * r)
     except FactorizationBudgetExceeded as exc:
-        raise FactorizationBudgetExceeded(f"primitive prime for b={short_int(b)}, r={r}: {exc}") from None
+        raise FactorizationBudgetExceeded(f"primitive prime for b={b}, r={r}: {exc}") from None
     order_checks = _order_checks(b, r, ell)
     if order_checks is None:
         raise OrderViolation(f"prime {ell} is not primitive for ({b},{r})")
@@ -109,7 +108,7 @@ def zsigmondy_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
     refuses the search before any work.
     """
     if b < 2 or r < 2:
-        raise OutOfRange(f"need b, r >= 2, got b={short_int(b)}, r={short_int(r)}")
+        raise OutOfRange(f"need b, r >= 2, got b={b}, r={r}")
     field_level(b, r)
     return _smallest_primitive_prime(b, r)
 
@@ -194,7 +193,7 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
         raise LevelMismatch("image orbit does not live at the lift's level")
     ell = lift.ell
     if not is_prime(ell):
-        raise NotPrime(f"ell={short_int(ell)} is not prime")
+        raise NotPrime(f"ell={ell} is not prime")
     base, M_top, b = alpha.level, top.M, lift.beta.a
     e = _ell_idempotent(M_top, ell)
     twists = _norm_image(top, base, [e * (member - b) % M_top for member in beta_image.members])

@@ -38,7 +38,6 @@ from .errors import (
     NotEssentiallyTame,
     NotInNormImage,
     OrderViolation,
-    short_int,
 )
 from .regularize import descend_transfer, regularize
 from .tower import TowerParams, _Record, blow_up, field_level, level
@@ -162,7 +161,7 @@ class TamePairClass(_Record):
     def __init__(self, beta: CharExp) -> None:
         orbit = orbit_of(beta)
         if orbit.size != beta.level.deg:
-            raise NotAdmissiblePair(f"exponent {short_int(beta.a)} is not fully regular at degree {beta.level.deg}")
+            raise NotAdmissiblePair(f"exponent {beta.a} is not fully regular at degree {beta.level.deg}")
         self._fill(beta if orbit.rep == beta.a else CharExp(beta.level, orbit.rep))
 
     @property
@@ -173,7 +172,7 @@ class TamePairClass(_Record):
 def tame_pair(params: TowerParams, f: int, beta_exp: int) -> TamePairClass:
     """Build a pair class from its degree and character exponent."""
     if f < 1 or params.n_prime % f:
-        raise DegreeMismatch(f"pair degree f={short_int(f)} must divide n'={short_int(params.n_prime)}")
+        raise DegreeMismatch(f"pair degree f={f} must divide n'={params.n_prime}")
     return TamePairClass(beta=char(field_level(params.Q, f), beta_exp))
 
 

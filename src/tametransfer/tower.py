@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 from operator import attrgetter
 
-from .errors import DegreeMismatch, LevelGuardExceeded, NotPrime, NotPrimePower, OutOfRange, short_int
+from .errors import DegreeMismatch, LevelGuardExceeded, NotPrime, NotPrimePower, OutOfRange
 from .numth import is_prime, is_prime_power
 
 # Largest number of bits of a level's group order M = Q**deg - 1.
@@ -93,15 +93,13 @@ class FieldLevel(_Record):
 
     def __init__(self, Q: int, deg: int) -> None:
         if Q < 2:
-            raise OutOfRange(f"base cardinality must be at least 2, got {short_int(Q)}")
+            raise OutOfRange(f"base cardinality must be at least 2, got {Q}")
         if deg < 1:
-            raise OutOfRange(f"deg_over_e must be at least 1, got {short_int(deg)}")
+            raise OutOfRange(f"deg_over_e must be at least 1, got {deg}")
         # M has at least (Q.bit_length() - 1) * deg bits: a level that is over the
         # bound by that count alone is refused before Q**deg is computed
         if (Q.bit_length() - 1) * deg > MAX_LEVEL_BITS or (M := Q**deg - 1).bit_length() > MAX_LEVEL_BITS:
-            raise LevelGuardExceeded(
-                f"level Q={short_int(Q)}, deg={short_int(deg)}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits"
-            )
+            raise LevelGuardExceeded(f"level Q={Q}, deg={deg}: M = Q**deg - 1 has more than {MAX_LEVEL_BITS} bits")
         self._fill(Q, deg, M)
 
 
@@ -122,15 +120,15 @@ class TowerParams(_Record):
         # every level over Q = q**f_ef has M >= Q - 1: none is admitted if this one is not
         Q = field_level(q, f_ef).M + 1
         if p > q:  # q is a power of p, so a larger p is refused before its primality test
-            raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
+            raise NotPrimePower(f"q={q} is not a power of p={p}")
         if not is_prime(p):
-            raise NotPrime(f"p={short_int(p)} is not prime")
+            raise NotPrime(f"p={p} is not prime")
         if is_prime_power(q) != p:
-            raise NotPrimePower(f"q={short_int(q)} is not a power of p={short_int(p)}")
+            raise NotPrimePower(f"q={q} is not a power of p={p}")
         g = e_ef * f_ef
         n = m * d
         if n % g:
-            raise DegreeMismatch(f"degree g={short_int(g)} does not divide n={short_int(n)}")
+            raise DegreeMismatch(f"degree g={g} does not divide n={n}")
         d_prime = d // math.gcd(d, g)
         m_prime = m * math.gcd(d, g) // g
         n_prime = n // g

@@ -51,6 +51,13 @@ def test_exponent_range_enforced():
     assert char(L32, 8).a == 0
 
 
+def test_a_large_exponent_out_of_range_is_capped_in_the_message():
+    with pytest.raises(OutOfRange) as refused:
+        CharExp(field_level(2, 1400), 2**1400)
+    head = "27669029702758120146...(422 digits)"
+    assert str(refused.value) == f"exponent {head} outside [0, {head})"
+
+
 def test_char_order():
     assert char_order(char(L52, 9)) == 24 // math.gcd(9, 24)
     assert char_order(char(L52, 0)) == 1

@@ -367,6 +367,10 @@ def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k)
     assert one_document(capsys)["error_kind"] == "NotPrimePower"
 
 
+_WILD_SHAPE = ",".join(map(str, [2**1279 - 1] * 3 + [1, 1, 2**1279 - 1]))   # p divides e(E/F) = p
+_WILD_MESSAGE = "ramification e(E/F)={0} is divisible by p={0}".format("10407932194664399081...(386 digits)")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -400,10 +404,12 @@ def test_shape_with_p_above_q_ends_before_the_primality_test(capsys, command, k)
          "element exponent 92230099009193733821...(421 digits) has degree below 1400"),
         (["pair", "--shape", "2,2,1,700,1400,1", "--f", "2", "--beta", str(2**700 + 1)],
          "exponent 52601359015483735072...(211 digits) is not fully regular at degree 2"),
+        (["rectifier", "--shape", _WILD_SHAPE], _WILD_MESSAGE),
+        (["transfer", "--shape", _WILD_SHAPE, "--alpha", "0"], _WILD_MESSAGE),
     ],
     ids=["tower", "green", "chain", "degree", "chain-below-one", "zsigmondy-below-two", "pair", "pair-transfer",
          "green-d", "regular-part-ell", "zsigmondy-exception", "partition", "green-alpha0", "green-g",
-         "pair-not-regular"],
+         "pair-not-regular", "rectifier-not-tame", "transfer-not-tame"],
 )
 def test_error_documents_cap_large_integers(capsys, argv, message):
     assert main(argv) == 2

@@ -13,10 +13,9 @@ from tametransfer.errors import (
     NotPrime,
     NotPrimePower,
     OutOfRange,
-    short_int,
     short_text,
 )
-from tametransfer import tower
+from tametransfer import errors, tower
 from tametransfer.tower import MAX_LEVEL_BITS
 
 
@@ -122,10 +121,12 @@ def test_level_bound_is_the_bits_of_M():
     assert time.perf_counter() - start < 0.1
 
 
-def test_short_int_caps_an_integer_past_60_digits():
-    assert short_int(10**59) == "1" + "0" * 59   # 60 digits: written out
-    assert short_int(10**60) == "10000000000000000000...(61 digits)"
-    assert short_int(-(10**60)) == "-1000000000000000000...(61 digits)"
+def test_domain_errors_cap_an_integer_past_60_digits():
+    assert str(DomainError(f"n={10**59}")) == "n=1" + "0" * 59   # 60 digits: written out
+    assert str(DomainError(f"n={10**60}")) == "n=10000000000000000000...(61 digits)"
+    assert str(DomainError(f"n={-(10**60)}")) == "n=-1000000000000000000...(61 digits)"
+    assert str(DomainError(f"n={-(10**59)}")) == "n=-1000000000000000000...(60 digits)"   # a sign and 60 digits
+    assert str(DomainError(f"n={-(10**59 - 1)}")) == "n=-" + "9" * 59
     with pytest.raises(OutOfRange) as refused:
         field_level(2, -(10**60))
     assert str(refused.value) == "deg_over_e must be at least 1, got -1000000000000000000...(61 digits)"
@@ -138,7 +139,16 @@ def test_short_text_caps_text_past_300_characters():
     # the cap counts characters as JSON escapes them: an emoji is 12, so 26 of them are over 300
     assert short_text("\U0001F600" * 25) == "\U0001F600" * 25
     assert short_text("\U0001F600" * 26) == "\U0001F600" * 8 + "...(26 characters)"
-    assert short_text("7" * 61, 60, "digits") == short_int(int("7" * 61)) == "7" * 20 + "...(61 digits)"
+    assert short_text("7" * 61, 60, "digits") == "7" * 20 + "...(61 digits)"
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, DomainError)],
+    ids=lambda c: c.__name__,
+)
+def test_every_domain_error_caps_its_integers(cls):
+    message = str(cls(f"x={7 * 10**400}, y={-(10**70)}"))
+    assert message == "x=70000000000000000000...(401 digits), y=-1000000000000000000...(71 digits)"
 
 
 def test_field_level_shares_one_level_per_Q_and_deg():
