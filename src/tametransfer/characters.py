@@ -172,7 +172,9 @@ def orbit_size(alpha: CharExp) -> int:
 
 
 def _orbit_size_over(alpha: CharExp, d_prime: int) -> int:
-    """``orbit_size(alpha)``, once d_prime is checked to divide the level degree."""
+    """``orbit_size(alpha)``, once d_prime is checked to be positive and to divide the level degree."""
+    if d_prime < 1:
+        raise OutOfRange(f"d' must be at least 1, got {d_prime}")
     if alpha.level.deg % d_prime:
         raise LevelMismatch(f"d'={d_prime} does not divide level degree {alpha.level.deg}")
     return orbit_size(alpha)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 
 from .characters import CharExp, orbit_size
-from .errors import LevelMismatch, NotRegularCharacter, NotRegularElement
+from .errors import LevelMismatch, NotRegularCharacter, NotRegularElement, OutOfRange
 from .tower import FieldLevel, _Record
 
 
@@ -22,6 +22,8 @@ class CyclotomicSum(_Record):
     __slots__ = ("modulus", "coeffs")
 
     def __init__(self, modulus: int, coeffs) -> None:
+        if modulus < 1:
+            raise OutOfRange(f"modulus must be at least 1, got {modulus}")
         acc: dict[int, int] = {}
         for e, c in coeffs:
             e %= modulus

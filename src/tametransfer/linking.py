@@ -9,7 +9,7 @@ quotient character.
 
 from __future__ import annotations
 
-from .characters import CharExp, GaloisOrbit, _ell_regular, _walk_orbits, ell_regular_part, orbit_of
+from .characters import CharExp, GaloisOrbit, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
 from .numth import _ell_idempotent, is_prime, prime_factors
 from .tower import FieldLevel, _Record, field_level
@@ -52,9 +52,17 @@ def ell_linked(o1: GaloisOrbit, o2: GaloisOrbit, ell: int) -> bool:
     """True when the orbits of the ell-regular parts of the two orbits agree."""
     if o1.level != o2.level:
         raise LevelMismatch("orbits live at different levels")
-    r1 = orbit_of(ell_regular_part(o1.rep_char(), ell))
-    r2 = orbit_of(_ell_regular(o2.rep_char(), ell))  # ell was tested prime just above
-    return r1 == r2
+    ell_regular_part(o1.rep_char(), ell)  # refuses an ell past the level guard, then a composite ell
+    return _ell_linked(o1, o2, ell)
+
+
+def _ell_linked(o1: GaloisOrbit, o2: GaloisOrbit, ell: int) -> bool:
+    """``ell_linked`` for two orbits at one level and a prime ell, by one idempotent e and one walk:
+    as orbits partition the level, the regular parts e * o1.rep and e * o2.rep have one orbit exactly
+    when the second lies in the orbit of the first."""
+    M = o1.level.M
+    e = _ell_idempotent(M, ell)
+    return e * o2.rep % M in orbit_of(CharExp(o1.level, e * o1.rep % M)).members
 
 
 def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
@@ -89,16 +97,17 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
 
 
 def verify_link_chain(chain: LinkChain) -> bool:
-    """Replay every step of a chain through ell_linked and the endpoint laws: the steps walk
-    from the source's orbit to the target's at one level, each starting on the orbit the
-    previous one ended on, by a prime ell | M.  Any other step is False before ell_linked
-    runs, and before ell's primality test unless ell divides M, which the level guard bounds."""
+    """Replay every step of a chain and the endpoint laws: the steps walk from the source's
+    orbit to the target's at one level, each starting on the orbit the previous one ended on,
+    by a prime ell | M that links its two orbits.  Any other ell is False before its primality
+    test unless it divides M, which the level guard bounds; each step tests ell once and walks
+    one orbit."""
     M = chain.source.level.M
     current = orbit_of(chain.source)
     for s in chain.steps:
         if s.before != current or s.after.level != current.level or s.ell < 2 or M % s.ell or not is_prime(s.ell):
             return False
-        if not ell_linked(s.before, s.after, s.ell):
+        if not _ell_linked(s.before, s.after, s.ell):
             return False
         current = s.after
     return current == orbit_of(chain.target)

@@ -1,9 +1,10 @@
 """Elementary number theory on arbitrary-precision integers.
 
-Everything here is deterministic: primality uses fixed Miller-Rabin bases
-(proven correct below 3.3e24, used as a strong test above), and factoring
-has one engine whose curves are fixed, so repeated runs always produce the
-same output.
+Everything here is deterministic, so repeated runs always produce the same
+output.  Primality is decided by size: up to 10**5 by the sieve, below
+psi_13 ~ 3.3e24 by the shortest prefix of thirteen fixed Miller-Rabin bases
+that is proven for n, and above psi_13 by the strong test to all thirteen,
+which no proof backs.  Factoring has one engine whose curves are fixed.
 
 The engine splits a number with no small prime factor (``_split``): a part
 is kept when prime, replaced by its root when a perfect power, and otherwise
@@ -53,21 +54,31 @@ def _sieve(limit: int) -> list[int]:
 
 SMALL_PRIMES: list[int] = _sieve(_SIEVE_BOUND)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least odd composite that is a strong probable prime to the first k bases (OEIS A014233):
+# the first k bases prove every n < psi_k
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 341550071728321,
+    3825123056546413051, 3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test with the twelve-base certificate set."""
-    if n < 2:
-        return False
+    """Primality by size: up to 10**5 a lookup in SMALL_PRIMES; below psi_13 the strong test to the
+    first k bases, for the least k with n < psi_k, which proves it; above, the strong test to all
+    thirteen bases, which no proof backs."""
+    if n <= _SIEVE_BOUND:
+        i = bisect_right(SMALL_PRIMES, n)
+        return i > 0 and SMALL_PRIMES[i - 1] == n
     for p in _MR_BASES:
         if n % p == 0:
-            return n == p
+            return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

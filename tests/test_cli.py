@@ -245,6 +245,12 @@ def test_domain_error_kind_is_verbatim():
     assert result.error_kind == "DegreeMismatch"
 
 
+def test_tower_refuses_a_strong_pseudoprime_to_the_twelve_bases_as_p():
+    psi_12 = 318665857834031151167461  # 399165290221 * 798330580441
+    result = run(["tower", "--shape", f"{psi_12},{psi_12},1,1,1,1"])
+    assert (result.exit_code, result.error_kind) == (2, "NotPrime")
+
+
 def test_flags_override_shape():
     payload = ok_payload(["tower", "--shape", "3,3,2,1,1,4"])
     assert payload["d"] == 4

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from tametransfer import char, element_degree, field_level, green_trace
-from tametransfer.errors import LevelMismatch, NotRegularCharacter, NotRegularElement
+from tametransfer.errors import LevelMismatch, NotRegularCharacter, NotRegularElement, OutOfRange
 from tametransfer.green import CyclotomicSum, cyclotomic_sum
 
 F4 = field_level(2, 2)   # quadratic extension of the two-element field
@@ -85,3 +85,12 @@ def test_a_sum_is_canonical_however_it_is_built():
     raw = CyclotomicSum(6, [(8, 2), (1, 1), (2, 1), (13, 0)])
     assert raw.coeffs == ((1, 1), (2, 3))
     assert raw == cyclotomic_sum(6, [(2, 3), (1, 1)]) == CyclotomicSum(6, raw.coeffs)
+
+
+@pytest.mark.parametrize("modulus", [0, -5])
+def test_a_sum_needs_a_positive_modulus(modulus):
+    # no residue is taken modulo 0, and modulo -5 the residues would be negative
+    for terms in ([(2, 1)], []):
+        with pytest.raises(OutOfRange, match=f"modulus must be at least 1, got {modulus}"):
+            cyclotomic_sum(modulus, terms)
+    assert cyclotomic_sum(1, [(2, 1), (5, 2)]).coeffs == ((0, 3),)

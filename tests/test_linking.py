@@ -6,6 +6,7 @@ from tametransfer import (
     build_link_chain,
     char,
     ell_linked,
+    ell_regular_part,
     enumerate_orbits,
     field_level,
     linked_partition,
@@ -22,7 +23,9 @@ from tametransfer.errors import (
     FactorizationBudgetExceeded,
     LevelGuardExceeded,
     LevelMismatch,
+    NotPrime,
 )
+from tametransfer.tower import MAX_LEVEL_BITS
 
 L52 = field_level(5, 2)  # M = 24
 
@@ -175,6 +178,47 @@ def test_chain_verification_is_false_for_a_forged_step():
     for Q, deg in [(2, 6), (3, 4), (7, 2)]:
         lvl = field_level(Q, deg)
         assert verify_link_chain(build_link_chain(char(lvl, 1), char(lvl, lvl.M - 2))) is True
+
+
+def test_chain_verification_is_false_for_a_forged_orbit():
+    # M = 24: through 13 by ell = 2, then 3; the orbits at degree one are single exponents
+    L25 = field_level(25, 1)
+    chain = build_link_chain(char(L25, 1), char(L25, 5))
+    first, second = chain.steps
+    # 2-regular parts: 1 -> 16, 13 -> 16, but 2 -> 8
+    moved = orbit_of(char(L25, 2))
+    forged = (LinkStep(2, first.before, moved), LinkStep(3, moved, second.after))
+    assert verify_link_chain(LinkChain(chain.source, chain.target, forged)) is False
+    # 3-regular parts: 13 -> 21 and 21 -> 21, so a last step to 21 is linked but misses the target
+    last = LinkStep(3, second.before, orbit_of(char(L25, 21)))
+    assert ell_linked(last.before, last.after, 3)
+    assert verify_link_chain(LinkChain(chain.source, chain.target, (first, last))) is False
+    # M = 30: the composite 6 divides M and its idempotent 6 links 0 to 5, yet 6 is no prime
+    L31 = field_level(31, 1)
+    forged = LinkChain(char(L31, 0), char(L31, 5), (LinkStep(6, orbit_of(char(L31, 0)), orbit_of(char(L31, 5))),))
+    assert verify_link_chain(forged) is False
+    assert verify_link_chain(build_link_chain(forged.source, forged.target)) is True
+
+
+@pytest.mark.parametrize("Q, deg", [(2, 6), (3, 4), (4, 3), (5, 2)])
+def test_one_walk_links_exactly_the_orbits_two_walks_link(Q, deg):
+    level = field_level(Q, deg)
+    orbits = enumerate_orbits(level)
+    for ell in numth.prime_factors(level.M):
+        for o1 in orbits:
+            walked = orbit_of(ell_regular_part(o1.rep_char(), ell))
+            for o2 in orbits:
+                two_walks = walked == orbit_of(ell_regular_part(o2.rep_char(), ell))
+                assert linking_module._ell_linked(o1, o2, ell) is two_walks, (ell, o1.rep, o2.rep)
+
+
+def test_ell_linked_refuses_a_composite_or_oversized_ell():
+    o1, o0 = orbit_of(char(L52, 1)), orbit_of(char(L52, 0))
+    for ell in (4, 6, 24, 1):
+        with pytest.raises(NotPrime):
+            ell_linked(o1, o0, ell)
+    with pytest.raises(LevelGuardExceeded):
+        ell_linked(o1, o0, 2**(MAX_LEVEL_BITS + 1) - 1)
 
 
 def test_chain_level_check():

@@ -385,3 +385,52 @@ def test_search_runs_the_same_curves(monkeypatch, b, r):
     assert _least_prime_factor(n, 2 * r) == ell
     assert len(curves) == curve_count
     assert n % ell == 0 and is_prime(ell) and ell % (2 * r) == 1
+
+
+# OEIS A014233, written out here so that a slip in numth's copy shows
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 341550071728321,
+    3825123056546413051, 3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def strong_probable_prime(n, a):
+    """The strong test of odd n > a to base a, written out from its definition."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+
+
+def test_a_strong_pseudoprime_to_the_twelve_bases_is_composite():
+    # psi_12 passes the strong test to the twelve bases 2..37
+    assert is_prime(A014233[11]) is False
+    assert factorize(A014233[11]) == {399165290221: 1, 798330580441: 1}
+
+
+def test_each_psi_is_the_first_composite_its_prefix_cannot_refute():
+    from sympy import isprime
+
+    assert numth._MR_PSI == A014233
+    assert list(numth._MR_BASES) == [p for p in range(42) if isprime(p)]
+    for k, psi in enumerate(A014233, 1):
+        assert psi % 2 == 1 and not isprime(psi), k
+        assert all(strong_probable_prime(psi, a) for a in numth._MR_BASES[:k]), k
+        if k < 13:  # a repeated psi passes one base more: psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+            passes = all(strong_probable_prime(psi, a) for a in numth._MR_BASES[: k + 1])
+            assert passes == (psi == A014233[k]), k
+
+
+def test_is_prime_agrees_with_sympy():
+    from sympy import isprime
+
+    assert [n for n in range(-2, 200_000) if is_prime(n)] == [n for n in range(-2, 200_000) if isprime(n)]
+    for k, psi in enumerate(A014233, 1):
+        for n in (psi - 2, psi, psi + 2):
+            # psi_13 is the first number that the thirteen bases cannot refute
+            assert is_prime(n) == (isprime(n) or n == A014233[-1]), (k, n)
+    rng = random.Random(31)
+    for bits in range(17, 201):
+        for n in [rng.getrandbits(bits) | 1 << bits - 1 | 1 for _ in range(30)]:
+            assert is_prime(n) == isprime(n), n

@@ -15,7 +15,7 @@ from tametransfer import (
     s_invariant,
     sigma_orbit_size,
 )
-from tametransfer.errors import LevelMismatch
+from tametransfer.errors import LevelMismatch, OutOfRange
 
 
 def walk_size(lvl, a, step):
@@ -103,3 +103,11 @@ def test_d_prime_must_divide_the_level_degree(fn):
         fn(char(field_level(2, 6), 1), 4)
     with pytest.raises(LevelMismatch):
         fn(char(field_level(3, 2), 0), 3)
+
+
+@pytest.mark.parametrize("fn", [sigma_orbit_size, is_sigma_regular, s_invariant])
+def test_d_prime_must_be_positive(fn):
+    # the d'-th Frobenius power needs d' >= 1: 0 divides no degree, and a negative d' divides every one
+    for d_prime in (0, -1, -4):
+        with pytest.raises(OutOfRange, match=f"d' must be at least 1, got {d_prime}"):
+            fn(char(field_level(3, 4), 5), d_prime)
