@@ -133,17 +133,18 @@ def norm_inflate(alpha: CharExp, a: int) -> CharExp:
     return CharExp(top, alpha.a * (top.M // alpha.level.M))
 
 
-def _norm_image(top: FieldLevel, base: FieldLevel, exponents: tuple | list) -> list[int]:
-    """The exponent at the sub-level ``base`` of each given exponent at ``top`` that the order
-    ratio M_top / M_base divides: those are the norm image."""
+def _order_ratio(top: FieldLevel, base: FieldLevel) -> int:
+    """The order ratio M_top / M_base, once ``top`` is checked to be a blow-up of ``base``."""
     if top.Q != base.Q or top.deg % base.deg:
         raise LevelMismatch(f"level {top.deg} over Q={top.Q} is not a blow-up of level {base.deg} over Q={base.Q}")
-    ratio = top.M // base.M
-    inflated_from = []
-    for x in exponents:  # a loop: a comprehension would be a call of its own, and this is hot
-        if x % ratio == 0:
-            inflated_from.append(x // ratio)
-    return inflated_from
+    return top.M // base.M
+
+
+def _norm_image(top: FieldLevel, base: FieldLevel, x: int) -> int | None:
+    """The exponent at the sub-level ``base`` whose norm inflation is the exponent ``x`` at ``top``,
+    or None unless the order ratio M_top / M_base divides x: the norm image."""
+    nu, rest = divmod(x, _order_ratio(top, base))
+    return None if rest else nu
 
 
 def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
@@ -152,8 +153,8 @@ def is_norm_inflated(chi: CharExp, base: FieldLevel) -> CharExp | None:
     Returns the character nu with norm_inflate(nu, a) == chi, which exists
     exactly when the order ratio divides chi's exponent; None otherwise.
     """
-    nu = _norm_image(chi.level, base, (chi.a,))
-    return CharExp(base, nu[0]) if nu else None
+    nu = _norm_image(chi.level, base, chi.a)
+    return None if nu is None else CharExp(base, nu)
 
 
 def orbit_size(alpha: CharExp) -> int:
@@ -166,7 +167,7 @@ def orbit_size(alpha: CharExp) -> int:
     """
     lvl, f = alpha.level, alpha.level.deg
     for p in _degree_primes(f):
-        while f % p == 0 and _norm_image(lvl, field_level(lvl.Q, f // p), (alpha.a,)):
+        while f % p == 0 and _norm_image(lvl, field_level(lvl.Q, f // p), alpha.a) is not None:
             f //= p
     return f
 

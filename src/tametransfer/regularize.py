@@ -17,7 +17,7 @@ from .characters import (
     CharExp,
     GaloisOrbit,
     _ell_regular,
-    _norm_image,
+    _order_ratio,
     norm_inflate,
     orbit_of,
     orbit_size,
@@ -181,12 +181,14 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
     base level by norm inflation, and the descended twist is applied to the
     input.  Conjugates that descend must all agree on the final orbit.
 
-    The idempotent e that kills the ell-part of an exponent mod the lift's
-    M and the order ratio to the base level are computed once per call, so a
-    member m costs one product: x = e * (m - beta) mod M, which descends
-    exactly when the ratio divides x, to the exponent alpha + x / ratio.  Only the orbit
-    of the first candidate is walked; orbits partition the level, so every
-    other candidate must lie among its members.
+    Write the order ratio M_top / M_base as ell**s * r0 with ell not dividing r0.
+    The idempotent e of ``_ell_idempotent`` is 0 mod ell**s and 1 mod r0, so the
+    ratio divides the ell-regular part e * (m - beta) of a member m exactly when
+    r0 divides m - beta, and m then descends to alpha + E * (m - beta) / r0 mod
+    M_base, with E = e / ell**s mod M_base and ell**s = gcd(ratio, e).  So a member
+    costs one division by r0 and at most one product at the base level's size.
+    Only the orbit of the first candidate is walked; orbits partition the level,
+    so every other candidate must lie among its members.
     """
     top = lift.beta.level
     if beta_image.level != top:
@@ -194,10 +196,15 @@ def descend_transfer(alpha: CharExp, lift: RegularizationLift, beta_image: Galoi
     ell = lift.ell
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
-    base, M_top, b = alpha.level, top.M, lift.beta.a
-    e = _ell_idempotent(M_top, ell)
-    twists = _norm_image(top, base, [e * (member - b) % M_top for member in beta_image.members])
-    candidates = [(alpha.a + x) % base.M for x in twists]
+    base, b, a = alpha.level, lift.beta.a, alpha.a
+    ratio, e, M_base = _order_ratio(top, base), _ell_idempotent(top.M, ell), base.M
+    ell_s = math.gcd(ratio, e)
+    r0, E = ratio // ell_s, e // ell_s % M_base
+    candidates = []
+    for member in beta_image.members:
+        k, rest = divmod(member - b, r0)
+        if not rest:
+            candidates.append((a + E * k) % M_base)
     if not candidates:
         raise NotNormInflated(
             "no conjugate of the image divides to a norm-inflated regular twist"

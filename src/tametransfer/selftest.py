@@ -275,10 +275,26 @@ def check_rectifier_formula() -> str:
 _DESCENT_SHAPES = [(3, 3, 2, 1, 1, 4), (3, 3, 1, 1, 1, 2), (3, 3, 2, 1, 2, 4)]
 
 
+def _small_invariant_shapes() -> list[TowerParams]:
+    """The shapes of criteria 6 and 8: the three descent shapes, then one sweep
+    shape per class with M <= 3000."""
+    shapes = [derive_tower(*raw) for raw in _DESCENT_SHAPES]
+    # The transfer action only depends on (Q, n', parity of y), so keep one
+    # sweep representative per such class to stay inside the budget.
+    seen = set()
+    for params in tame_shape_sweep():
+        spec = rectifier(params)
+        key = (params.Q, params.n_prime, spec.nontrivial)
+        if params.Q**params.n_prime - 1 <= 3000 and key not in seen:
+            seen.add(key)
+            shapes.append(params)
+    return shapes
+
+
 def check_descent_replay() -> str:
     transfers = 0
-    for raw in _DESCENT_SHAPES:
-        params = derive_tower(*raw)
+    shapes = _small_invariant_shapes()
+    for params in shapes:
         spec = rectifier(params)
         lvl = level(params, params.n_prime)
         for orbit in enumerate_orbits(lvl):
@@ -287,15 +303,15 @@ def check_descent_replay() -> str:
             direct = apply_transfer(orbit, spec)
             _require(
                 via_descent == direct,
-                f"{raw}, orbit {orbit.rep}: descent {via_descent.rep} != direct {direct.rep}",
+                f"{params.as_tuple()}, orbit {orbit.rep}: descent {via_descent.rep} != direct {direct.rep}",
             )
-            if raw == (3, 3, 2, 1, 1, 4):
+            if params.as_tuple() == (3, 3, 2, 1, 1, 4):
                 _require(
                     regularize(alpha, params).ell == 547,
-                    f"{raw}: expected the 547 lift",
+                    f"{params.as_tuple()}: expected the 547 lift",
                 )
             transfers += 1
-    return f"{transfers} orbits transferred identically by both routes"
+    return f"{transfers} orbits of {len(shapes)} shapes transferred identically by both routes"
 
 
 # ----------------------------------------------------------------------
@@ -345,20 +361,6 @@ def check_pair_dictionary() -> str:
 
 # ----------------------------------------------------------------------
 # criterion 8: transfer preserves degree and respects regular parts
-
-def _small_invariant_shapes() -> list[TowerParams]:
-    shapes = [derive_tower(*raw) for raw in _DESCENT_SHAPES]
-    # The transfer action only depends on (Q, n', parity of y), so keep one
-    # sweep representative per such class to stay inside the budget.
-    seen = set()
-    for params in tame_shape_sweep():
-        spec = rectifier(params)
-        key = (params.Q, params.n_prime, spec.nontrivial)
-        if params.Q**params.n_prime - 1 <= 3000 and key not in seen:
-            seen.add(key)
-            shapes.append(params)
-    return shapes
-
 
 def check_transfer_invariants() -> str:
     checked = 0

@@ -9,7 +9,7 @@ import pytest
 
 import tametransfer.selftest as selftest_module
 import tametransfer.tame as tame_module
-from tametransfer import char
+from tametransfer import char, orbit_of
 from tametransfer.selftest import CRITERIA, CheckFailure, run_criterion
 
 
@@ -35,3 +35,21 @@ def test_injected_rectifier_bug_fails_the_descent_criterion(monkeypatch):
     monkeypatch.setattr(tame_module, "rectifier", flipped)
     with pytest.raises(CheckFailure):
         selftest_module.check_descent_replay()
+
+
+def test_injected_descent_bug_off_q3_fails_the_descent_criterion(monkeypatch):
+    """Mutation sanity check: a descent that goes wrong on every base but Q = 3 must break
+    criterion 6, which replays one shape per class of the sweep besides its three over Q = 3."""
+    true_descend = tame_module.descend_transfer
+
+    def shifted(alpha, lift, beta_image):
+        result = true_descend(alpha, lift, beta_image)
+        if alpha.level.Q == 3:
+            return result
+        return orbit_of(char(result.level, result.rep + result.level.M // 2))
+
+    monkeypatch.setattr(tame_module, "descend_transfer", shifted)
+    (criterion,) = [c for c in CRITERIA if c.name == "6_descent_replay"]
+    result = run_criterion(criterion)
+    assert not result["passed"]
+    assert "descent gave" in result["detail"]

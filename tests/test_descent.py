@@ -11,6 +11,7 @@ from tametransfer import (
     char,
     derive_tower,
     descend_transfer,
+    enumerate_orbits,
     field_level,
     level,
     norm_inflate,
@@ -186,3 +187,76 @@ def test_checks_run_in_order():
         with pytest.raises(NotPrime):
             descend(stranger, forged, orbit_of(lift.beta))
 
+
+# The descent's arithmetic: with ratio = M_top / M_base = ell**s * r0 and ell not dividing r0, a
+# member m descends when r0 divides m - beta, to alpha + (e / ell**s) * (m - beta) / r0 mod M_base.
+# Each case below states its answer, and the per-member route agrees with it.
+
+def twisted_image(lift, nu, j):
+    """The orbit of beta times the inflation of the base character nu times xi**j, where xi has
+    exponent M_top / ell: for a real lift, an image that descends to the orbit of alpha * nu."""
+    top = lift.beta.level
+    return orbit_of(char(top, lift.beta.a + norm_inflate(nu, lift.a).a + j * (top.M // lift.ell)))
+
+
+def forged_lift(base, top, ell, beta):
+    """A lift from ``base`` to ``top`` whose certificate names ``ell`` and whose beta is ``beta``."""
+    cert = ZsigmondyCertificate(top.Q, top.deg, ell, ())
+    lift = RegularizationLift(top.deg // base.deg, char(top, beta - top.M // ell), cert)
+    assert (lift.ell, lift.beta.a) == (ell, beta)
+    return lift
+
+
+def test_a_real_lift_descends_through_the_ell_part_of_the_ratio():
+    # a 64-bit base level under a 444-bit blow-up: the quotients (m - beta) / r0 pass 2**53
+    params = derive_tower(3, 3, 1, 1, 40, 1)
+    base = level(params, 40)
+    alpha = char(base, base.M // 2 + 1)  # beta lies mid-level, so members fall on both sides of it
+    lift = regularize(alpha, params)
+    top, ell = lift.beta.level, lift.ell
+    ratio = top.M // base.M
+    assert ell == 29 and ratio % ell == 0 and base.M % ell
+    for nu_a in (1, 2, 12345678901, base.M - 2):
+        nu = char(base, nu_a)
+        for j in (0, 1, ell - 1):
+            image = twisted_image(lift, nu, j)
+            assert any(m < lift.beta.a for m in image.members)
+            assert descend_transfer(alpha, lift, image) == orbit_of(alpha * nu)
+            assert per_member_descent(alpha, lift, image) == orbit_of(alpha * nu)
+
+
+def test_the_base_level_of_one_element():
+    # Q = 2 at degree one: M_base = 1, so every member descends, to the trivial character
+    params = derive_tower(2, 2, 1, 1, 1, 1)
+    alpha = char(level(params, 1), 0)
+    lift = regularize(alpha, params)
+    assert (alpha.level.M, lift.ell, lift.beta.level.M) == (1, 127, 127)
+    for x in (0, 1, lift.beta.a, lift.beta.a + 1):
+        image = orbit_of(char(lift.beta.level, x))
+        assert descend_transfer(alpha, lift, image) == per_member_descent(alpha, lift, image) == orbit_of(alpha)
+
+
+def test_a_forged_ell_prime_to_the_top_order():
+    # 7 does not divide M_top = 80, so the idempotent is 1 and r0 is the whole ratio 10
+    base, top = field_level(3, 2), field_level(3, 4)
+    lift = forged_lift(base, top, 7, 1)
+    image = orbit_of(char(top, 1 + 10 * 5))  # members 17, 51, 59, 73: only 51 - 1 descends
+    assert image.members == (17, 51, 59, 73)
+    alpha = char(base, 3)
+    assert descend_transfer(alpha, lift, image) == per_member_descent(alpha, lift, image) == orbit_of(char(base, 0))
+
+
+@pytest.mark.parametrize("Q, base_deg, top_deg, ell", [
+    (7, 2, 4, 5),  # ratio 50 = 2 * 5**2: s = 2, the whole 5-part of M_top = 2400
+    (7, 2, 4, 2),  # s = 1 of the 2**5 in M_top, and 2 divides M_base
+    (3, 1, 4, 2),  # ratio 40 = 2**3 * 5: s = 3 of the 2**4 in M_top = 80
+    (3, 2, 4, 7),  # 7 does not divide M_top
+])
+def test_forged_lifts_on_every_image_orbit(Q, base_deg, top_deg, ell):
+    base, top = field_level(Q, base_deg), field_level(Q, top_deg)
+    for beta in (1, top.M - 1, (2 * (top.M // base.M) + 1) % top.M):
+        lift = forged_lift(base, top, ell, beta)
+        for image in enumerate_orbits(top):
+            for a in (0, 1, base.M - 1):
+                alpha = char(base, a)
+                assert outcome(descend_transfer, alpha, lift, image) == outcome(per_member_descent, alpha, lift, image)

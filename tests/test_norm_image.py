@@ -1,9 +1,10 @@
 """The one norm-image helper against the formulas its callers wrote out before.
 
-``orbit_size``, ``is_norm_inflated`` and ``descend_transfer`` take the norm
-image of exponents at a level over a sub-level from ``characters._norm_image``;
-``norm_inflate`` multiplies by the order ratio itself.  The formulas below are
-those each caller computed on its own before, kept as references.
+``orbit_size`` and ``is_norm_inflated`` take the norm image of one exponent at
+a level over a sub-level from ``characters._norm_image``; ``descend_transfer``
+divides by the part of the order ratio prime to ell, and ``norm_inflate``
+multiplies by the order ratio itself.  The formulas below are those each caller
+computed on its own before, kept as references.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from tametransfer import (
     orbit_of,
     orbit_size,
 )
-from tametransfer.characters import CharExp
+from tametransfer.characters import CharExp, _norm_image
 from tametransfer.errors import AmbiguousTwist, DomainError, LevelMismatch, NotNormInflated, NotPrime
 from tametransfer.numth import _ell_idempotent, is_prime
 
@@ -147,6 +148,19 @@ def descent_case(draw):
 @given(descent_case())
 def test_descent_matches_the_old_formula(case):
     assert outcome(descend_transfer, *case) == outcome(old_descend_transfer, *case)
+
+
+@pytest.mark.parametrize("Q, deg", [(2, 1), (2, 60), (3, 63), (13, 64), (4, 12)])
+def test_exponent_zero_is_in_every_norm_image(Q, deg):
+    # the trivial character is inflated from every sub-level: its norm image is 0, which is not None
+    lvl = field_level(Q, deg)
+    for f in range(1, deg + 1):
+        if deg % f == 0:
+            sub = field_level(Q, f)
+            assert _norm_image(lvl, sub, 0) == 0
+            assert _norm_image(lvl, sub, lvl.M // sub.M) == 1
+            assert is_norm_inflated(char(lvl, 0), sub) == char(sub, 0)
+    assert orbit_size(char(lvl, 0)) == 1
 
 
 @pytest.mark.parametrize("Q, deg", [(2, 1), (2, 60), (3, 63), (13, 64), (4, 12)])
