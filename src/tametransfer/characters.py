@@ -93,6 +93,17 @@ def orbit_of(alpha: CharExp) -> GaloisOrbit:
     return GaloisOrbit(alpha.level, tuple(sorted(members)))
 
 
+def _in_orbit(level: FieldLevel, x: int, a: int) -> bool:
+    """Whether the exponent x lies in the Frobenius orbit of a: a walk from a that stops at x or
+    when it closes, and keeps no members."""
+    Q, M, y = level.Q, level.M, a
+    while y != x:
+        y = y * Q % M
+        if y == a:
+            return False
+    return True
+
+
 def char_order(alpha: CharExp) -> int:
     """Order of the character in the dual group: M / gcd(a, M)."""
     return alpha.level.M // math.gcd(alpha.a, alpha.level.M)

@@ -9,7 +9,7 @@ quotient character.
 
 from __future__ import annotations
 
-from .characters import CharExp, GaloisOrbit, _walk_orbits, ell_regular_part, orbit_of
+from .characters import CharExp, GaloisOrbit, _in_orbit, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
 from .numth import _ell_idempotent, is_prime, prime_factors
 from .tower import FieldLevel, _Record, field_level
@@ -57,12 +57,12 @@ def ell_linked(o1: GaloisOrbit, o2: GaloisOrbit, ell: int) -> bool:
 
 
 def _ell_linked(o1: GaloisOrbit, o2: GaloisOrbit, ell: int) -> bool:
-    """``ell_linked`` for two orbits at one level and a prime ell, by one idempotent e and one walk:
-    as orbits partition the level, the regular parts e * o1.rep and e * o2.rep have one orbit exactly
-    when the second lies in the orbit of the first."""
+    """``ell_linked`` for two orbits at one level and a prime ell, by one idempotent e and one walk
+    that builds no orbit: as orbits partition the level, the regular parts e * o1.rep and e * o2.rep
+    have one orbit exactly when the second lies in the orbit of the first."""
     M = o1.level.M
     e = _ell_idempotent(M, ell)
-    return e * o2.rep % M in orbit_of(CharExp(o1.level, e * o1.rep % M)).members
+    return _in_orbit(o1.level, e * o2.rep % M, e * o1.rep % M)
 
 
 def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
@@ -100,8 +100,8 @@ def verify_link_chain(chain: LinkChain) -> bool:
     """Replay every step of a chain and the endpoint laws: the steps walk from the source's
     orbit to the target's at one level, each starting on the orbit the previous one ended on,
     by a prime ell | M that links its two orbits.  Any other ell is False before its primality
-    test unless it divides M, which the level guard bounds; each step tests ell once and walks
-    one orbit."""
+    test unless it divides M, which the level guard bounds.  Each step tests ell once and asks
+    one membership by a walk; only the source's and the target's orbits are built."""
     M = chain.source.level.M
     current = orbit_of(chain.source)
     for s in chain.steps:

@@ -17,6 +17,7 @@ from .characters import (
     CharExp,
     GaloisOrbit,
     _ell_regular,
+    _in_orbit,
     _order_ratio,
     norm_inflate,
     orbit_of,
@@ -155,7 +156,8 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
     divides n', so r >= a = 7; the exception families have r = 2 or r = 6,
     so the search always succeeds; Q**f has order r >= 7 modulo ell, so ell
     does not divide Q**f - 1 and is neither p nor 2.  The blow-up level is
-    built first: the guard fires before any factoring.
+    built first: the guard fires before any factoring.  As orbits partition a level, the ell-regular
+    part of beta has alpha_star's orbit exactly when a walk from alpha_star meets it; none is built.
     """
     base = level(params, params.n_prime)
     if alpha.level != base:
@@ -168,7 +170,7 @@ def regularize(alpha: CharExp, params: TowerParams) -> RegularizationLift:
 
     if orbit_size(lift.beta) != a * params.n_prime:
         raise OrderViolation("lifted character is not fully regular")
-    if _ell_regular(lift.beta, lift.ell).a not in orbit_of(lift.alpha_star).members:  # ell is certified prime
+    if not _in_orbit(alpha_star.level, _ell_regular(lift.beta, lift.ell).a, alpha_star.a):  # ell is certified prime
         raise OrderViolation("lifted character is not congruent to the inflated input")
     return lift
 

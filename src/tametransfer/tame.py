@@ -25,6 +25,7 @@ from bisect import bisect_left
 from .characters import (
     CharExp,
     GaloisOrbit,
+    _in_orbit,
     char,
     is_norm_inflated,
     norm_inflate,
@@ -133,15 +134,16 @@ def transfer_via_descent(alpha: CharExp, params: TowerParams) -> GaloisOrbit:
     The image of the regularized character at the blown-up level is its twist
     by the inflated rectifier (the blow-up factor is odd, so the rectifier
     inflates to the blown-up rectifier).  Descending that image must land on
-    the directly twisted orbit; disagreement is an internal error.
+    the directly twisted orbit; disagreement is an internal error.  As orbits partition a level, it
+    is that orbit exactly when alpha + mu is a member; the direct orbit is built only for the error.
     """
     spec = rectifier(params)
     lift = regularize(alpha, params)
     mu_star = norm_inflate(spec.mu, lift.a)
     beta_image = orbit_of(lift.beta * mu_star)
     descended = descend_transfer(alpha, lift, beta_image)
-    direct = apply_transfer(orbit_of(alpha), spec)
-    if descended != direct:
+    if (alpha.a + spec.mu.a) % alpha.level.M not in descended.members:
+        direct = apply_transfer(orbit_of(alpha), spec)
         raise MismatchAgainstRectifier(
             f"descent gave {descended.rep}, rectifier twist gave {direct.rep}"
         )
@@ -228,7 +230,7 @@ def transfer_pair(pair: TamePairClass, params: TowerParams) -> PairTransfer:
     if 2 * mu_l.a % mu_l.level.M:
         raise OrderViolation("restricted rectifier is not of order dividing two")
     out = orbit_to_pair(apply_transfer(orbit, spec), params)
-    if out.beta.level != pair.beta.level or out.beta.a not in orbit_of(pair.beta * mu_l).members:
+    if out.beta.level != pair.beta.level or not _in_orbit(out.beta.level, out.beta.a, (pair.beta * mu_l).a):
         raise OrderViolation("transferred pair is not the quadratic shift of the input")
     return PairTransfer(pair=out, mu_l=mu_l)
 

@@ -12,14 +12,20 @@ twist.  The script prints one line per domain error, then the number of shapes a
 descents, and exits 1 when there was an error, 0 otherwise.  The acceptance gate's
 criterion 6 replays one shape per (Q, n', parity of y) class with M <= 3000; this
 covers every shape up to M = 20000, on Q = 2, 3, 4, 5, 9 and 25.
+
+It also checks the answers, not only the absence of errors: one SHA-256 is taken over
+``repr((params.as_tuple(), orbit.rep, descended.members))`` of every descent, in sweep
+order, and the script exits 1 unless it equals the pinned ``DIGEST``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
 MAX_M = 20_000
+DIGEST = "ff700812b0d7d9492bfd258ff790f2b1240ec076587f0d9814414c04e44b6a10"
 
 
 def main() -> int:
@@ -30,6 +36,7 @@ def main() -> int:
 
     shapes = descents = errors = 0
     bases = set()
+    digest = hashlib.sha256()
     for params in tame_shape_sweep():
         lvl = level(params, params.n_prime)
         if lvl.M > MAX_M:
@@ -39,12 +46,17 @@ def main() -> int:
         for orbit in enumerate_orbits(lvl):
             descents += 1
             try:
-                transfer_via_descent(orbit.rep_char(), params)
+                descended = transfer_via_descent(orbit.rep_char(), params)
             except DomainError as exc:
                 errors += 1
                 print(f"{params.as_tuple()}, orbit {orbit.rep}: {type(exc).__name__}: {exc}")
+                continue
+            digest.update(repr((params.as_tuple(), orbit.rep, descended.members)).encode())
     print(f"{shapes} shapes with M <= {MAX_M} over Q in {sorted(bases)}: {descents} descents, {errors} domain errors")
-    return 1 if errors else 0
+    mismatch = digest.hexdigest() != DIGEST
+    if mismatch:
+        print(f"answers differ: digest {digest.hexdigest()}, pinned {DIGEST}")
+    return 1 if errors or mismatch else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tametransfer import (
     char,
@@ -16,8 +17,9 @@ from tametransfer import (
     s_invariant,
     sigma_orbit_size,
 )
-from tametransfer.characters import CharExp, GaloisOrbit
+from tametransfer.characters import CharExp, GaloisOrbit, _in_orbit
 from tametransfer.errors import LevelMismatch, NotPrime, OutOfRange
+from tametransfer.numth import is_prime_power
 
 L23 = field_level(2, 3)   # M = 7
 L32 = field_level(3, 2)   # M = 8
@@ -169,3 +171,48 @@ def test_enumerate_orbits_partitions_all_exponents():
     seen = sorted(x for o in orbits for x in o.members)
     assert seen == list(range(24))
     assert [o.rep for o in orbits] == sorted(o.rep for o in orbits)
+
+
+FIELD_LEVELS_TO_300 = [
+    field_level(Q, deg)
+    for Q in range(2, 302) if is_prime_power(Q)
+    for deg in range(1, 9) if Q**deg - 1 <= 300
+]
+
+
+def test_in_orbit_matches_the_walked_orbit_on_every_small_level():
+    # every pair (x, a) on every level with M <= 300: 102 levels, 2,318,340 pairs
+    assert len(FIELD_LEVELS_TO_300) == 102
+    for lvl in FIELD_LEVELS_TO_300:
+        for a in range(lvl.M):
+            members = orbit_of(char(lvl, a)).members
+            assert [x for x in range(lvl.M) if _in_orbit(lvl, x, a)] == list(members)
+
+
+def test_in_orbit_on_orbits_smaller_than_the_degree():
+    L26 = field_level(2, 6)  # M = 63: orbits of 1, 2, 3 and 6 members
+    assert _in_orbit(L26, 0, 0) and not _in_orbit(L26, 21, 0)
+    assert _in_orbit(L26, 42, 21) and _in_orbit(L26, 21, 21) and not _in_orbit(L26, 0, 21)
+    assert _in_orbit(L26, 36, 9) and _in_orbit(L26, 9, 9) and not _in_orbit(L26, 27, 9)
+    assert _in_orbit(L26, 32, 1) and _in_orbit(L26, 1, 1) and not _in_orbit(L26, 3, 1)
+    assert _in_orbit(L52, 12, 12)  # Frobenius-fixed, M/2
+
+
+@st.composite
+def larger_level_and_pair(draw):
+    Q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49]))
+    deg = draw(st.integers(min_value=2, max_value=24))
+    lvl = field_level(Q, deg)
+    assume(lvl.M > 300)
+    a = draw(st.integers(min_value=0, max_value=lvl.M - 1))
+    conjugate = a * pow(Q, draw(st.integers(min_value=0, max_value=deg - 1)), lvl.M) % lvl.M
+    x = draw(st.sampled_from([conjugate, (conjugate + 1) % lvl.M, draw(st.integers(0, lvl.M - 1))]))
+    return lvl, x, a
+
+
+@given(larger_level_and_pair())
+@settings(max_examples=300)
+def test_in_orbit_matches_the_walked_orbit_on_larger_levels(case):
+    lvl, x, a = case
+    assert _in_orbit(lvl, x, a) == (x in orbit_of(char(lvl, a)).members)
+    assert _in_orbit(lvl, a, a)

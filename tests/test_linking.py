@@ -140,6 +140,27 @@ def test_chain_walks_each_orbit_once(Q, nprime, monkeypatch):
         assert verify_link_chain(chain)
 
 
+@pytest.mark.parametrize("Q, nprime", [(5, 2), (3, 4), (2, 6), (7, 2), (2, 8), (2, 12)])
+def test_verifying_a_chain_walks_only_its_source_and_target(Q, nprime, monkeypatch):
+    # each step asks its membership by a walk that builds no orbit, however many steps there are
+    level = field_level(Q, nprime)
+    walks = []
+
+    def counted(alpha):
+        walks.append(alpha.a)
+        return orbit_of(alpha)
+
+    pairs = [(1, 5), (0, level.M - 1), (2, 2), (3, 7 % level.M), (level.M - 1, 1), (1, level.M // 2)]
+    chains = [build_link_chain(char(level, a), char(level, b)) for a, b in pairs]
+    steps = [len(chain.steps) for chain in chains]
+    assert 0 in steps and max(steps) >= 2
+    monkeypatch.setattr(linking_module, "orbit_of", counted)
+    for chain, (a, b) in zip(chains, pairs):
+        walks.clear()
+        assert verify_link_chain(chain)
+        assert walks == [a, b]
+
+
 def test_chain_with_no_steps_needs_one_orbit():
     L23 = field_level(2, 3)
     assert not verify_link_chain(LinkChain(char(L23, 1), char(L23, 3), ()))   # {1,2,4} vs {3,5,6}

@@ -362,6 +362,18 @@ def test_warm_regularize_tests_no_prime(monkeypatch):
     assert calls == []
 
 
+def test_regularize_walks_no_orbit(monkeypatch):
+    # its congruence check asks one membership by a walk that builds no orbit
+    module = importlib.import_module("tametransfer.regularize")
+    walks = []
+    monkeypatch.setattr(module, "orbit_of", lambda alpha, real=module.orbit_of: walks.append(alpha.a) or real(alpha))
+    for params in (Q2N2, Q3N2, derive_tower(3, 3, 2, 1, 1, 4), derive_tower(2, 2, 1, 1, 3, 1)):
+        lvl = level(params, params.n_prime)
+        for a in range(lvl.M):
+            regularize(char(lvl, a), params)
+    assert walks == []
+
+
 def test_regularize_refuses_a_lift_that_is_not_fully_regular(monkeypatch):
     # an orbit size of the lift one below a*n' is the fault the first self-check catches
     module = importlib.import_module("tametransfer.regularize")

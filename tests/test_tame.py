@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -204,6 +205,7 @@ def test_transfer_via_descent_matches_rectifier_route():
     lvl = level(QUATERNARY, 2)
     assert transfer_via_descent(char(lvl, 0), QUATERNARY).members == (4,)
     assert transfer_via_descent(char(lvl, 1), QUATERNARY).members == (5, 7)
+    assert transfer_via_descent(char(lvl, 7), QUATERNARY).members == (1, 3)  # 7 + M/2 wraps past M = 8
     for orbit in enumerate_orbits(level(SPLIT, 2)):
         assert transfer_via_descent(orbit.rep_char(), SPLIT) == orbit
 
@@ -303,6 +305,30 @@ def test_transfer_pair_refuses_an_image_off_the_quadratic_shift(monkeypatch):
     monkeypatch.setattr(tame_module, "apply_transfer", lambda orbit, spec: orbit)
     with pytest.raises(OrderViolation, match="not the quadratic shift of the input"):
         transfer_pair(tame_pair(QUATERNARY, 1, 1), QUATERNARY)
+
+
+def test_transfer_via_descent_walks_the_image_and_the_descended_orbit(monkeypatch):
+    # the direct twist is asked as a membership of the descended orbit, and regularize builds no orbit
+    walks = []
+    for module in (tame_module, importlib.import_module("tametransfer.regularize")):
+        monkeypatch.setattr(module, "orbit_of", lambda alpha, real=module.orbit_of: walks.append(alpha.level) or real(alpha))
+    for params in (QUATERNARY, SPLIT, FIVE):
+        lvl = level(params, params.n_prime)
+        for orbit in enumerate_orbits(lvl):
+            walks.clear()
+            transfer_via_descent(orbit.rep_char(), params)
+            assert [w.deg for w in walks] == [7 * params.n_prime, params.n_prime]
+
+
+def test_transfer_pair_walks_two_orbits(monkeypatch):
+    # the input pair's inflation and the recovered pair's check; the quadratic shift walks none
+    walks = []
+    monkeypatch.setattr(tame_module, "orbit_of", lambda alpha, real=tame_module.orbit_of: walks.append(alpha) or real(alpha))
+    for params, f, beta_exp in [(QUATERNARY, 1, 1), (QUATERNARY, 2, 1), (SPLIT, 2, 1), (FIVE, 1, 1), (FIVE, 2, 1)]:
+        pair = tame_pair(params, f, beta_exp)
+        walks.clear()
+        transfer_pair(pair, params)
+        assert len(walks) == 2
 
 
 def test_transfer_pair_quadratic_shift():
