@@ -19,16 +19,14 @@ called the parametric degree of the character.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 from .errors import EnumerationTooLarge, LevelGuardExceeded, LevelMismatch, NotPrime, OutOfRange
-from .numth import _ell_idempotent, is_prime, prime_factors
+from .numth import _degree_primes, _ell_idempotent, is_prime
 from .tower import MAX_LEVEL_BITS, FieldLevel, _Record, field_level
 
 # Largest group order M whose orbits are listed.  It bounds the size of an enumeration, which holds
 # all M exponents as orbit members; a partition visits only the representatives.
 MAX_ENUMERATION = 10**6
-_degree_primes = cache(prime_factors)  # for orbit_size; a level degree is at most MAX_LEVEL_BITS
 
 
 class CharExp(_Record):

@@ -324,6 +324,16 @@ def prime_factors(n: int) -> list[int]:
     return sorted(factorize(n)) if n > 1 else []
 
 
+@functools.cache
+def _degree_primes(n: int) -> tuple[int, ...]:
+    """``prime_factors`` of a level degree n, memoized as a tuple that no caller can change.
+
+    Callers pass only a degree that a level guard has admitted, so n is at most
+    ``tower.MAX_LEVEL_BITS`` and so is the number of keys.
+    """
+    return tuple(prime_factors(n))
+
+
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n; nothing in the package calls it, but perfbench's layer tracer wraps it by name."""
     ds = [1]

@@ -33,7 +33,7 @@ from .errors import (
     OrderViolation,
     OutOfRange,
 )
-from .numth import _ell_idempotent, _least_prime_factor, is_prime, prime_factors
+from .numth import _degree_primes, _ell_idempotent, _least_prime_factor, is_prime
 from .tower import TowerParams, _Record, field_level, level
 
 BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
@@ -42,14 +42,26 @@ BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
 def cyclotomic_value(r: int, b: int) -> int:
     """The r-th cyclotomic polynomial at b: the product of b**(r/s) - 1 over the products s of the
     even subsets of the primes of r, over that product for the odd subsets.  It divides b**r - 1,
-    the M of the level of degree r over b, so that level's guard refuses it before any power."""
+    the M of the level of degree r over b, so that level's guard refuses it before r is factored."""
     if r < 1 or b < 2:
         raise OutOfRange(f"need r >= 1 and b >= 2, got r={r}, b={b}")
     field_level(b, r)
-    even, odd = [1], []
-    for p in prime_factors(r):
-        even, odd = even + [s * p for s in odd], odd + [s * p for s in even]
-    num, den = (math.prod(b ** (r // s) - 1 for s in subsets) for subsets in (even, odd))
+    return _cyclotomic_value(r, b, _degree_primes(r))
+
+
+def _cyclotomic_value(r: int, b: int, primes: tuple[int, ...]) -> int:
+    """``cyclotomic_value(r, b)`` from the primes of r, once the level of degree r over b is admitted."""
+    terms = [(r, True)]  # (r/s, whether s is the product of an even subset), over the subsets so far
+    for p in primes:
+        for i in range(len(terms)):
+            d, even = terms[i]
+            terms.append((d // p, not even))
+    num = den = 1
+    for d, even in terms:
+        if even:
+            num *= b**d - 1
+        else:
+            den *= b**d - 1
     assert num % den == 0
     return num // den
 
@@ -68,19 +80,25 @@ class ZsigmondyCertificate(_Record):
 
 def _order_checks(b: int, r: int, ell: int) -> tuple[tuple[int, int], ...] | None:
     """(p, b**(r/p) mod ell) for each prime p | r ascending, or None unless b has
-    order exactly r modulo ell; r is factored only once b**r = 1 (mod ell)."""
+    order exactly r modulo ell; r's primes are asked for only once b**r = 1 (mod ell)."""
     if pow(b, r, ell) != 1:
         return None
-    checks = tuple((p, pow(b, r // p, ell)) for p in prime_factors(r))
-    return None if any(res == 1 for _, res in checks) else checks
+    checks = []
+    for p in _degree_primes(r):
+        residue = pow(b, r // p, ell)
+        if residue == 1:
+            return None
+        checks.append((p, residue))
+    return tuple(checks)
 
 
 @lru_cache(maxsize=1024)  # the certified answer; a raised OrderViolation or budget error is not cached
 def _smallest_primitive_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
-    ell0 = prime_factors(r)[-1]
+    primes = _degree_primes(r)
+    ell0 = primes[-1]
     # Strip every copy of the intrinsic prime; for r = 2 it can occur to a
     # power higher than one.
-    primitive_part = cyclotomic_value(r, b)
+    primitive_part = _cyclotomic_value(r, b, primes)
     while primitive_part % ell0 == 0:
         primitive_part //= ell0
     if primitive_part == 1:

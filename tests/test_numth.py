@@ -18,6 +18,7 @@ from tametransfer.numth import (
     is_prime,
     is_prime_power,
 )
+from tametransfer.tower import MAX_LEVEL_BITS
 
 
 def primes_1_mod(m, above, count):
@@ -188,6 +189,13 @@ def multiply(factors):
     for p, k in factors.items():
         n *= p**k
     return n
+
+
+def test_degree_primes_are_the_sorted_primes_of_every_level_degree():
+    # one memo serves orbit_size, the primitive prime search and the certificate recheck
+    for n in range(1, MAX_LEVEL_BITS + 1):
+        primes = numth._degree_primes(n)
+        assert type(primes) is tuple and primes == tuple(sorted(small_factorization(n))), n
 
 
 def test_is_prime_power_below_5000():

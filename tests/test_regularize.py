@@ -62,11 +62,31 @@ def test_cyclotomic_values_match_sympy():
 
 def test_cyclotomic_value_is_guarded_before_r_is_factored(monkeypatch):
     def no_factoring(n):
-        raise AssertionError(f"prime_factors({n}) called")
+        raise AssertionError(f"factorize({n}) called")
 
-    monkeypatch.setattr(importlib.import_module("tametransfer.regularize"), "prime_factors", no_factoring)
+    numth._degree_primes.cache_clear()
+    monkeypatch.setattr(numth, "factorize", no_factoring)
     with pytest.raises(LevelGuardExceeded, match="Q=3, deg=1000000000000"):
         cyclotomic_value(10**12, 3)
+    with pytest.raises(LevelGuardExceeded, match="Q=3, deg=1000000000000"):
+        zsigmondy_prime(3, 10**12)
+    # 3 has order 4 modulo 5, so 3**r = 1 (mod 5) and only the guard keeps r from being factored
+    assert verify_certificate(ZsigmondyCertificate(b=3, r=10**12, ell=5, order_checks=((2, 1), (5, 1)))) is False
+
+
+@pytest.mark.parametrize("b, r", [(3, 14), (2, 30), (23, 28), (10, 2)])
+def test_a_certify_pair_factors_r_once(monkeypatch, b, r):
+    # the search, its order check and the recheck share r's primes; a warm pair factors nothing
+    module = importlib.import_module("tametransfer.regularize")
+    module._smallest_primitive_prime.cache_clear()
+    numth._degree_primes.cache_clear()
+    factored = []
+    monkeypatch.setattr(numth, "factorize", lambda n, real=numth.factorize: factored.append(n) or real(n))
+    ell, cert = zsigmondy_prime(b, r)
+    assert verify_certificate(cert)
+    assert factored == [r]
+    assert zsigmondy_prime(b, r) == (ell, cert) and verify_certificate(cert)
+    assert factored == [r]
 
 
 def test_exception_families_return_empty():
