@@ -33,7 +33,7 @@ from .errors import (
     OrderViolation,
     OutOfRange,
 )
-from .numth import _degree_primes, _ell_idempotent, _least_prime_factor, is_prime
+from .numth import _degree_primes, _ell_idempotent, _least_prime_factor, is_prime, prime_factors
 from .tower import TowerParams, _Record, field_level, level
 
 BLOW_UP_FACTOR = 7  # the odd a of every regularization lift
@@ -46,13 +46,8 @@ def cyclotomic_value(r: int, b: int) -> int:
     if r < 1 or b < 2:
         raise OutOfRange(f"need r >= 1 and b >= 2, got r={r}, b={b}")
     field_level(b, r)
-    return _cyclotomic_value(r, b, _degree_primes(r))
-
-
-def _cyclotomic_value(r: int, b: int, primes: tuple[int, ...]) -> int:
-    """``cyclotomic_value(r, b)`` from the primes of r, once the level of degree r over b is admitted."""
     terms = [(r, True)]  # (r/s, whether s is the product of an even subset), over the subsets so far
-    for p in primes:
+    for p in _degree_primes(r):
         for i in range(len(terms)):
             d, even = terms[i]
             terms.append((d // p, not even))
@@ -94,11 +89,10 @@ def _order_checks(b: int, r: int, ell: int) -> tuple[tuple[int, int], ...] | Non
 
 @lru_cache(maxsize=1024)  # the certified answer; a raised OrderViolation or budget error is not cached
 def _smallest_primitive_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate] | None:
-    primes = _degree_primes(r)
-    ell0 = primes[-1]
+    ell0 = _degree_primes(r)[-1]
     # Strip every copy of the intrinsic prime; for r = 2 it can occur to a
     # power higher than one.
-    primitive_part = _cyclotomic_value(r, b, primes)
+    primitive_part = cyclotomic_value(r, b)
     while primitive_part % ell0 == 0:
         primitive_part //= ell0
     if primitive_part == 1:
@@ -142,7 +136,9 @@ def zsigmondy_exception(b: int, r: int) -> bool:
 def verify_certificate(cert: ZsigmondyCertificate) -> bool:
     """Recheck a certificate from its own fields: ell is prime and b has order exactly r modulo ell.
     Unless b**r - 1 is under the level guard and ell > 1 divides it, as in every certificate
-    ``zsigmondy_prime`` writes, the answer is False before r is factored or ell is tested."""
+    ``zsigmondy_prime`` writes, the answer is False before r is factored or ell is tested.  The
+    search takes r's primes from a memo; a recheck that read only the memo would agree with any
+    fault in it, so the listed primes must also be those of r factored afresh."""
     b, r, ell = cert.b, cert.r, cert.ell
     if b < 2 or r < 2 or ell < 2:
         return False
@@ -150,7 +146,9 @@ def verify_certificate(cert: ZsigmondyCertificate) -> bool:
         field_level(b, r)
     except LevelGuardExceeded:
         return False
-    return _order_checks(b, r, ell) == cert.order_checks and is_prime(ell)
+    checks = _order_checks(b, r, ell)
+    return (checks is not None and checks == cert.order_checks
+            and [p for p, _ in checks] == prime_factors(r) and is_prime(ell))
 
 
 class RegularizationLift(_Record):

@@ -58,7 +58,7 @@ def test_certify_functions_return_or_raise_a_domain_error(degree_keys):
 def test_verify_certificate_answers_a_bool_on_forged_certificates(degree_keys):
     genuine = [hit[1] for b, r in PAIRS if isinstance(hit := outcome(zsigmondy_prime, b, r), tuple)]
     assert len(genuine) >= 10 and all(verify_certificate(cert) is True for cert in genuine)
-    forged_checks = {(), ((2, 1),), ((2, 0), (3, 0))} | {cert.order_checks for cert in genuine}
+    forged_checks = {None, (), ((2, 1),), ((2, 0), (3, 0))} | {cert.order_checks for cert in genuine}
     for (b, r), ell in itertools.product(PAIRS, BOUNDARY):
         for checks in forged_checks:
             cert = ZsigmondyCertificate(b=b, r=r, ell=ell, order_checks=checks)

@@ -75,18 +75,38 @@ def test_cyclotomic_value_is_guarded_before_r_is_factored(monkeypatch):
 
 
 @pytest.mark.parametrize("b, r", [(3, 14), (2, 30), (23, 28), (10, 2)])
-def test_a_certify_pair_factors_r_once(monkeypatch, b, r):
-    # the search, its order check and the recheck share r's primes; a warm pair factors nothing
+def test_the_search_factors_r_once_and_the_recheck_once(monkeypatch, b, r):
+    # the search's intrinsic prime, cyclotomic value and order check share r's primes from the
+    # memo; the recheck factors r afresh, also when the search is warm
     module = importlib.import_module("tametransfer.regularize")
     module._smallest_primitive_prime.cache_clear()
     numth._degree_primes.cache_clear()
     factored = []
     monkeypatch.setattr(numth, "factorize", lambda n, real=numth.factorize: factored.append(n) or real(n))
     ell, cert = zsigmondy_prime(b, r)
+    assert factored == [r]
     assert verify_certificate(cert)
-    assert factored == [r]
+    assert factored == [r, r]
     assert zsigmondy_prime(b, r) == (ell, cert) and verify_certificate(cert)
-    assert factored == [r]
+    assert factored == [r, r, r]
+
+
+def test_the_recheck_refuses_a_certificate_written_from_a_wrong_memo(monkeypatch):
+    module = importlib.import_module("tametransfer.regularize")
+    module._smallest_primitive_prime.cache_clear()
+    monkeypatch.setattr(module, "_degree_primes", lambda n: numth._degree_primes(n)[:-1])
+    try:
+        ell, cert = zsigmondy_prime(3, 14)
+        assert cert.order_checks == ((2, pow(3, 7, ell)),)  # 7 | 14 is left out
+        assert verify_certificate(cert) is False
+    finally:
+        module._smallest_primitive_prime.cache_clear()
+
+
+def test_the_recheck_refuses_a_certificate_without_order_checks():
+    # 3**14 = 4 (mod 5), so no order check can be computed; None must not match that absence
+    assert verify_certificate(ZsigmondyCertificate(b=3, r=14, ell=5, order_checks=None)) is False
+    assert verify_certificate(ZsigmondyCertificate(b=3, r=14, ell=547, order_checks=None)) is False
 
 
 def test_exception_families_return_empty():
