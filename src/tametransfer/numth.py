@@ -9,14 +9,15 @@ which no proof backs.  Factoring has one engine whose curves are fixed.
 The engine splits a number with no small prime factor (``_split``): a part
 is kept when prime, replaced by its root when a perfect power, and otherwise
 split by Montgomery's elliptic-curve method with Suyama's sigma = 6, 7, ...
-in fixed order.  A curve's stage 1 ladder starts from its base point scaled
-to Z = 1; its stage 2 brings every baby and giant step to affine x with one
-batch inversion (Montgomery's trick) and so takes one product a prime, and
-falls back to the projective terms when the product of the steps' Z is not
-a unit mod n.  Either way each curve's gcd is that of the projective
-continuation.  One call of the engine runs at most ``MAX_ECM_CURVES``
-curves over all of its parts; the next curve would raise
-``FactorizationBudgetExceeded``.
+in fixed order, sigma starting again at 6 for each part.  Every curve's
+stage 1 ladder takes the same multiplier, the lcm of 1..B1, and starts from
+its base point scaled to Z = 1; its stage 2 brings every baby and giant step
+to affine x with one batch inversion (Montgomery's trick) and so takes one
+product a prime, and falls back to the projective terms when the product of
+the steps' Z is not a unit mod n.  Either way each curve's gcd is that of
+the projective continuation.  One call of the engine runs at most ``MAX_ECM_CURVES``
+curves over all of its parts, counted in ``_split``'s one loop; the next
+curve would raise ``FactorizationBudgetExceeded``.
 
 Two entry points feed it.  ``factorize`` trial-divides by the primes below
 10**5 and hands what is left to the engine.  The least prime factor of an n
@@ -175,11 +176,12 @@ def _affine_x(points: list[tuple[int, int]], n: int) -> list[int] | None:
     return xs
 
 
-def _ecm_curve(n: int, sigma: int, k: int) -> int:
+def _ecm_curve(n: int, sigma: int) -> int:
     """gcd of n with what one ECM curve finds: Suyama's curve for sigma,
-    stage 1 by the multiplier k, stage 2 by Montgomery's standard
-    continuation over the primes in (B1, B2], where B2 is the sieve bound:
-    stage 2 ends where SMALL_PRIMES ends.  1 or n when it finds nothing.
+    stage 1 by the fixed multiplier _ecm_multiplier(), not a parameter,
+    stage 2 by Montgomery's standard continuation over the primes in
+    (B1, B2], where B2 is the sieve bound: stage 2 ends where SMALL_PRIMES
+    ends.  1 or n when it finds nothing.
 
     Both stages start from a point scaled to Z = 1.  Stage 2 takes its D
     baby steps [2d]Q and its giant steps [r]Q to affine x by one batch
@@ -196,7 +198,7 @@ def _ecm_curve(n: int, sigma: int, k: int) -> int:
         return g
     inv = pow(den * Z, -1, n)  # 1 / (16 u^3 v^4)
     a24 = pow(v - u, 3, n) * (3 * u + v) * Z * inv % n
-    X, Z = _ladder(den * X * inv % n, k, a24, n)  # from x = X / Z
+    X, Z = _ladder(den * X * inv % n, _ecm_multiplier(), a24, n)  # from x = X / Z
     g = math.gcd(Z, n)
     if g != 1:
         return g
@@ -235,31 +237,19 @@ def _ecm_multiplier() -> int:
     return math.prod(p ** int(math.log(_ECM_B1, p)) for p in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, _ECM_B1)])
 
 
-def _ecm_factor(n: int, curves: int, stage: str) -> tuple[int, int]:
-    """A nontrivial factor of n, odd, composite and not a perfect power,
-    from the first curve sigma = 6, 7, ... that splits it, and the number of
-    curves run.  When none of the first ``curves`` curves splits n,
-    FactorizationBudgetExceeded names the stage and n's bits."""
-    k = _ecm_multiplier()
-    for sigma in range(6, 6 + curves):
-        g = _ecm_curve(n, sigma, k)
-        if 1 < g < n:
-            return g, sigma - 5
-    raise FactorizationBudgetExceeded(
-        f"{MAX_ECM_CURVES} ECM curves spent in the {stage} stage with a {n.bit_length()}-bit cofactor unsplit"
-    )
-
-
 def _split(n: int) -> dict[int, int]:
     """The prime factorization of n > 1, which has no prime factor below 2**13.
 
     A part is kept if prime, else replaced by its perfect-power root, else
-    split by ECM, until every part is prime.  Each part carries its exponent,
-    so the root of a power is split once, not once per copy.  All parts
-    share MAX_ECM_CURVES curves; the first ECM split is the ecm stage, the
-    later ones the split stage.
+    split by the first curve sigma = 6, 7, ... that splits it, sigma starting
+    again at 6 for each part, until every part is prime.  Each part carries
+    its exponent, so the root of a power is split once, not once per copy.
+    This loop alone counts the curves: all parts share MAX_ECM_CURVES of
+    them, and when they run out FactorizationBudgetExceeded names the stage,
+    ecm until the first split and split after it, and the bits of the part
+    left unsplit.
     """
-    parts, primes, stage, curves = [(n, 1)], {}, "ecm", MAX_ECM_CURVES
+    parts, primes, stage, spent = [(n, 1)], {}, "ecm", 0
     while parts:
         m, e = parts.pop()
         if is_prime(m):
@@ -267,9 +257,16 @@ def _split(n: int) -> dict[int, int]:
         elif (power := _perfect_power(m)) is not None:
             parts.append((power[0], e * power[1]))
         else:
-            d, used = _ecm_factor(m, curves, stage)
+            for sigma in range(6, 6 + MAX_ECM_CURVES - spent):
+                if 1 < (d := _ecm_curve(m, sigma)) < m:
+                    break
+            else:
+                raise FactorizationBudgetExceeded(
+                    f"{MAX_ECM_CURVES} ECM curves spent in the {stage} stage"
+                    f" with a {m.bit_length()}-bit cofactor unsplit"
+                )
             parts += [(d, e), (m // d, e)]
-            stage, curves = "split", curves - used
+            stage, spent = "split", spent + sigma - 5
     return primes
 
 

@@ -10,7 +10,6 @@ import pytest
 from tametransfer import numth
 from tametransfer.errors import FactorizationBudgetExceeded
 from tametransfer.numth import (
-    _ecm_factor,
     _integer_root,
     _least_prime_factor,
     _perfect_power,
@@ -72,9 +71,14 @@ ECM_SPLITS = [
 
 
 @pytest.mark.parametrize("n, factor", ECM_SPLITS)
-def test_ecm_splits_fixed_semiprimes_the_same_way_every_run(n, factor):
-    assert _ecm_factor(n, numth.MAX_ECM_CURVES, "ecm")[0] == factor
-    assert _ecm_factor(n, numth.MAX_ECM_CURVES, "ecm")[0] == factor
+def test_ecm_splits_fixed_semiprimes_the_same_way_every_run(monkeypatch, n, factor):
+    found, curve = [], numth._ecm_curve
+    monkeypatch.setattr(numth, "_ecm_curve", lambda m, sigma: found.append(curve(m, sigma)) or found[-1])
+    for _ in range(2):
+        found.clear()
+        assert factorize(n) == {factor: 1, n // factor: 1}
+        # the last curve run is the first that splits n, and the factor it finds is the one pinned
+        assert found[-1] == factor and all(g in (1, n) for g in found[:-1])
     assert _least_prime_factor(n, 58) == min(factor, n // factor)
 
 
@@ -86,7 +90,7 @@ def test_split_stage_takes_the_least_prime_of_every_part():
 def count_curves(monkeypatch):
     """Spy on numth._ecm_curve; the returned list grows by one (n, sigma) per curve run."""
     calls, curve = [], numth._ecm_curve
-    monkeypatch.setattr(numth, "_ecm_curve", lambda n, sigma, k: calls.append((n, sigma)) or curve(n, sigma, k))
+    monkeypatch.setattr(numth, "_ecm_curve", lambda n, sigma: calls.append((n, sigma)) or curve(n, sigma))
     return calls
 
 
@@ -109,6 +113,22 @@ def test_search_and_factorize_each_run_at_most_max_ecm_curves(monkeypatch):
         with pytest.raises(FactorizationBudgetExceeded, match="^2 ECM curves spent in the ecm stage"):
             run()
         assert curves == [(n, 6), (n, 7)]
+
+
+def test_all_parts_share_one_count_and_each_starts_at_sigma_6(monkeypatch):
+    p, q, s = 16777777, 268437457, 4294967513
+    n = p * q * s
+    curves = count_curves(monkeypatch)
+    # sigma = 6 takes p off the 85-bit n; the 61-bit q * s then needs sigma = 6, 7, 8 and 9
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 4)
+    with pytest.raises(FactorizationBudgetExceeded) as caught:
+        factorize(n)
+    assert str(caught.value) == "4 ECM curves spent in the split stage with a 61-bit cofactor unsplit"
+    assert curves == [(n, 6), (q * s, 6), (q * s, 7), (q * s, 8)]
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 5)
+    curves.clear()
+    assert factorize(n) == {p: 1, q: 1, s: 1}
+    assert curves == [(n, 6), (q * s, 6), (q * s, 7), (q * s, 8), (q * s, 9)]
 
 
 def test_integer_root_is_the_exact_floor():
@@ -156,15 +176,15 @@ def test_factorize_agrees_with_sympy_and_splits_each_composite_once(monkeypatch)
     cases = [b**r - 1 for b, r in CRITERION_1_SAMPLE]
     cases += [math.prod(two_primes_above(k)) for k in (14, 17, 20, 32)]
     cases += [q**2, q**3 * s, (p * q) ** 2, (q * q2) ** 2]
-    split, ecm_factor = [], numth._ecm_factor
-    monkeypatch.setattr(numth, "_ecm_factor", lambda n, budget, stage: split.append(n) or ecm_factor(n, budget, stage))
+    curves = count_curves(monkeypatch)
     for n in cases:
-        split.clear()
+        curves.clear()
         assert factorize(n) == factorint(n), n
+        split = [m for m, sigma in curves if sigma == 6]  # the parts ECM ran on: each starts at sigma = 6
         assert len(split) == len(set(split)) and not any(map(is_prime, split)), n
-    split.clear()
+    curves.clear()
     factorize((p * q) ** 2)
-    assert split == [p * q]
+    assert [m for m, sigma in curves if sigma == 6] == [p * q] and {m for m, _ in curves} == {p * q}
 
 
 def prime_power_base(factors):
@@ -346,18 +366,18 @@ def test_every_curve_finds_the_gcd_of_the_projective_curve(monkeypatch):
     cases = [n for n, _ in ECM_SPLITS] + [primitive_part(b, r) for b, r in SEARCH_CURVES] + seeded_cofactors(12, 4)
     for n in cases:
         for sigma in range(6, 14):
-            assert numth._ecm_curve(n, sigma, k) == ref_ecm_curve(n, sigma, k), (n, sigma)
+            assert numth._ecm_curve(n, sigma) == ref_ecm_curve(n, sigma, k), (n, sigma)
     # a giant or baby step at O modulo one prime: stage 2 multiplies projective terms
     assert 1073742053 * 17179870919 in unaffine
     unaffine.clear()
-    assert numth._ecm_curve(1073742053 * 17179870919, 8, k) == 1073742053 * 17179870919
+    assert numth._ecm_curve(1073742053 * 17179870919, 8) == 1073742053 * 17179870919
     assert unaffine == [1073742053 * 17179870919]
 
 
 def test_a_curve_that_shares_a_prime_at_set_up_returns_it():
     # sigma = 7 gives v = 4 * sigma = 28, which shares the 7 of n: the set-up gcd returns it, where
     # the inversion that follows it would raise ValueError instead
-    assert numth._ecm_curve(7 * 1000003, 7, numth._ecm_multiplier()) == 7
+    assert numth._ecm_curve(7 * 1000003, 7) == 7
 
 
 def test_ladder_from_the_normalized_base_is_the_projective_ladder_up_to_scale():
