@@ -122,6 +122,8 @@ _TRIAL_BLOCKS = 100
 _ECM_B1 = 2000
 _ECM_D = 100  # stage 2 takes its baby steps [2d]Q for d = 1..D
 MAX_ECM_CURVES = 120  # per factorization or search, over all of its parts
+_SEARCH_CAP = 1 << 24  # candidates that one search below a known prime may sieve
+_SEGMENT = 1 << 17  # sieve entries held at once; 2**18 raised a certify process's peak memory by 2%
 
 
 def _xadd(XP: int, ZP: int, XQ: int, ZQ: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
@@ -237,7 +239,36 @@ def _ecm_multiplier() -> int:
     return math.prod(p ** int(math.log(_ECM_B1, p)) for p in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, _ECM_B1)])
 
 
-def _split(n: int) -> dict[int, int]:
+def _least_candidate_divisor(n: int, m: int, lo: int, hi: int) -> int | None:
+    """The least c = 1 (mod m) with lo < c < hi that divides n, or None; lo >= 1.
+
+    The candidates c = 1 + k*m are taken in segments of at most _SEGMENT.  In
+    each, every prime q < sqrt(hi) of SMALL_PRIMES that does not divide m
+    strikes its multiples from q*q on, one slice assignment a segment, so q
+    itself is never struck; n % c runs only on the candidates left.  Only
+    composites are struck, and a composite c that divides n has a prime
+    factor below it that divides n too.  So when n has no prime factor in
+    (1, lo] and every prime factor of n is 1 mod m, the answer is n's least
+    prime factor if that lies below hi.
+    """
+    k, k_end = (lo - 1) // m + 1, (hi - 2) // m + 1  # the k with lo < 1 + k*m < hi
+    primes = [q for q in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, math.isqrt(hi - 1))] if m % q]
+    roots = [-pow(m, -1, q) % q for q in primes]  # q divides 1 + k*m exactly when k = root (mod q)
+    while k < k_end:
+        size = min(_SEGMENT, k_end - k)
+        alive = bytearray([1]) * size
+        for q, root in zip(primes, roots):
+            start = max(k, (q * q - 2) // m + 1)  # the first k with 1 + k*m >= q*q
+            start += (root - start) % q - k
+            alive[start::q] = bytes(len(range(start, size, q)))
+        for c in compress(range(1 + k * m, 1 + (k + size) * m, m), alive):
+            if n % c == 0:
+                return c
+        k += size
+    return None
+
+
+def _split(n: int, m: int = 0, lo: int = 1) -> dict[int, int]:
     """The prime factorization of n > 1, which has no prime factor below 2**13.
 
     A part is kept if prime, else replaced by its perfect-power root, else
@@ -248,24 +279,38 @@ def _split(n: int) -> dict[int, int]:
     them, and when they run out FactorizationBudgetExceeded names the stage,
     ecm until the first split and split after it, and the bits of the part
     left unsplit.
+
+    With m > 0 only the least prime of n is wanted (_least_prime_factor),
+    and every prime factor of n is 1 mod m and above lo; the map then holds
+    that prime but maybe not the others.  The smaller part of a split is
+    taken first.  Once a prime p is known, a composite part is not split but
+    searched over the candidates 1 + k*m in (lo, min(p, sqrt(part))]
+    (_least_candidate_divisor), which finds its least prime if that is below
+    p; a part without one is dropped, as none of its primes is the least.
+    A part whose range holds more than _SEARCH_CAP candidates is split as
+    above instead, so the cap bounds the candidates one search sieves.
     """
     parts, primes, stage, spent = [(n, 1)], {}, "ecm", 0
     while parts:
-        m, e = parts.pop()
-        if is_prime(m):
-            primes[m] = primes.get(m, 0) + e
-        elif (power := _perfect_power(m)) is not None:
+        part, e = parts.pop()
+        if is_prime(part):
+            primes[part] = primes.get(part, 0) + e
+        elif (power := _perfect_power(part)) is not None:
             parts.append((power[0], e * power[1]))
+        elif m and primes and (hi := min(min(primes), math.isqrt(part) + 1)) - lo <= m * _SEARCH_CAP:
+            if (c := _least_candidate_divisor(part, m, lo, hi)) is not None:
+                primes[c] = e
         else:
             for sigma in range(6, 6 + MAX_ECM_CURVES - spent):
-                if 1 < (d := _ecm_curve(m, sigma)) < m:
+                if 1 < (d := _ecm_curve(part, sigma)) < part:
                     break
             else:
                 raise FactorizationBudgetExceeded(
                     f"{MAX_ECM_CURVES} ECM curves spent in the {stage} stage"
-                    f" with a {m.bit_length()}-bit cofactor unsplit"
+                    f" with a {part.bit_length()}-bit cofactor unsplit"
                 )
-            parts += [(d, e), (m // d, e)]
+            pieces = [(d, e), (part // d, e)]
+            parts += sorted(pieces, reverse=True) if m else pieces
             stage, spent = "split", spent + sigma - 5
     return primes
 
@@ -276,7 +321,10 @@ def _least_prime_factor(n: int, m: int) -> int:
     Trial division over p = 1 + m, 1 + 2m, ... needs no primality test: a
     smaller prime factor of a dividing candidate would itself have been a
     candidate.  Past the square root of n, n is prime.  When none of the
-    _TRIAL_BLOCKS blocks of candidates divides n, _split factors it, and
+    _TRIAL_BLOCKS blocks of candidates divides n, _split looks for the least
+    prime of what is left: it splits by ECM until it knows one prime p, then
+    searches each composite part left below p over the same progression
+    (at most _SEARCH_CAP candidates a part) instead of splitting it.  It
     raises FactorizationBudgetExceeded when its curves run out.
     """
     root, p = math.isqrt(n), 1
@@ -289,7 +337,7 @@ def _least_prime_factor(n: int, m: int) -> int:
         if block == 0 and is_prime(n):
             return n
     # n is composite, and every prime factor of it is above p
-    return min(_split(n))
+    return min(_split(n, m, p))
 
 
 def factorize(n: int) -> dict[int, int]:

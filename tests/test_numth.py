@@ -131,6 +131,59 @@ def test_all_parts_share_one_count_and_each_starts_at_sigma_6(monkeypatch):
     assert curves == [(n, 6), (q * s, 6), (q * s, 7), (q * s, 8), (q * s, 9)]
 
 
+def brute_least_candidate_divisor(n, m, lo, hi):
+    return next((c for c in range(lo + 1, hi) if c % m == 1 % m and n % c == 0), None)
+
+
+def test_least_candidate_divisor_is_the_first_candidate_that_divides(monkeypatch):
+    # segments of 7 candidates, so that most ranges cross several segment boundaries
+    monkeypatch.setattr(numth, "_SEGMENT", 7)
+    rng = random.Random(36)
+    for _ in range(300):
+        m = rng.choice((1, 2, 4, 6, 10, 12, 30, 58))
+        lo = rng.choice((1, rng.randrange(1, 300)))
+        # n's primes are 1 mod m and above lo, as the search assumes; small ones come often
+        above = [p for p in range(lo + 1, 3000) if p % m == 1 % m and is_prime(p)][:30]
+        n = math.prod(rng.choice(above) for _ in range(rng.randrange(1, 4)))
+        hi = rng.randrange(lo + 2, 2000)
+        want = brute_least_candidate_divisor(n, m, lo, hi)
+        assert numth._least_candidate_divisor(n, m, lo, hi) == want, (n, m, lo, hi)
+
+
+def test_least_candidate_divisor_keeps_each_sieving_prime_that_is_a_candidate():
+    # 7 and 13 are 1 mod 6 and below the square root of hi: they strike 49, 91, ... but not themselves
+    for n in (7, 7 * 13, 13 * 13, 13 * 19):
+        assert numth._least_candidate_divisor(n, 6, 1, 200) == min(p for p in (7, 13, 19) if n % p == 0)
+    assert numth._least_candidate_divisor(7 * 13, 6, 7, 13) is None  # both ends are outside the range
+
+
+def test_search_below_the_least_prime_known_finds_the_least_prime(monkeypatch):
+    searched, search = [], numth._least_candidate_divisor
+    monkeypatch.setattr(numth, "_least_candidate_divisor", lambda *args: searched.append(search(*args)) or searched[-1])
+    rng, trial_top = random.Random(36), 1 + 58 * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
+    for _ in range(20):
+        ps = sorted(primes_1_mod(58, rng.randrange(trial_top, 2 ** rng.randrange(21, 34)), 1)[0] for _ in range(3))
+        assert _least_prime_factor(math.prod(ps), 58) == ps[0], ps
+    # the least prime was often left in a composite part after the first split, where only the search finds it
+    assert sum(c is not None for c in searched) >= 10
+
+
+def test_a_part_over_the_search_cap_is_split(monkeypatch):
+    # (34, 29): sigma = 6 splits off 21333097; the 119-bit part left is searched over the
+    # (21333097 - 1160001) / 58 = 347812 steps of 58 below that prime, or, over the cap, split by ECM
+    n, (ell, _) = primitive_part(34, 29), SEARCH_CURVES[34, 29]
+    searched, search = [], numth._least_candidate_divisor
+    monkeypatch.setattr(numth, "_least_candidate_divisor", lambda *args: searched.append(search(*args)) or searched[-1])
+    curves = count_curves(monkeypatch)
+    monkeypatch.setattr(numth, "_SEARCH_CAP", 347812)
+    assert _least_prime_factor(n, 58) == ell
+    assert (len(curves), searched) == (1, [None])
+    monkeypatch.setattr(numth, "_SEARCH_CAP", 347811)
+    curves.clear(), searched.clear()
+    assert _least_prime_factor(n, 58) == ell
+    assert (len(curves), searched) == (8, [])
+
+
 def test_integer_root_is_the_exact_floor():
     for n in [0, 1, 2, 7, 8, 9, 10**40, 3**200 - 1, 3**200, 3**200 + 1]:
         for k in (1, 2, 3, 5, 7):
@@ -337,7 +390,9 @@ def primitive_part(b, r):
 
 # (b, r): the least prime of the primitive part of b**r - 1, and the curves
 # _least_prime_factor runs to find it
-SEARCH_CURVES = {(18, 29): (1505548068007783, 27), (20, 19): (75368484119, 12), (34, 29): (21333097, 8)}
+SEARCH_CURVES = {
+    (18, 29): (1505548068007783, 27), (20, 19): (75368484119, 12), (34, 29): (21333097, 1), (39, 29): (313396331, 3),
+}
 
 
 def seeded_cofactors(seed, count):
