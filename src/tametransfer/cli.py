@@ -59,7 +59,18 @@ class _UsageError(Exception):
     pass
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it takes with no terminal (80 columns less 2), whatever
+    ``COLUMNS`` says, so that a usage error prints the same document on every terminal."""
+
+    def __init__(self, prog: str, **kwargs) -> None:
+        super().__init__(prog, **{**kwargs, "width": 78})
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs, formatter_class=_Formatter)
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise _UsageError(f"{short_text(message)}\n{self.format_usage()}")  # argparse echoes arguments in full
 

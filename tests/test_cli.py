@@ -614,6 +614,16 @@ def test_one_command_parser_answers_as_the_full_parser(monkeypatch, capsys):
         assert outcome(list(argv), capsys) == (code, out), argv
 
 
+@pytest.mark.parametrize("argv", [["frobnicate"], ["transfer-descent", "--p", "x"]])
+def test_a_usage_error_prints_the_same_document_on_every_terminal(argv, monkeypatch, capsys):
+    documents = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        documents.append(outcome(argv, capsys))
+    assert documents[0] == documents[1]
+    assert documents[0][0] == 1
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["orbit", "-h"], ["selftest", "--help"]])
 def test_help_prints_usage_text_and_exits_zero(argv, capsys):
     code, out = outcome(argv, capsys)
