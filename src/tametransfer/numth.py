@@ -24,7 +24,11 @@ Two entry points feed it.  ``factorize`` trial-divides by the primes below
 whose prime factors are all 1 mod m (the primitive part of a cyclotomic
 value) is found by search, not by factoring n outright
 (``_least_prime_factor``): trial division over a fixed number of candidates
-p = 1 + m, 1 + 2m, ..., then the engine on the cofactor.
+p = 1 + m, 1 + 2m, ..., then the engine on the cofactor until it knows one
+prime p.  Only a prime below p can then change the answer, so each composite
+part left is searched over the same progression below p, sieved in segments
+(``_least_candidate_divisor``), rather than split; a part whose range spans
+more than ``_SEARCH_CAP`` steps of m is split as before.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ _TRIAL_BLOCKS = 100
 _ECM_B1 = 2000
 _ECM_D = 100  # stage 2 takes its baby steps [2d]Q for d = 1..D
 MAX_ECM_CURVES = 120  # per factorization or search, over all of its parts
-_SEARCH_CAP = 1 << 24  # candidates that one search below a known prime may sieve
+_SEARCH_CAP = 1 << 24  # steps of m one search below a known prime may span, so candidates it may test
 _SEGMENT = 1 << 17  # sieve entries held at once; 2**18 raised a certify process's peak memory by 2%
 
 
@@ -243,7 +247,7 @@ def _least_candidate_divisor(n: int, m: int, lo: int, hi: int) -> int | None:
     """The least c = 1 (mod m) with lo < c < hi that divides n, or None; lo >= 1.
 
     The candidates c = 1 + k*m are taken in segments of at most _SEGMENT.  In
-    each, every prime q < sqrt(hi) of SMALL_PRIMES that does not divide m
+    each, every prime q with q*q < hi in SMALL_PRIMES that does not divide m
     strikes its multiples from q*q on, one slice assignment a segment, so q
     itself is never struck; n % c runs only on the candidates left.  Only
     composites are struck, and a composite c that divides n has a prime
@@ -284,11 +288,12 @@ def _split(n: int, m: int = 0, lo: int = 1) -> dict[int, int]:
     and every prime factor of n is 1 mod m and above lo; the map then holds
     that prime but maybe not the others.  The smaller part of a split is
     taken first.  Once a prime p is known, a composite part is not split but
-    searched over the candidates 1 + k*m in (lo, min(p, sqrt(part))]
-    (_least_candidate_divisor), which finds its least prime if that is below
-    p; a part without one is dropped, as none of its primes is the least.
-    A part whose range holds more than _SEARCH_CAP candidates is split as
-    above instead, so the cap bounds the candidates one search sieves.
+    searched over the candidates 1 + k*m above lo, below p and at most
+    sqrt(part) (_least_candidate_divisor), which finds its least prime if
+    that is below p; a part without one is dropped, as none of its primes is
+    the least.  A part whose range spans more than _SEARCH_CAP steps of m is
+    split as above instead, so one search sieves and tests at most
+    _SEARCH_CAP candidates.
     """
     parts, primes, stage, spent = [(n, 1)], {}, "ecm", 0
     while parts:
