@@ -157,9 +157,15 @@ def test_least_candidate_divisor_keeps_each_sieving_prime_that_is_a_candidate():
     assert numth._least_candidate_divisor(7 * 13, 6, 7, 13) is None  # both ends are outside the range
 
 
+def count_searches(monkeypatch):
+    """Spy on numth._least_candidate_divisor; the returned list grows by what each search returns."""
+    found, search = [], numth._least_candidate_divisor
+    monkeypatch.setattr(numth, "_least_candidate_divisor", lambda *args: found.append(search(*args)) or found[-1])
+    return found
+
+
 def test_search_below_the_least_prime_known_finds_the_least_prime(monkeypatch):
-    searched, search = [], numth._least_candidate_divisor
-    monkeypatch.setattr(numth, "_least_candidate_divisor", lambda *args: searched.append(search(*args)) or searched[-1])
+    searched = count_searches(monkeypatch)
     rng, trial_top = random.Random(36), 1 + 58 * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
     for _ in range(20):
         ps = sorted(primes_1_mod(58, rng.randrange(trial_top, 2 ** rng.randrange(21, 34)), 1)[0] for _ in range(3))
@@ -172,14 +178,14 @@ def test_a_part_over_the_search_cap_is_split(monkeypatch):
     # (34, 29): sigma = 6 splits off 21333097; the 119-bit part left is searched over the
     # (21333097 - 1160001) / 58 = 347812 steps of 58 below that prime, or, over the cap, split by ECM
     n, (ell, _) = primitive_part(34, 29), SEARCH_CURVES[34, 29]
-    searched, search = [], numth._least_candidate_divisor
-    monkeypatch.setattr(numth, "_least_candidate_divisor", lambda *args: searched.append(search(*args)) or searched[-1])
+    searched = count_searches(monkeypatch)
     curves = count_curves(monkeypatch)
     monkeypatch.setattr(numth, "_SEARCH_CAP", 347812)
     assert _least_prime_factor(n, 58) == ell
     assert (len(curves), searched) == (1, [None])
     monkeypatch.setattr(numth, "_SEARCH_CAP", 347811)
-    curves.clear(), searched.clear()
+    curves.clear()
+    searched.clear()
     assert _least_prime_factor(n, 58) == ell
     assert (len(curves), searched) == (8, [])
 
