@@ -26,9 +26,10 @@ value) is found by search, not by factoring n outright
 (``_least_prime_factor``): trial division over a fixed number of candidates
 p = 1 + m, 1 + 2m, ..., then the engine on the cofactor until it knows one
 prime p.  Only a prime below p can then change the answer, so each composite
-part left is searched over the same progression below p, sieved in segments
+part left is searched over the same progression from its start up to p
 (``_least_candidate_divisor``), rather than split; a part whose range spans
-more than ``_SEARCH_CAP`` steps of m is split as before.
+more than ``_SEARCH_CAP`` steps of m is split as before.  One sieve,
+``_survivors``, sieves that progression and, at m = 2, lists ``SMALL_PRIMES``.
 """
 
 from __future__ import annotations
@@ -36,25 +37,38 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from itertools import compress
+from collections.abc import Iterator
+from itertools import chain, compress
 
 from .errors import FactorizationBudgetExceeded
 
 _SIEVE_BOUND = 100_000
+_SEGMENT = 1 << 17  # sieve entries held at once; 2**18 raised a certify process's peak memory by 2%
+
+
+def _survivors(m: int, k: int, k_end: int, primes: list[int]) -> Iterator[Iterator[int]]:
+    """The sieve of Eratosthenes on c = 1 + j*m, k <= j < k_end, in segments of at most _SEGMENT.
+
+    In each segment every q in ``primes`` (none divides m) strikes its multiples
+    from q*q on, so q itself stays; the segment's survivors come as one iterator.
+    """
+    roots = [-pow(m, -1, q) % q for q in primes]  # q divides 1 + j*m exactly when j = root (mod q)
+    while k < k_end:
+        size = min(_SEGMENT, k_end - k)
+        alive = bytearray([1]) * size
+        for q, root in zip(primes, roots):
+            start = max(k, (q * q - 2) // m + 1)  # the first j with 1 + j*m >= q*q
+            start += (root - start) % q - k
+            alive[start::q] = bytes(len(range(start, size, q)))
+        yield compress(range(1 + k * m, 1 + (k + size) * m, m), alive)
+        k += size
 
 
 def _sieve(limit: int) -> list[int]:
-    """The primes up to ``limit``, by a sieve of Eratosthenes over the odd numbers."""
+    """The primes up to ``limit``: 2, then the odd numbers that the odd primes up to its square root leave."""
     if limit < 2:
         return []
-    flags = bytearray([1]) * ((limit + 1) // 2)  # flags[i] stands for 2i + 1
-    flags[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            flags[start::p] = bytes(len(range(start, len(flags), p)))
-    return [2, *compress(range(1, limit + 1, 2), flags)]
+    return [2, *chain.from_iterable(_survivors(2, 1, (limit + 1) // 2, _sieve(math.isqrt(limit))[1:]))]
 
 
 SMALL_PRIMES: list[int] = _sieve(_SIEVE_BOUND)
@@ -127,7 +141,6 @@ _ECM_B1 = 2000
 _ECM_D = 100  # stage 2 takes its baby steps [2d]Q for d = 1..D
 MAX_ECM_CURVES = 120  # per factorization or search, over all of its parts
 _SEARCH_CAP = 1 << 24  # steps of m one search below a known prime may span, so candidates it may test
-_SEGMENT = 1 << 17  # sieve entries held at once; 2**18 raised a certify process's peak memory by 2%
 
 
 def _xadd(XP: int, ZP: int, XQ: int, ZQ: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
@@ -243,36 +256,21 @@ def _ecm_multiplier() -> int:
     return math.prod(p ** int(math.log(_ECM_B1, p)) for p in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, _ECM_B1)])
 
 
-def _least_candidate_divisor(n: int, m: int, lo: int, hi: int) -> int | None:
-    """The least c = 1 (mod m) with lo < c < hi that divides n, or None; lo >= 1.
+def _least_candidate_divisor(n: int, m: int, hi: int) -> int | None:
+    """The least c = 1 (mod m) with 1 < c < hi that divides n, or None.
 
-    The candidates c = 1 + k*m are taken in segments of at most _SEGMENT.  In
-    each, every prime q with q*q < hi in SMALL_PRIMES that does not divide m
-    strikes its multiples from q*q on, one slice assignment a segment, so q
-    itself is never struck; n % c runs only on the candidates left.  Only
-    composites are struck, and a composite c that divides n has a prime
-    factor below it that divides n too.  So when n has no prime factor in
-    (1, lo] and every prime factor of n is 1 mod m, the answer is n's least
-    prime factor if that lies below hi.
+    The candidates c = 1 + k*m are sieved by the primes q with q*q < hi that
+    do not divide m, and n % c runs only on those left.  A composite c that
+    divides n has a prime factor below it that divides n too, so when every
+    prime factor of n is 1 mod m, the answer is n's least prime factor if
+    that lies below hi.
     """
-    k, k_end = (lo - 1) // m + 1, (hi - 2) // m + 1  # the k with lo < 1 + k*m < hi
     primes = [q for q in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, math.isqrt(hi - 1))] if m % q]
-    roots = [-pow(m, -1, q) % q for q in primes]  # q divides 1 + k*m exactly when k = root (mod q)
-    while k < k_end:
-        size = min(_SEGMENT, k_end - k)
-        alive = bytearray([1]) * size
-        for q, root in zip(primes, roots):
-            start = max(k, (q * q - 2) // m + 1)  # the first k with 1 + k*m >= q*q
-            start += (root - start) % q - k
-            alive[start::q] = bytes(len(range(start, size, q)))
-        for c in compress(range(1 + k * m, 1 + (k + size) * m, m), alive):
-            if n % c == 0:
-                return c
-        k += size
-    return None
+    survivors = chain.from_iterable(_survivors(m, 1, (hi - 2) // m + 1, primes))
+    return next((c for c in survivors if n % c == 0), None)
 
 
-def _split(n: int, m: int = 0, lo: int = 1) -> dict[int, int]:
+def _split(n: int, m: int = 0) -> dict[int, int]:
     """The prime factorization of n > 1, which has no prime factor below 2**13.
 
     A part is kept if prime, else replaced by its perfect-power root, else
@@ -282,13 +280,12 @@ def _split(n: int, m: int = 0, lo: int = 1) -> dict[int, int]:
     This loop alone counts the curves: all parts share MAX_ECM_CURVES of
     them, and when they run out FactorizationBudgetExceeded names the stage,
     ecm until the first split and split after it, and the bits of the part
-    left unsplit.
+    left unsplit.  The smaller part of a split is taken first.
 
     With m > 0 only the least prime of n is wanted (_least_prime_factor),
-    and every prime factor of n is 1 mod m and above lo; the map then holds
-    that prime but maybe not the others.  The smaller part of a split is
-    taken first.  Once a prime p is known, a composite part is not split but
-    searched over the candidates 1 + k*m above lo, below p and at most
+    and every prime factor of n is 1 mod m; the map then holds that prime
+    but maybe not the others.  Once a prime p is known, a composite part is
+    not split but searched over the candidates 1 + k*m below p and at most
     sqrt(part) (_least_candidate_divisor), which finds its least prime if
     that is below p; a part without one is dropped, as none of its primes is
     the least.  A part whose range spans more than _SEARCH_CAP steps of m is
@@ -302,8 +299,8 @@ def _split(n: int, m: int = 0, lo: int = 1) -> dict[int, int]:
             primes[part] = primes.get(part, 0) + e
         elif (power := _perfect_power(part)) is not None:
             parts.append((power[0], e * power[1]))
-        elif m and primes and (hi := min(min(primes), math.isqrt(part) + 1)) - lo <= m * _SEARCH_CAP:
-            if (c := _least_candidate_divisor(part, m, lo, hi)) is not None:
+        elif m and primes and (hi := min(min(primes), math.isqrt(part) + 1)) - 1 <= m * _SEARCH_CAP:
+            if (c := _least_candidate_divisor(part, m, hi)) is not None:
                 primes[c] = e
         else:
             for sigma in range(6, 6 + MAX_ECM_CURVES - spent):
@@ -314,8 +311,7 @@ def _split(n: int, m: int = 0, lo: int = 1) -> dict[int, int]:
                     f"{MAX_ECM_CURVES} ECM curves spent in the {stage} stage"
                     f" with a {part.bit_length()}-bit cofactor unsplit"
                 )
-            pieces = [(d, e), (part // d, e)]
-            parts += sorted(pieces, reverse=True) if m else pieces
+            parts += sorted([(d, e), (part // d, e)], reverse=True)
             stage, spent = "split", spent + sigma - 5
     return primes
 
@@ -325,12 +321,13 @@ def _least_prime_factor(n: int, m: int) -> int:
 
     Trial division over p = 1 + m, 1 + 2m, ... needs no primality test: a
     smaller prime factor of a dividing candidate would itself have been a
-    candidate.  Past the square root of n, n is prime.  When none of the
-    _TRIAL_BLOCKS blocks of candidates divides n, _split looks for the least
-    prime of what is left: it splits by ECM until it knows one prime p, then
-    searches each composite part left below p over the same progression
-    (at most _SEARCH_CAP candidates a part) instead of splitting it.  It
-    raises FactorizationBudgetExceeded when its curves run out.
+    candidate.  Past the square root of n, n is prime.  The walk is not
+    sieved: most searches end within its first candidates, before a sieve's
+    set-up would pay.  When none of the _TRIAL_BLOCKS blocks divides n, _split
+    looks for the least prime of what is left: it splits by ECM until it
+    knows one prime p, then searches each composite part left below p over
+    the same progression (at most _SEARCH_CAP candidates a part) instead of
+    splitting it.  It raises FactorizationBudgetExceeded when its curves run out.
     """
     root, p = math.isqrt(n), 1
     for block in range(_TRIAL_BLOCKS):
@@ -341,8 +338,7 @@ def _least_prime_factor(n: int, m: int) -> int:
                 return p
         if block == 0 and is_prime(n):
             return n
-    # n is composite, and every prime factor of it is above p
-    return min(_split(n, m, p))
+    return min(_split(n, m))
 
 
 def factorize(n: int) -> dict[int, int]:

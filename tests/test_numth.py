@@ -20,6 +20,11 @@ from tametransfer.numth import (
 from tametransfer.tower import MAX_LEVEL_BITS
 
 
+def trial_top(m):
+    """The last candidate 1 + k*m that _least_prime_factor's trial phase divides by."""
+    return 1 + m * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
+
+
 def primes_1_mod(m, above, count):
     out, k = [], above // m + 1
     while len(out) < count:
@@ -31,10 +36,9 @@ def primes_1_mod(m, above, count):
 
 @pytest.mark.parametrize("m", [2, 4, 14, 58, 134])
 def test_least_prime_factor_is_the_least_prime_of_factorize(m):
-    trial_top = 1 + m * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
     small = primes_1_mod(m, 0, 4)
     middle = primes_1_mod(m, 10**5, 2)
-    large = primes_1_mod(m, trial_top, 2)
+    large = primes_1_mod(m, trial_top(m), 2)
     cases = [*small, *middle, *large, small[0] * small[1], small[2] ** 3, small[3] * large[0],
              middle[0] * middle[1], middle[1] * large[0] * large[1], large[0] * large[1], large[1] ** 2]
     for n in cases:
@@ -131,8 +135,8 @@ def test_all_parts_share_one_count_and_each_starts_at_sigma_6(monkeypatch):
     assert curves == [(n, 6), (q * s, 6), (q * s, 7), (q * s, 8), (q * s, 9)]
 
 
-def brute_least_candidate_divisor(n, m, lo, hi):
-    return next((c for c in range(lo + 1, hi) if c % m == 1 % m and n % c == 0), None)
+def brute_least_candidate_divisor(n, m, hi):
+    return next((c for c in range(2, hi) if c % m == 1 % m and n % c == 0), None)
 
 
 def test_least_candidate_divisor_is_the_first_candidate_that_divides(monkeypatch):
@@ -141,20 +145,20 @@ def test_least_candidate_divisor_is_the_first_candidate_that_divides(monkeypatch
     rng = random.Random(36)
     for _ in range(300):
         m = rng.choice((1, 2, 4, 6, 10, 12, 30, 58))
-        lo = rng.choice((1, rng.randrange(1, 300)))
-        # n's primes are 1 mod m and above lo, as the search assumes; small ones come often
-        above = [p for p in range(lo + 1, 3000) if p % m == 1 % m and is_prime(p)][:30]
+        low = rng.choice((2, rng.randrange(2, 300)))
+        # n's primes are 1 mod m, as the search assumes; small ones come often
+        above = [p for p in range(low, 3000) if p % m == 1 % m and is_prime(p)][:30]
         n = math.prod(rng.choice(above) for _ in range(rng.randrange(1, 4)))
-        hi = rng.randrange(lo + 2, 2000)
-        want = brute_least_candidate_divisor(n, m, lo, hi)
-        assert numth._least_candidate_divisor(n, m, lo, hi) == want, (n, m, lo, hi)
+        hi = rng.randrange(2, 2000)
+        want = brute_least_candidate_divisor(n, m, hi)
+        assert numth._least_candidate_divisor(n, m, hi) == want, (n, m, hi)
 
 
 def test_least_candidate_divisor_keeps_each_sieving_prime_that_is_a_candidate():
     # 7 and 13 are 1 mod 6 and below the square root of hi: they strike 49, 91, ... but not themselves
     for n in (7, 7 * 13, 13 * 13, 13 * 19):
-        assert numth._least_candidate_divisor(n, 6, 1, 200) == min(p for p in (7, 13, 19) if n % p == 0)
-    assert numth._least_candidate_divisor(7 * 13, 6, 7, 13) is None  # both ends are outside the range
+        assert numth._least_candidate_divisor(n, 6, 200) == min(p for p in (7, 13, 19) if n % p == 0)
+    assert numth._least_candidate_divisor(7 * 13, 6, 7) is None  # hi is outside the range
 
 
 def count_searches(monkeypatch):
@@ -166,9 +170,9 @@ def count_searches(monkeypatch):
 
 def test_search_below_the_least_prime_known_finds_the_least_prime(monkeypatch):
     searched = count_searches(monkeypatch)
-    rng, trial_top = random.Random(36), 1 + 58 * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
+    rng = random.Random(36)
     for _ in range(20):
-        ps = sorted(primes_1_mod(58, rng.randrange(trial_top, 2 ** rng.randrange(21, 34)), 1)[0] for _ in range(3))
+        ps = sorted(primes_1_mod(58, rng.randrange(trial_top(58), 2 ** rng.randrange(21, 34)), 1)[0] for _ in range(3))
         assert _least_prime_factor(math.prod(ps), 58) == ps[0], ps
     # the least prime was often left in a composite part after the first split, where only the search finds it
     assert sum(c is not None for c in searched) >= 10
@@ -176,14 +180,14 @@ def test_search_below_the_least_prime_known_finds_the_least_prime(monkeypatch):
 
 def test_a_part_over_the_search_cap_is_split(monkeypatch):
     # (34, 29): sigma = 6 splits off 21333097; the 119-bit part left is searched over the
-    # (21333097 - 1160001) / 58 = 347812 steps of 58 below that prime, or, over the cap, split by ECM
+    # (21333097 - 1) / 58 = 367812 steps of 58 below that prime, or, over the cap, split by ECM
     n, (ell, _) = primitive_part(34, 29), SEARCH_CURVES[34, 29]
     searched = count_searches(monkeypatch)
     curves = count_curves(monkeypatch)
-    monkeypatch.setattr(numth, "_SEARCH_CAP", 347812)
+    monkeypatch.setattr(numth, "_SEARCH_CAP", 367812)
     assert _least_prime_factor(n, 58) == ell
     assert (len(curves), searched) == (1, [None])
-    monkeypatch.setattr(numth, "_SEARCH_CAP", 347811)
+    monkeypatch.setattr(numth, "_SEARCH_CAP", 367811)
     curves.clear()
     searched.clear()
     assert _least_prime_factor(n, 58) == ell
@@ -302,12 +306,15 @@ def test_is_prime_power_on_large_primes_and_composites():
         assert is_prime_power(n) == prime_power_base(factors), factors
 
 
-def test_sieve_matches_an_independent_prime_list():
+def test_sieve_matches_an_independent_prime_list(monkeypatch):
     from sympy import primerange
 
-    for limit in range(401):
-        assert numth._sieve(limit) == list(primerange(2, limit + 1)), limit
-    assert numth._sieve(10**5) == list(primerange(2, 10**5 + 1)) == numth.SMALL_PRIMES
+    # the import sieve's 49,999 entries fit in one segment; segments of 7 cross a boundary every 7 entries
+    for segment in (numth._SEGMENT, 7):
+        monkeypatch.setattr(numth, "_SEGMENT", segment)
+        for limit in range(401):
+            assert numth._sieve(limit) == list(primerange(2, limit + 1)), (segment, limit)
+        assert numth._sieve(10**5) == list(primerange(2, 10**5 + 1)) == numth.SMALL_PRIMES, segment
 
 
 # The projective ECM curve, the reference every curve's gcd must equal: a
@@ -403,12 +410,11 @@ SEARCH_CURVES = {
 
 def seeded_cofactors(seed, count):
     """Products of two or three primes 1 mod 58 above the trial range."""
-    rng, trial_top = random.Random(seed), 1 + 58 * numth._TRIAL_BLOCK * numth._TRIAL_BLOCKS
-    out = []
+    rng, out = random.Random(seed), []
     for _ in range(count):
         n = 1
         for _ in range(rng.choice((2, 3))):
-            n *= primes_1_mod(58, rng.randrange(trial_top, 2 ** rng.randrange(21, 46)), 1)[0]
+            n *= primes_1_mod(58, rng.randrange(trial_top(58), 2 ** rng.randrange(21, 46)), 1)[0]
         out.append(n)
     return out
 
