@@ -46,29 +46,28 @@ _SIEVE_BOUND = 100_000
 _SEGMENT = 1 << 17  # sieve entries held at once; 2**18 raised a certify process's peak memory by 2%
 
 
-def _survivors(m: int, k: int, k_end: int, primes: list[int]) -> Iterator[Iterator[int]]:
-    """The sieve of Eratosthenes on c = 1 + j*m, k <= j < k_end, in segments of at most _SEGMENT.
+def _survivors(m: int, j_end: int, primes: list[int]) -> Iterator[Iterator[int]]:
+    """The sieve of Eratosthenes on c = 1 + j*m, 1 <= j < j_end, in segments of at most _SEGMENT.
 
     In each segment every q in ``primes`` (none divides m) strikes its multiples
     from q*q on, so q itself stays; the segment's survivors come as one iterator.
     """
     roots = [-pow(m, -1, q) % q for q in primes]  # q divides 1 + j*m exactly when j = root (mod q)
-    while k < k_end:
-        size = min(_SEGMENT, k_end - k)
+    for k in range(1, j_end, _SEGMENT):  # the segment k <= j < k + size
+        size = min(_SEGMENT, j_end - k)
         alive = bytearray([1]) * size
         for q, root in zip(primes, roots):
             start = max(k, (q * q - 2) // m + 1)  # the first j with 1 + j*m >= q*q
             start += (root - start) % q - k
             alive[start::q] = bytes(len(range(start, size, q)))
         yield compress(range(1 + k * m, 1 + (k + size) * m, m), alive)
-        k += size
 
 
 def _sieve(limit: int) -> list[int]:
     """The primes up to ``limit``: 2, then the odd numbers that the odd primes up to its square root leave."""
     if limit < 2:
         return []
-    return [2, *chain.from_iterable(_survivors(2, 1, (limit + 1) // 2, _sieve(math.isqrt(limit))[1:]))]
+    return [2, *chain.from_iterable(_survivors(2, (limit + 1) // 2, _sieve(math.isqrt(limit))[1:]))]
 
 
 SMALL_PRIMES: list[int] = _sieve(_SIEVE_BOUND)
@@ -266,7 +265,7 @@ def _least_candidate_divisor(n: int, m: int, hi: int) -> int | None:
     that lies below hi.
     """
     primes = [q for q in SMALL_PRIMES[: bisect_right(SMALL_PRIMES, math.isqrt(hi - 1))] if m % q]
-    survivors = chain.from_iterable(_survivors(m, 1, (hi - 2) // m + 1, primes))
+    survivors = chain.from_iterable(_survivors(m, (hi - 2) // m + 1, primes))
     return next((c for c in survivors if n % c == 0), None)
 
 
