@@ -135,6 +135,22 @@ def test_all_parts_share_one_count_and_each_starts_at_sigma_6(monkeypatch):
     assert curves == [(n, 6), (q * s, 6), (q * s, 7), (q * s, 8), (q * s, 9)]
 
 
+def test_a_budget_exit_names_the_smaller_part_of_a_split_first(monkeypatch):
+    a, b, c, e = 15331397, 15445873, 242609123, 2422566031
+    n = a * b * c * e
+    curves = count_curves(monkeypatch)
+    # sigma = 6 splits the 107-bit n into the 48-bit a * b and the 60-bit c * e; each then needs sigma = 6, 7 and 8
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 2)
+    with pytest.raises(FactorizationBudgetExceeded) as caught:
+        factorize(n)
+    assert str(caught.value) == "2 ECM curves spent in the split stage with a 48-bit cofactor unsplit"
+    assert curves == [(n, 6), (a * b, 6)]
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 7)
+    curves.clear()
+    assert factorize(n) == {a: 1, b: 1, c: 1, e: 1}
+    assert curves == [(n, 6), *((a * b, s) for s in (6, 7, 8)), *((c * e, s) for s in (6, 7, 8))]
+
+
 def brute_least_candidate_divisor(n, m, hi):
     return next((c for c in range(2, hi) if c % m == 1 % m and n % c == 0), None)
 
