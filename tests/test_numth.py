@@ -325,8 +325,9 @@ def test_is_prime_power_on_large_primes_and_composites():
 def test_sieve_matches_an_independent_prime_list(monkeypatch):
     from sympy import primerange
 
-    # the import sieve's 49,999 entries fit in one segment; segments of 7 cross a boundary every 7 entries
-    for segment in (numth._SEGMENT, 7):
+    # the import sieve's 49,999 entries fit in one segment; segments of 7 and 8 cross a boundary every 7 or 8
+    # entries (with 7 alone, a segment that started one entry early would repeat only multiples of 3)
+    for segment in (numth._SEGMENT, 7, 8):
         monkeypatch.setattr(numth, "_SEGMENT", segment)
         for limit in range(401):
             assert numth._sieve(limit) == list(primerange(2, limit + 1)), (segment, limit)
