@@ -12,7 +12,12 @@ of answers:
 - for every pair of the certify box (``CERTIFY_BOX``: b <= 40, r <= 30, b
   before r), the certificate of its least primitive prime as
   ``jsonio.certificate_to_json`` writes it (``b``, ``r``, ``ell`` and
-  ``order_checks``), or null when the pair has none.
+  ``order_checks``), or null when the pair has none;
+- for every level of selftest criterion 3 (``selftest._LINKING_LEVELS``),
+  the number of ordered chains between its orbit representatives and a
+  SHA-256 over each chain, in criterion 3's order: its source and target
+  exponents and, for each step, ell and the members of the orbits before and
+  after it.
 
 The search memo is cleared before every line, so each computes its answer afresh.
 A usage error's message is argparse's text: its usage line wraps at the
@@ -26,6 +31,7 @@ stay the judges of what is right.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -73,9 +79,28 @@ def certify_entries() -> list[str]:
     return entries
 
 
+def chain_entries() -> list[str]:
+    """One ledger line for each level of selftest criterion 3."""
+    from tametransfer import build_link_chain, enumerate_orbits, field_level
+    from tametransfer.selftest import _LINKING_LEVELS
+
+    entries = []
+    for Q, deg in _LINKING_LEVELS:
+        orbits = enumerate_orbits(field_level(Q, deg))
+        digest, count = hashlib.sha256(), 0
+        for o1 in orbits:
+            for o2 in orbits:
+                chain = build_link_chain(o1.rep_char(), o2.rep_char())
+                steps = [[s.ell, list(s.before.members), list(s.after.members)] for s in chain.steps]
+                digest.update(json.dumps([chain.source.a, chain.target.a, steps]).encode() + b"\n")
+                count += 1
+        entries.append(json.dumps({"chains": [Q, deg], "count": count, "sha256": digest.hexdigest()}, sort_keys=True))
+    return entries
+
+
 def ledger_text() -> str:
     """The ledger as it reads today: a JSON list with one entry a line."""
-    return "[\n" + ",\n".join(cli_entries() + certify_entries()) + "\n]\n"
+    return "[\n" + ",\n".join(cli_entries() + certify_entries() + chain_entries()) + "\n]\n"
 
 
 def ledger_entries() -> list[str]:
