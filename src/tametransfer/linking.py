@@ -9,6 +9,8 @@ quotient character.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .characters import CharExp, GaloisOrbit, _in_orbit, _walk_orbits, ell_regular_part, orbit_of
 from .errors import DegreeMismatch, FactorizationBudgetExceeded, LevelMismatch
 from .numth import _ell_idempotent, is_prime, prime_factors
@@ -65,6 +67,13 @@ def _ell_linked(o1: GaloisOrbit, o2: GaloisOrbit, ell: int) -> bool:
     return _in_orbit(o1.level, e * o2.rep % M, e * o1.rep % M)
 
 
+@lru_cache(maxsize=128)  # the split of a level order; a raised budget error is not cached
+def _level_split(M: int) -> tuple[tuple[int, int], ...]:
+    """For each prime ell | M in ascending order, ell and the complementary idempotent 1 - e mod M
+    of ``numth._ell_idempotent``, which keeps the ell-part of an exponent and kills the rest."""
+    return tuple((ell, (1 - _ell_idempotent(M, ell)) % M) for ell in prime_factors(M))
+
+
 def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
     """Connect two characters by steps of prime-power-order twists.
 
@@ -73,19 +82,26 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
     one at a time yields consecutive ell-linked characters.  Primes whose
     factor is trivial contribute no step.  Raises FactorizationBudgetExceeded,
     naming the level, when M does not factor within numth.MAX_ECM_CURVES curves.
+
+    M is fixed by the level, so its split is memoized: an entry holds, for
+    each prime ell | M, ell and its complementary idempotent mod M.  The memo
+    keeps the 128 levels used last; as M has at most ``tower.MAX_LEVEL_BITS``
+    bits, an entry holds at most 180 primes in about 57 KB, so about 7 MB at
+    worst.  A refused factorization is not cached.  ``verify_link_chain``
+    never reads the memo, so a fault in it cannot pass the check.
     """
     if alpha.level != alpha_prime.level:
         raise LevelMismatch("characters live at different levels")
     M, level = alpha.level.M, alpha.level
     try:
-        primes = prime_factors(M)
+        split = _level_split(M)
     except FactorizationBudgetExceeded as exc:
         raise FactorizationBudgetExceeded(f"order of the level Q={level.Q}, deg={level.deg}: {exc}") from None
     xi = (alpha_prime.a - alpha.a) % M
     steps = []
     current = alpha
-    for ell in primes:
-        xi_ell = (1 - _ell_idempotent(M, ell)) * xi % M
+    for ell, complement in split:
+        xi_ell = complement * xi % M
         if xi_ell == 0:
             continue
         # each step starts on the orbit the previous step ended on

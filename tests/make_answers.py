@@ -19,7 +19,8 @@ of answers:
   exponents and, for each step, ell and the members of the orbits before and
   after it.
 
-The search memo is cleared before every line, so each computes its answer afresh.
+The search memo is cleared before every CLI and certify line, and the memo of
+level splits before every chain line, so each computes its answer afresh.
 A usage error's message is argparse's text: its usage line wraps at the
 terminal width (``COLUMNS``) and its wording belongs to the Python release, so
 for exit code 1 the ledger keeps the document without its message.
@@ -82,10 +83,12 @@ def certify_entries() -> list[str]:
 def chain_entries() -> list[str]:
     """One ledger line for each level of selftest criterion 3."""
     from tametransfer import build_link_chain, enumerate_orbits, field_level
+    from tametransfer.linking import _level_split
     from tametransfer.selftest import _LINKING_LEVELS
 
     entries = []
     for Q, deg in _LINKING_LEVELS:
+        _level_split.cache_clear()
         orbits = enumerate_orbits(field_level(Q, deg))
         digest, count = hashlib.sha256(), 0
         for o1 in orbits:

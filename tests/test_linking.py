@@ -271,6 +271,47 @@ def test_chain_budget_error_caps_a_large_q(monkeypatch):
     )
 
 
+def test_chains_at_one_level_factor_its_order_once_until_the_memo_is_cleared(monkeypatch):
+    level = field_level(5, 3)  # M = 124 = 2**2 * 31
+    factored = []
+
+    def spy(n):
+        factored.append(n)
+        return numth.prime_factors(n)
+
+    monkeypatch.setattr(linking_module, "prime_factors", spy)
+    chains = [build_link_chain(char(level, a), char(level, b)) for a, b in [(1, 5), (0, 123), (2, 2), (1, 32)]]
+    assert factored == [124]
+    assert [chain.primes for chain in chains] == [(31,), (2, 31), (), (2,)]
+    linking_module._level_split.cache_clear()
+    assert build_link_chain(char(level, 1), char(level, 5)) == chains[0]
+    assert factored == [124, 124]
+
+
+def test_a_budget_exit_is_not_memoized(monkeypatch):
+    monkeypatch.setattr(numth, "MAX_ECM_CURVES", 1)
+    level = field_level(10007, 13)
+    for _ in range(2):
+        with pytest.raises(FactorizationBudgetExceeded, match=r"^order of the level Q=10007, deg=13: 1 ECM curves"):
+            build_link_chain(char(level, 1), char(level, 5))
+    assert linking_module._level_split.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("Q, a, b, wrong", [
+    (25, 1, 5, ((2, 16), (3, 9))),  # each prime holds the idempotent e, not 1 - e
+    (25, 1, 5, ((2, 1),)),          # 3 dropped, its part moved into the step by 2
+    (31, 0, 5, ((5, 6), (6, 25))),  # 2 and 3 merged into the composite 6
+])
+def test_the_verifier_refuses_a_chain_built_from_a_wrong_memo(Q, a, b, wrong, monkeypatch):
+    level = field_level(Q, 1)
+    true_chain = build_link_chain(char(level, a), char(level, b))
+    monkeypatch.setattr(linking_module, "_level_split", lambda M: wrong)
+    chain = build_link_chain(char(level, a), char(level, b))
+    assert chain != true_chain
+    assert verify_link_chain(true_chain) is True
+    assert verify_link_chain(chain) is False
+
+
 def test_partition_single_block_small_levels():
     lvl = field_level(2, 3)
     blocks = linked_partition(lvl)
