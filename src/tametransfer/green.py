@@ -65,5 +65,9 @@ def green_trace(alpha0: CharExp, g_exp: int, u: int) -> CyclotomicSum:
     if element_degree(g_exp, lvl) != u:
         raise NotRegularElement(f"element exponent {g_exp} has degree below {u}")
     sign = 1 if u % 2 else -1
-    terms = [(alpha0.a * pow(lvl.Q, i, lvl.M) * g_exp % lvl.M, sign) for i in range(u)]
+    # the Frobenius walk x, x*Q, x*Q**2, ... mod M from x = alpha0 * g: one product a term
+    x, terms = alpha0.a * g_exp % lvl.M, []
+    for _ in range(u):
+        terms.append((x, sign))
+        x = x * lvl.Q % lvl.M
     return cyclotomic_sum(lvl.M, terms)
