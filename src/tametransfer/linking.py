@@ -85,7 +85,7 @@ def build_link_chain(alpha: CharExp, alpha_prime: CharExp) -> LinkChain:
 
     M is fixed by the level, so its split is memoized: an entry holds, for
     each prime ell | M, ell and its complementary idempotent mod M.  The memo
-    keeps the 128 levels used last; as M has at most ``tower.MAX_LEVEL_BITS``
+    keeps the 128 orders used last; as M has at most ``tower.MAX_LEVEL_BITS``
     bits, an entry holds at most 180 primes in about 57 KB, so about 7 MB at
     worst.  A refused factorization is not cached.  ``verify_link_chain``
     never reads the memo, so a fault in it cannot pass the check.
