@@ -1,4 +1,4 @@
-"""Write ``tests/answers.json``, the ledger of answers that ``tests/test_answers.py`` recomputes.
+"""Write ``tests/answers.json``, the ledger of answers that tier-1 recomputes.
 
 Run from anywhere, after a change that moves an answer on purpose:
 
@@ -8,7 +8,9 @@ The ledger holds, one line each, so that a diff of the ledger reads as a diff
 of answers:
 
 - for every command line of ``perfbench/cli_cases.py`` (README, PROBES and
-  ITEM1, in that order), its exit code and the JSON document the CLI prints;
+  ITEM1, in that order), then ``transfer-descent`` and ``regularize`` on each
+  shape of ``DESCENT_COMMAND_SHAPES`` with ``--alpha`` 0 to 5, its exit code
+  and the JSON document the CLI prints;
 - for every pair of the certify box (``CERTIFY_BOX``: b <= 40, r <= 30, b
   before r), the certificate of its least primitive prime as
   ``jsonio.certificate_to_json`` writes it (``b``, ``r``, ``ell`` and
@@ -17,13 +19,24 @@ of answers:
   the number of ordered chains between its orbit representatives and a
   SHA-256 over each chain, in criterion 3's order: its source and target
   exponents and, for each step, ell and the members of the orbits before and
-  after it.
+  after it;
+- for every shape of ``selftest.tame_shape_sweep()`` whose base level has
+  M = Q**n' - 1 at most ``DESCENT_MAX_M``, the number of its Frobenius orbits,
+  the number of them whose ``transfer_via_descent`` raises a domain error, and
+  a SHA-256 over each orbit's representative and the members of its descended
+  orbit (the error's kind for a domain error), in ``enumerate_orbits`` order;
+- for every selftest criterion, the ``detail`` that ``run_criterion`` reports;
+- for every demo under ``demos/``, the text it prints.
 
-The search memo is cleared before every CLI and certify line, and the memo of
-level splits before every chain line, so each computes its answer afresh.
-A usage error's message is argparse's text: its usage line wraps at the
-terminal width (``COLUMNS``) and its wording belongs to the Python release, so
-for exit code 1 the ledger keeps the document without its message.
+The search memo is cleared before every CLI, certify and descent line, and the
+memo of level splits before every chain line, so each computes its answer
+afresh.  A usage error's message is argparse's text, whose wording belongs to
+the Python release, so for exit code 1 the ledger keeps the document without
+its message.
+
+Each line is known by its key: the one of ``KINDS`` that it holds, with that
+field's value.  ``ledger_keys`` lists the keys without computing any answer,
+and the tests select each slice of the ledger by its kind.
 
 The ledger is a regression lock, not an oracle: it records what the program
 answers, and the goldens of ``cli_cases.py`` and the other independent checks
@@ -35,23 +48,46 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tests" / "answers.json"
 CERTIFY_BOX = [(b, r) for b in range(2, 41) for r in range(2, 31)]
+DESCENT_COMMAND_SHAPES = ("3,3,2,1,1,4", "3,3,1,1,2,1", "2,2,1,1,3,1", "5,5,1,1,3,1")
+DESCENT_MAX_M = 20_000
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+KINDS = ("argv", "certify", "chains", "descent", "criterion", "demo")  # in ledger order
 
 
 def command_lines() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location("cli_cases", ROOT / "perfbench" / "cli_cases.py")
     cases = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cases)
-    return [case["argv"] for case in cases.README + cases.PROBES + cases.ITEM1]
+    descents = [[command, "--shape", shape, "--alpha", str(alpha)]
+                for shape in DESCENT_COMMAND_SHAPES for command in ("transfer-descent", "regularize")
+                for alpha in range(6)]
+    return [case["argv"] for case in cases.README + cases.PROBES + cases.ITEM1] + descents
+
+
+def descent_shapes() -> list:
+    """The sweep shapes whose base level has M at most ``DESCENT_MAX_M``, in sweep order."""
+    from tametransfer import level
+    from tametransfer.selftest import tame_shape_sweep
+
+    return [params for params in tame_shape_sweep() if level(params, params.n_prime).M <= DESCENT_MAX_M]
+
+
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    """Run one demo as a script against the source tree."""
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
 
 
 def cli_entries() -> list[str]:
-    """One ledger line for each command line of ``cli_cases.py``."""
+    """One ledger line for each of ``command_lines``."""
     from tametransfer.cli import run
     from tametransfer.regularize import _smallest_primitive_prime
 
@@ -101,14 +137,76 @@ def chain_entries() -> list[str]:
     return entries
 
 
+def descent_entries() -> list[str]:
+    """One ledger line for each of ``descent_shapes``."""
+    from tametransfer import enumerate_orbits, level, transfer_via_descent
+    from tametransfer.errors import DomainError
+    from tametransfer.regularize import _smallest_primitive_prime
+
+    entries = []
+    for params in descent_shapes():
+        _smallest_primitive_prime.cache_clear()
+        digest, orbits, errors = hashlib.sha256(), 0, 0
+        for orbit in enumerate_orbits(level(params, params.n_prime)):
+            try:
+                answer = list(transfer_via_descent(orbit.rep_char(), params).members)
+            except DomainError as exc:
+                answer, errors = type(exc).__name__, errors + 1
+            digest.update(json.dumps([orbit.rep, answer]).encode() + b"\n")
+            orbits += 1
+        entries.append(json.dumps({"descent": list(params.as_tuple()), "orbits": orbits, "errors": errors,
+                                   "sha256": digest.hexdigest()}, sort_keys=True))
+    return entries
+
+
+def criterion_entries() -> list[str]:
+    """One ledger line for each selftest criterion."""
+    from tametransfer.selftest import CRITERIA, run_criterion
+
+    return [json.dumps({"criterion": c.name, "detail": run_criterion(c)["detail"]}, sort_keys=True) for c in CRITERIA]
+
+
+def demo_entries() -> list[str]:
+    """One ledger line for each demo."""
+    return [json.dumps({"demo": demo.stem, "stdout": run_demo(demo).stdout}, sort_keys=True) for demo in DEMOS]
+
+
 def ledger_text() -> str:
     """The ledger as it reads today: a JSON list with one entry a line."""
-    return "[\n" + ",\n".join(cli_entries() + certify_entries() + chain_entries()) + "\n]\n"
+    entries = (cli_entries() + certify_entries() + chain_entries() + descent_entries()
+               + criterion_entries() + demo_entries())
+    return "[\n" + ",\n".join(entries) + "\n]\n"
 
 
-def ledger_entries() -> list[str]:
-    """The lines of the ledger as written, each without its trailing comma."""
-    return [line.rstrip(",") for line in LEDGER.read_text().splitlines()[1:-1]]
+def ledger_keys() -> list[tuple[str, object]]:
+    """The key of every ledger line, in ledger order, computed without computing any answer."""
+    from tametransfer.selftest import _LINKING_LEVELS, CRITERIA
+
+    return ([("argv", argv) for argv in command_lines()]
+            + [("certify", [b, r]) for b, r in CERTIFY_BOX]
+            + [("chains", [Q, deg]) for Q, deg in _LINKING_LEVELS]
+            + [("descent", list(params.as_tuple())) for params in descent_shapes()]
+            + [("criterion", c.name) for c in CRITERIA]
+            + [("demo", demo.stem) for demo in DEMOS])
+
+
+def key_of(entry: str) -> tuple[str, object]:
+    """The key of one ledger line."""
+    document = json.loads(entry)
+    (kind,) = [kind for kind in KINDS if kind in document]
+    return kind, document[kind]
+
+
+def ledger_entries(kind: str | None = None) -> list[str]:
+    """The lines of the ledger as written, each without its trailing comma; with a kind, only its lines."""
+    lines = [line.rstrip(",") for line in LEDGER.read_text().splitlines()[1:-1]]
+    return lines if kind is None else [line for line in lines if key_of(line)[0] == kind]
+
+
+def recorded(kind: str, key: object) -> dict:
+    """The one ledger line with this key, as a document."""
+    (entry,) = [entry for entry in ledger_entries(kind) if key_of(entry)[1] == key]
+    return json.loads(entry)
 
 
 def main() -> int:

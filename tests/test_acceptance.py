@@ -6,6 +6,7 @@ each criterion through ``selftest.run_criterion``.
 """
 
 import pytest
+from make_answers import recorded
 
 import tametransfer.selftest as selftest_module
 import tametransfer.tame as tame_module
@@ -19,6 +20,7 @@ def test_criterion(criterion):
     verdict = "PASS" if result["passed"] else "FAIL"
     print(f"{verdict} {criterion.name} [{result['seconds']:.2f}s / budget {criterion.budget_seconds:.0f}s] {result['detail']}")
     assert result["passed"], result["detail"]
+    assert result["detail"] == recorded("criterion", criterion.name)["detail"]
 
 
 def test_injected_rectifier_bug_fails_the_descent_criterion(monkeypatch):

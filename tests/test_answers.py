@@ -1,21 +1,38 @@
-"""The ledger of answers: every command line of perfbench/cli_cases.py still prints, every
-pair of the certify box still certifies, and every level of selftest criterion 3 still builds
-the chains, that tests/answers.json records.  After a change that moves an answer on purpose,
-regenerate the ledger with ``python tests/make_answers.py`` and read its diff."""
+"""The ledger of answers: every command line of ``make_answers.command_lines`` still prints, every
+pair of the certify box still certifies, every level of selftest criterion 3 still builds the
+chains, and every small sweep shape still descends, that tests/answers.json records; the demos and
+the selftest criteria compare their own output with it where they run.  After a change that moves
+an answer on purpose, regenerate the ledger with ``python tests/make_answers.py`` and read its diff."""
 
 import json
 
-from make_answers import CERTIFY_BOX, ROOT, certify_entries, chain_entries, cli_entries, command_lines, ledger_entries
+from make_answers import (
+    CERTIFY_BOX,
+    ROOT,
+    certify_entries,
+    chain_entries,
+    cli_entries,
+    command_lines,
+    descent_entries,
+    key_of,
+    ledger_entries,
+    ledger_keys,
+)
+
+
+def test_the_ledger_holds_a_line_for_each_key_in_order():
+    # the keys come without any answer, so no stale line can hide after the last slice
+    assert [key_of(entry) for entry in ledger_entries()] == ledger_keys()
 
 
 def test_every_command_line_prints_the_answer_the_ledger_records():
-    assert len(command_lines()) == 28
-    assert cli_entries() == ledger_entries()[:28]
+    assert len(command_lines()) == 28 + 48
+    assert cli_entries() == ledger_entries("argv")
 
 
 def test_every_certify_pair_certifies_the_prime_the_ledger_records():
     entries = certify_entries()
-    assert entries == ledger_entries()[28:28 + 1131]
+    assert entries == ledger_entries("certify")
     # the independent key: perfbench/make_certify_oracle.py finds each prime with sympy alone
     oracle = json.loads((ROOT / "perfbench" / "certify_oracle.json").read_text())
     assert len(entries) == len(CERTIFY_BOX) == len(oracle) == 1131
@@ -27,5 +44,14 @@ def test_every_certify_pair_certifies_the_prime_the_ledger_records():
 
 def test_every_criterion_3_level_builds_the_chains_the_ledger_records():
     entries = chain_entries()
-    assert entries == ledger_entries()[28 + 1131:]
+    assert entries == ledger_entries("chains")
     assert sum(json.loads(entry)["count"] for entry in entries) == 2824
+
+
+def test_every_small_sweep_shape_descends_as_the_ledger_records():
+    # criterion 6 replays one shape per class with M <= 3000; this covers every shape up to M = 20000
+    entries = [json.loads(entry) for entry in descent_entries()]
+    assert entries == [json.loads(entry) for entry in ledger_entries("descent")]
+    assert len(entries) == 147
+    assert sum(entry["orbits"] for entry in entries) == 68733
+    assert sum(entry["errors"] for entry in entries) == 0

@@ -7,7 +7,6 @@ certificates and link-chain steps whose integers come from the same values, and
 must answer with a bool, never raise.
 """
 
-import importlib
 import itertools
 
 import pytest
@@ -74,8 +73,6 @@ def check(kind, function, *args):
 @pytest.fixture
 def degree_keys(monkeypatch):
     """The degrees the cold memo of level-degree primes is asked for: each miss calls prime_factors."""
-    importlib.import_module("tametransfer.regularize")._smallest_primitive_prime.cache_clear()
-    numth._degree_primes.cache_clear()
     keys = []
     monkeypatch.setattr(numth, "prime_factors", lambda n, real=numth.prime_factors: keys.append(n) or real(n))
     yield keys

@@ -14,8 +14,6 @@ from tametransfer.cli import main, run
 from tametransfer.jsonio import lift_to_json, orbit_to_json
 from tametransfer.regularize import cyclotomic_value
 
-regularize_module = importlib.import_module("tametransfer.regularize")
-
 
 def ok_payload(argv):
     result = run(argv)
@@ -304,7 +302,6 @@ def test_zsigmondy_3_743_answers_promptly(capsys):
 def test_zsigmondy_10_67_answers_promptly(capsys):
     # the primitive part of 10**67 - 1 is R67 / 9's cofactor of two large
     # primes and 493121 = 1 + 3680 * 134, a trial candidate
-    regularize_module._smallest_primitive_prime.cache_clear()
     start = time.perf_counter()
     assert main(["zsigmondy", "--b", "10", "--r", "67"]) == 0
     assert time.perf_counter() - start < 1.0
@@ -482,7 +479,6 @@ def test_chain_on_two_62_bit_primes_ends_at_the_work_budget(capsys):
 def test_search_budget_is_a_domain_error(monkeypatch, capsys):
     # (18, 29) needs 27 curves; a budget of ten leaves its 117-bit primitive part unsplit
     monkeypatch.setattr(numth, "MAX_ECM_CURVES", 10)
-    regularize_module._smallest_primitive_prime.cache_clear()
     assert main(["zsigmondy", "--b", "18", "--r", "29"]) == 2
     doc = one_document(capsys)
     assert doc["error_kind"] == "FactorizationBudgetExceeded"

@@ -1,16 +1,8 @@
-"""Every walkthrough under demos/ runs as a script against the source tree."""
-
-import os
-import pathlib
-import subprocess
-import sys
+"""Every walkthrough under demos/ runs as a script against the source tree and prints what the
+ledger of answers records."""
 
 import pytest
-
-import tametransfer
-
-SRC = pathlib.Path(tametransfer.__file__).resolve().parents[1]
-DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+from make_answers import DEMOS, recorded, run_demo
 
 
 def test_the_five_demos_are_found():
@@ -19,12 +11,7 @@ def test_the_five_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    done = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        timeout=60,
-    )
+    done = run_demo(demo)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert done.stdout == recorded("demo", demo.stem)["stdout"]

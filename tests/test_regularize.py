@@ -64,7 +64,6 @@ def test_cyclotomic_value_is_guarded_before_r_is_factored(monkeypatch):
     def no_factoring(n):
         raise AssertionError(f"factorize({n}) called")
 
-    numth._degree_primes.cache_clear()
     monkeypatch.setattr(numth, "factorize", no_factoring)
     with pytest.raises(LevelGuardExceeded, match="Q=3, deg=1000000000000"):
         cyclotomic_value(10**12, 3)
@@ -79,8 +78,6 @@ def test_the_search_factors_r_once_and_the_recheck_once(monkeypatch, b, r):
     # the search's intrinsic prime, cyclotomic value and order check share r's primes from the
     # memo; the recheck factors r afresh, also when the search is warm
     module = importlib.import_module("tametransfer.regularize")
-    module._smallest_primitive_prime.cache_clear()
-    numth._degree_primes.cache_clear()
     factored = []
     monkeypatch.setattr(numth, "factorize", lambda n, real=numth.factorize: factored.append(n) or real(n))
     ell, cert = zsigmondy_prime(b, r)
@@ -93,7 +90,6 @@ def test_the_search_factors_r_once_and_the_recheck_once(monkeypatch, b, r):
 
 def test_the_recheck_refuses_a_certificate_written_from_a_wrong_memo(monkeypatch):
     module = importlib.import_module("tametransfer.regularize")
-    module._smallest_primitive_prime.cache_clear()
     monkeypatch.setattr(module, "_degree_primes", lambda n: numth._degree_primes(n)[:-1])
     try:
         ell, cert = zsigmondy_prime(3, 14)
@@ -375,7 +371,6 @@ def test_zsigmondy_guard_is_the_bits_of_b_to_the_r(monkeypatch):
 
 def test_certified_answer_is_cached_and_a_failed_order_check_is_not(monkeypatch):
     module = importlib.import_module("tametransfer.regularize")
-    module._smallest_primitive_prime.cache_clear()
     real = module._order_checks
     monkeypatch.setattr(module, "_order_checks", lambda b, r, ell: None)
     with pytest.raises(OrderViolation, match=r"prime 547 is not primitive for \(3,14\)"):

