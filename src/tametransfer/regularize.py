@@ -11,6 +11,7 @@ character whose Frobenius orbit is as large as possible.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
 
 from .characters import (
@@ -73,13 +74,14 @@ class ZsigmondyCertificate(_Record):
     __slots__ = ("b", "r", "ell", "order_checks")
 
 
-def _order_checks(b: int, r: int, ell: int) -> tuple[tuple[int, int], ...] | None:
+def _order_checks(b: int, r: int, ell: int, primes_of: Callable) -> tuple[tuple[int, int], ...] | None:
     """(p, b**(r/p) mod ell) for each prime p | r ascending, or None unless b has
-    order exactly r modulo ell; r's primes are asked for only once b**r = 1 (mod ell)."""
+    order exactly r modulo ell; r's primes come from ``primes_of(r)``, asked only once
+    b**r = 1 (mod ell)."""
     if pow(b, r, ell) != 1:
         return None
     checks = []
-    for p in _degree_primes(r):
+    for p in primes_of(r):
         residue = pow(b, r // p, ell)
         if residue == 1:
             return None
@@ -102,7 +104,7 @@ def _smallest_primitive_prime(b: int, r: int) -> tuple[int, ZsigmondyCertificate
         ell = _least_prime_factor(primitive_part, r if r % 2 == 0 else 2 * r)
     except FactorizationBudgetExceeded as exc:
         raise FactorizationBudgetExceeded(f"primitive prime for b={b}, r={r}: {exc}") from None
-    order_checks = _order_checks(b, r, ell)
+    order_checks = _order_checks(b, r, ell, _degree_primes)
     if order_checks is None:
         raise OrderViolation(f"prime {ell} is not primitive for ({b},{r})")
     return ell, ZsigmondyCertificate(b=b, r=r, ell=ell, order_checks=order_checks)
@@ -137,8 +139,8 @@ def verify_certificate(cert: ZsigmondyCertificate) -> bool:
     """Recheck a certificate from its own fields: ell is prime and b has order exactly r modulo ell.
     Unless b**r - 1 is under the level guard and ell > 1 divides it, as in every certificate
     ``zsigmondy_prime`` writes, the answer is False before r is factored or ell is tested.  The
-    search takes r's primes from a memo; a recheck that read only the memo would agree with any
-    fault in it, so the listed primes must also be those of r factored afresh."""
+    recheck factors r itself and reads no memo, so a fault in the search's memo of r's primes
+    cannot reach it."""
     b, r, ell = cert.b, cert.r, cert.ell
     if b < 2 or r < 2 or ell < 2:
         return False
@@ -146,9 +148,8 @@ def verify_certificate(cert: ZsigmondyCertificate) -> bool:
         field_level(b, r)
     except LevelGuardExceeded:
         return False
-    checks = _order_checks(b, r, ell)
-    return (checks is not None and checks == cert.order_checks
-            and [p for p, _ in checks] == prime_factors(r) and is_prime(ell))
+    checks = _order_checks(b, r, ell, prime_factors)
+    return checks is not None and checks == cert.order_checks and is_prime(ell)
 
 
 class RegularizationLift(_Record):

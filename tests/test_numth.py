@@ -291,7 +291,7 @@ def multiply(factors):
 
 
 def test_degree_primes_are_the_sorted_primes_of_every_level_degree():
-    # one memo serves orbit_size, the primitive prime search and the certificate recheck
+    # one memo serves orbit_size and the primitive prime search; the certificate recheck factors r itself
     for n in range(1, MAX_LEVEL_BITS + 1):
         primes = numth._degree_primes(n)
         assert type(primes) is tuple and primes == tuple(sorted(small_factorization(n))), n

@@ -372,7 +372,7 @@ def test_zsigmondy_guard_is_the_bits_of_b_to_the_r(monkeypatch):
 def test_certified_answer_is_cached_and_a_failed_order_check_is_not(monkeypatch):
     module = importlib.import_module("tametransfer.regularize")
     real = module._order_checks
-    monkeypatch.setattr(module, "_order_checks", lambda b, r, ell: None)
+    monkeypatch.setattr(module, "_order_checks", lambda b, r, ell, primes_of: None)
     with pytest.raises(OrderViolation, match=r"prime 547 is not primitive for \(3,14\)"):
         zsigmondy_prime(3, 14)
     assert module._smallest_primitive_prime.cache_info().currsize == 0
@@ -380,8 +380,9 @@ def test_certified_answer_is_cached_and_a_failed_order_check_is_not(monkeypatch)
     monkeypatch.setattr(module, "_order_checks", lambda *args: calls.append(args) or real(*args))
     hit = zsigmondy_prime(3, 14)
     assert zsigmondy_prime(3, 14) is hit   # the warm call repeats no order check
-    assert calls == [(3, 14, 547)]
-    assert verify_certificate(hit[1]) and len(calls) == 2   # the recheck is independent
+    assert calls == [(3, 14, 547, numth._degree_primes)]
+    assert verify_certificate(hit[1])   # the recheck is independent: it factors r itself
+    assert calls == [(3, 14, 547, numth._degree_primes), (3, 14, 547, numth.prime_factors)]
 
 
 def test_warm_regularize_tests_no_prime(monkeypatch):
