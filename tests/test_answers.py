@@ -50,8 +50,9 @@ def test_every_criterion_3_level_builds_the_chains_the_ledger_records():
 
 def test_every_small_sweep_shape_descends_as_the_ledger_records():
     # criterion 6 replays one shape per class with M <= 3000; this covers every shape up to M = 20000
-    entries = [json.loads(entry) for entry in descent_entries()]
-    assert entries == [json.loads(entry) for entry in ledger_entries("descent")]
-    assert len(entries) == 147
-    assert sum(entry["orbits"] for entry in entries) == 68733
-    assert sum(entry["errors"] for entry in entries) == 0
+    entries = descent_entries()
+    assert entries == ledger_entries("descent")
+    documents = [json.loads(entry) for entry in entries]
+    assert len(documents) == 147
+    assert sum(document["orbits"] for document in documents) == 68733
+    assert sum(document["errors"] for document in documents) == 0
