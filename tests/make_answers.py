@@ -11,6 +11,8 @@ of answers:
   ITEM1, in that order), then ``transfer-descent`` and ``regularize`` on each
   shape of ``DESCENT_COMMAND_SHAPES`` with ``--alpha`` 0 to 5, its exit code
   and the JSON document the CLI prints;
+- for ``table`` at the anchor shape ``ANCHOR_TABLE`` (M = 531440), its exit
+  code and the length and SHA-256 of the exact bytes ``cli.main`` prints;
 - for every pair of the certify box (``CERTIFY_BOX``: b <= 40, r <= 30, b
   before r), the certificate of its least primitive prime as
   ``jsonio.certificate_to_json`` writes it (``b``, ``r``, ``ell`` and
@@ -39,14 +41,19 @@ field's value.  ``ledger_keys`` lists the keys without computing any answer,
 and the tests select each slice of the ledger by its kind.
 
 The ledger is a regression lock, not an oracle: it records what the program
-answers, and the goldens of ``cli_cases.py`` and the other independent checks
-stay the judges of what is right.
+answers, and the independent checks stay the judges of what is right.  The
+ledger tests apply two of them to the answers they recompute: the goldens of
+``cli_cases.py`` (``cli_cases()``) to its 28 command lines, and, to every
+certificate of the certify box, the ell of ``perfbench/certify_oracle.json``,
+an exact round trip through ``jsonio`` and ``verify_certificate``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -58,14 +65,21 @@ LEDGER = ROOT / "tests" / "answers.json"
 CERTIFY_BOX = [(b, r) for b in range(2, 41) for r in range(2, 31)]
 DESCENT_COMMAND_SHAPES = ("3,3,2,1,1,4", "3,3,1,1,2,1", "2,2,1,1,3,1", "5,5,1,1,3,1")
 DESCENT_MAX_M = 20_000
+ANCHOR_TABLE = "3,3,1,1,12,1"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-KINDS = ("argv", "certify", "chains", "descent", "criterion", "demo")  # in ledger order
+KINDS = ("argv", "table", "certify", "chains", "descent", "criterion", "demo")  # in ledger order
 
 
-def command_lines() -> list[list[str]]:
+def cli_cases():
+    """The module ``perfbench/cli_cases.py``, with its command lines and their goldens."""
     spec = importlib.util.spec_from_file_location("cli_cases", ROOT / "perfbench" / "cli_cases.py")
     cases = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cases)
+    return cases
+
+
+def command_lines() -> list[list[str]]:
+    cases = cli_cases()
     descents = [[command, "--shape", shape, "--alpha", str(alpha)]
                 for shape in DESCENT_COMMAND_SHAPES for command in ("transfer-descent", "regularize")
                 for alpha in range(6)]
@@ -100,6 +114,17 @@ def cli_entries() -> list[str]:
             del document["message"]
         entries.append(json.dumps({"argv": argv, "exit": result.exit_code, "document": document}, sort_keys=True))
     return entries
+
+
+def table_entries() -> list[str]:
+    """The one ledger line of the anchor ``table``."""
+    from tametransfer.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exit_code = main(["table", "--shape", ANCHOR_TABLE])
+    printed = out.getvalue().encode()
+    return [json.dumps({"table": ANCHOR_TABLE, "exit": exit_code, "bytes": len(printed),
+                        "sha256": hashlib.sha256(printed).hexdigest()}, sort_keys=True)]
 
 
 def certify_entries() -> list[str]:
@@ -173,7 +198,7 @@ def demo_entries() -> list[str]:
 
 def ledger_text() -> str:
     """The ledger as it reads today: a JSON list with one entry a line."""
-    entries = (cli_entries() + certify_entries() + chain_entries() + descent_entries()
+    entries = (cli_entries() + table_entries() + certify_entries() + chain_entries() + descent_entries()
                + criterion_entries() + demo_entries())
     return "[\n" + ",\n".join(entries) + "\n]\n"
 
@@ -183,6 +208,7 @@ def ledger_keys() -> list[tuple[str, object]]:
     from tametransfer.selftest import _LINKING_LEVELS, CRITERIA
 
     return ([("argv", argv) for argv in command_lines()]
+            + [("table", ANCHOR_TABLE)]
             + [("certify", [b, r]) for b, r in CERTIFY_BOX]
             + [("chains", [Q, deg]) for Q, deg in _LINKING_LEVELS]
             + [("descent", list(params.as_tuple())) for params in descent_shapes()]

@@ -1,8 +1,11 @@
-"""The ledger of answers: every command line of ``make_answers.command_lines`` still prints, every
-pair of the certify box still certifies, every level of selftest criterion 3 still builds the
-chains, and every small sweep shape still descends, that tests/answers.json records; the demos and
-the selftest criteria compare their own output with it where they run.  After a change that moves
-an answer on purpose, regenerate the ledger with ``python tests/make_answers.py`` and read its diff."""
+"""The ledger of answers: every command line of ``make_answers.command_lines`` still prints, the
+anchor table still prints the bytes, every pair of the certify box still certifies, every level
+of selftest criterion 3 still builds the chains, and every small sweep shape still descends, that
+tests/answers.json records; the demos and the selftest criteria compare their own output with it
+where they run.  These tests are also where tier-1 judges those answers: each of the 28
+``cli_cases`` lines by its golden, and each certificate of the box by ``certify_oracle.json``, an
+exact round trip through ``jsonio`` and ``verify_certificate``.  After a change that moves an
+answer on purpose, regenerate the ledger with ``python tests/make_answers.py`` and read its diff."""
 
 import json
 
@@ -11,13 +14,18 @@ from make_answers import (
     ROOT,
     certify_entries,
     chain_entries,
+    cli_cases,
     cli_entries,
     command_lines,
     descent_entries,
     key_of,
     ledger_entries,
     ledger_keys,
+    table_entries,
 )
+
+from tametransfer import verify_certificate
+from tametransfer.jsonio import certificate_from_json, certificate_to_json
 
 
 def test_the_ledger_holds_a_line_for_each_key_in_order():
@@ -27,7 +35,18 @@ def test_the_ledger_holds_a_line_for_each_key_in_order():
 
 def test_every_command_line_prints_the_answer_the_ledger_records():
     assert len(command_lines()) == 28 + 48
-    assert cli_entries() == ledger_entries("argv")
+    entries = cli_entries()
+    assert entries == ledger_entries("argv")
+    # the independent key: the hand-checked goldens of perfbench/cli_cases.py
+    documents = {tuple(entry["argv"]): entry for entry in map(json.loads, entries)}
+    cases = cli_cases()
+    for case in cases.README + cases.PROBES + cases.ITEM1:
+        entry = documents[tuple(case["argv"])]
+        assert cases.check_output(case, entry["exit"], json.dumps(entry["document"])) is None, case["argv"]
+
+
+def test_the_anchor_table_prints_the_bytes_the_ledger_records():
+    assert table_entries() == ledger_entries("table")
 
 
 def test_every_certify_pair_certifies_the_prime_the_ledger_records():
@@ -40,6 +59,10 @@ def test_every_certify_pair_certifies_the_prime_the_ledger_records():
         b, r = entry["certify"]
         certificate = entry["certificate"]
         assert oracle[f"{b},{r}"] == (certificate and certificate["ell"]), (b, r)
+        if certificate is not None:
+            record = certificate_from_json(certificate)
+            assert certificate_to_json(record) == certificate, (b, r)
+            assert verify_certificate(record), (b, r)
 
 
 def test_every_criterion_3_level_builds_the_chains_the_ledger_records():

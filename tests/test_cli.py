@@ -22,50 +22,12 @@ def ok_payload(argv):
     return result.payload
 
 
-def test_rectifier_command_worked_example():
-    payload = ok_payload(
-        ["rectifier", "--p", "3", "--q", "3", "--eEF", "2", "--fEF", "1", "--m", "1", "--d", "4"]
-    )
-    assert payload["y"] == 5
-    assert payload["mu_exp"] == "4"
-    assert payload["nontrivial"] is True
-
-
-def test_orbit_command_worked_example():
-    payload = ok_payload(["orbit", "--Q", "2", "--nprime", "3", "--a", "1"])
-    assert payload["rep"] == "1"
-    assert payload["size"] == 3
-    assert payload["members"] == ["1", "2", "4"]
-
-
-def test_zsigmondy_exception_is_a_domain_error():
-    result = run(["zsigmondy", "--b", "2", "--r", "6"])
-    assert result.status == "error"
-    assert result.error_kind == "ZsigmondyException"
-    assert result.exit_code == 2
-
-
 def test_zsigmondy_success():
     payload = ok_payload(["zsigmondy", "--b", "2", "--r", "14"])
     assert payload["ell"] == "43"
     assert payload["certificate"] == {
         "version": 2, "b": "2", "r": 14, "ell": "43", "order_checks": [[2, "42"], [7, "4"]],
     }
-
-
-def test_tower_command():
-    payload = ok_payload(["tower", "--shape", "3,3,2,1,1,4"])
-    assert payload["g"] == 2
-    assert payload["Q"] == "3"
-    assert payload["dprime"] == 2
-    assert payload["mprime"] == 1
-    assert payload["nprime"] == 2
-
-
-def test_order_and_regular_part_commands():
-    assert ok_payload(["order", "--Q", "5", "--nprime", "2", "--a", "9"])["order"] == "8"
-    payload = ok_payload(["regular-part", "--Q", "5", "--nprime", "2", "--a", "1", "--ell", "3"])
-    assert payload["regular_part"]["a"] == "9"
 
 
 def test_chain_command_with_bare_modulus():
@@ -95,32 +57,6 @@ def test_chain_refuses_a_modulus_below_one_by_its_flag(M):
     assert result.message == f"--M must be at least 1, got {M}"
 
 
-def test_partition_command():
-    payload = ok_payload(["partition", "--Q", "2", "--nprime", "3"])
-    assert payload["block_count"] == 1
-    assert payload["blocks"] == [["0", "1", "3"]]
-
-
-def test_regularize_command():
-    payload = ok_payload(["regularize", "--shape", "2,2,1,1,2,1", "--alpha", "0"])
-    assert payload["a"] == 7
-    assert payload["ell"] == "43"
-    assert payload["beta"]["a"] == "381"
-
-
-def test_transfer_command():
-    payload = ok_payload(["transfer", "--shape", "3,3,2,1,1,4", "--alpha", "1"])
-    assert payload["from"]["members"] == ["1", "3"]
-    assert payload["to"]["members"] == ["5", "7"]
-
-
-def test_transfer_descent_command():
-    payload = ok_payload(["transfer-descent", "--shape", "3,3,2,1,1,4", "--alpha", "0"])
-    assert payload["to"]["members"] == ["4"]
-    assert payload["agrees_with_rectifier"] is True
-    assert payload["lift"]["ell"] == "547"
-
-
 @pytest.mark.parametrize("shape, nprime, ell", [("2,2,1,1,10,1", 10, "43"), ("3,9,1,1,15,1", 15, "43"),
                                                 ("11,11,1,1,20,1", 20, "29")])
 def test_transfer_descent_at_nprime_10_to_20(shape, nprime, ell):
@@ -135,28 +71,11 @@ def test_transfer_descent_at_nprime_10_to_20(shape, nprime, ell):
     assert payload["lift"] == lift_to_json(regularize(alpha, params))
 
 
-def test_pair_commands():
-    payload = ok_payload(["pair", "--shape", "3,3,2,1,1,4", "--f", "1", "--beta", "1"])
-    assert payload["orbit"]["members"] == ["4"]
-    assert payload["round_trip_ok"] is True
-
-    moved = ok_payload(["pair-transfer", "--shape", "3,3,2,1,1,4", "--f", "1", "--beta", "1"])
-    assert moved["to"]["beta"] == "0"
-    assert moved["mu_L"] == "1"
-    assert moved["mu_L_order"] == "2"
-
-
 def test_green_command():
     payload = ok_payload(["green", "--d", "2", "--u", "2", "--alpha0", "1", "--g", "1"])
     assert payload["terms"] == [["1", -1], ["2", -1]]
     assert abs(payload["numeric"][0] - 1) < 1e-12
     assert abs(payload["numeric"][1]) < 1e-12
-
-
-def test_green_command_validates_prime_power():
-    result = run(["green", "--d", "6", "--u", "2", "--alpha0", "1", "--g", "1"])
-    assert result.exit_code == 2
-    assert result.error_kind == "NotPrimePower"
 
 
 def test_green_builds_the_level_before_the_prime_power_test(monkeypatch, capsys):

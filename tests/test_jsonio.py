@@ -86,20 +86,6 @@ def test_malformed_certificate_document_is_a_domain_error(doc, cause):
         certificate_from_json(doc)
 
 
-def test_certificates_of_the_box_round_trip_exactly():
-    read = 0
-    for b in (2, 3, 5, 10, 17, 40):
-        for r in (2, 3, 7, 12, 14, 30):
-            hit = zsigmondy_prime(b, r)
-            if hit is None:
-                continue
-            doc = json.loads(json.dumps(certificate_to_json(hit[1])))
-            assert certificate_from_json(doc) == hit[1]
-            assert certificate_to_json(certificate_from_json(doc)) == doc
-            read += 1
-    assert read == 35   # (3, 2) alone has no primitive prime
-
-
 def test_lift_document_shape():
     params = derive_tower(3, 3, 1, 1, 2, 1)
     lift = regularize(char(level(params, 2), 0), params)

